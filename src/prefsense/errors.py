@@ -21,6 +21,7 @@ __all__ = [
     "SaturationWarning",
     "require_finite",
     "require_probability",
+    "require_threshold",
 ]
 
 
@@ -100,3 +101,14 @@ def require_probability(p: Any, name: str) -> float:
     if not 0.0 < v < 1.0:
         raise DomainError(f"{name} must lie strictly inside (0, 1), got {v!r}")
     return v
+
+
+def require_threshold(threshold: Any) -> float:
+    """Validate a finite sensitivity threshold above 1."""
+    threshold = require_finite(threshold, "threshold")
+    if threshold <= 1.0:
+        raise UnsupportedThresholdError(
+            f"sensitive regions are characterised only for thresholds above 1, "
+            f"got {threshold!r}"
+        )
+    return threshold

@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .models import KTuplePreference, bt_prob
-from .synth import PreferenceSample, _first_label
+from .synth import PreferenceSample, tally_outcomes
 
 __all__ = [
     "SCORE_CAP",
@@ -295,23 +295,15 @@ def counts_from_samples(
 ) -> PairwiseCounts:
     """Aggregate synthesized samples into a win-count matrix.
 
-    The winner of a sample is the option named in the chosen answer's
-    first slot (answers always name the preferred option first); the
-    loser comes from the rejected answer the same way.
+    Winners and losers are read from the answer texts by tally_outcomes,
+    which also rejects unknown options and duplicate labels.
     """
-    labels = [str(l) for l in labels]
-    if len(set(labels)) != len(labels) or len(labels) < 2:
-        raise ValidationError(f"need at least 2 distinct labels, got {labels}")
+    labels = [str(label) for label in labels]
+    tally = tally_outcomes(samples, labels)
     index = {label: k for k, label in enumerate(labels)}
     wins = np.zeros((len(labels), len(labels)))
-    for sample in samples:
-        winner = _first_label(sample.chosen, labels)
-        loser = _first_label(sample.rejected, labels)
-        if winner is None or loser is None:
-            raise ValidationError(f"sample references unknown options: {sample!r}")
-        if winner == loser:
-            raise ValidationError(f"sample has identical winner and loser: {sample!r}")
-        wins[index[winner], index[loser]] += 1
+    for (winner, loser), count in tally.items():
+        wins[index[winner], index[loser]] = count
     return PairwiseCounts(wins)
 
 

@@ -18,7 +18,6 @@ differentiates.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,12 +25,11 @@ import numpy as np
 
 from .errors import (
     DomainError,
-    SaturationWarning,
     ValidationError,
     require_finite,
     require_probability,
 )
-from .links import LOGISTIC, LinkFunction
+from .links import LOGISTIC, LinkFunction, _warn_if_saturated
 
 __all__ = [
     "ScoredOptionSet",
@@ -101,16 +99,6 @@ class KTuplePreference:
         for i in self.indices:
             if not 0 <= i < n:
                 raise DomainError(f"index {i} out of range for {n} options")
-
-
-def _warn_if_saturated(p: float) -> float:
-    if p <= 0.0 or p >= 1.0:
-        warnings.warn(
-            f"probability saturated to {p!r} in float64",
-            SaturationWarning,
-            stacklevel=3,
-        )
-    return p
 
 
 def bt_prob(s_i: float, s_j: float) -> float:

@@ -18,8 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, EnumerationSizeError, UnsupportedThresholdError
-from .models import KTuplePreference, ScoredOptionSet, logit_normal_density
+from .errors import DomainError, EnumerationSizeError, require_finite, require_threshold
+from .models import ScoredOptionSet, logit_normal_density
 
 __all__ = [
     "DEFAULT_SEED",
@@ -94,8 +94,7 @@ def mc_area_bt(threshold: float, n: int, seed: int = DEFAULT_SEED) -> MonteCarlo
     derivative is evaluated through its raw arithmetic form, independent
     of the region formulas being verified.
     """
-    if threshold <= 1.0:
-        raise UnsupportedThresholdError(f"threshold must exceed 1, got {threshold!r}")
+    threshold = require_threshold(threshold)
     n = int(n)
     if n < 10_000:
         raise DomainError(f"n must be at least 10^4 for a usable estimate, got {n}")
@@ -128,8 +127,9 @@ def quad_area_pl(
     the interval of the swapped-pair coordinate; "vu" carries the extra
     1/alpha^2 scaling of its interval width.
     """
-    if threshold <= 1.0:
-        raise UnsupportedThresholdError(f"threshold must exceed 1, got {threshold!r}")
+    threshold = require_threshold(threshold)
+    alpha = require_finite(alpha, "alpha")
+    beta = require_finite(beta, "beta")
     grid_n = int(grid_n)
     if grid_n < 10_000:
         raise DomainError(f"grid_n must be at least 10^4, got {grid_n}")
@@ -188,10 +188,3 @@ def mode_count(sigma2: float, grid_n: int = 10_000) -> int:
         return 0
     inner = vals[1:-1]
     return int(np.count_nonzero((inner > vals[:-2]) & (inner > vals[2:])))
-
-
-def enumerate_rankings(n: int, k: int) -> list[KTuplePreference]:
-    """All K-permutations of n options as preference objects (K <= 6)."""
-    if k > 6:
-        raise EnumerationSizeError(f"enumeration guard: K={k} exceeds the K <= 6 limit")
-    return [KTuplePreference(p) for p in itertools.permutations(range(n), k)]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 
 __all__ = [
     "DEFAULT_THRESHOLDS",
@@ -141,8 +141,8 @@ def raster_pl(
     """Rasterize the K-tuple swap-pair derivative over (p_uv, p_vu)."""
     if which not in ("d_uv", "d_vu"):
         raise DomainError(f"which must be 'd_uv' or 'd_vu', got {which!r}")
-    alpha = float(alpha)
-    beta = float(beta)
+    alpha = require_finite(alpha, "alpha")
+    beta = require_finite(beta, "beta")
     if alpha < 1.0 or not 0.0 < beta <= 1.0:
         raise DomainError(f"need alpha >= 1 and 0 < beta <= 1, got {alpha!r}, {beta!r}")
     thresholds = _check_thresholds(thresholds)

@@ -35,10 +35,10 @@ import numpy as np
 from .errors import (
     DomainError,
     SingularityError,
-    UnsupportedThresholdError,
     WitnessNotFoundError,
     require_finite,
     require_probability,
+    require_threshold,
 )
 from .links import LinkFunction
 from .models import KTuplePreference, ScoredOptionSet, ratio_matrix
@@ -62,16 +62,6 @@ __all__ = [
     "compare_bt_pl_areas",
     "sensitivity_witness",
 ]
-
-
-def _require_threshold(threshold: float) -> float:
-    threshold = require_finite(threshold, "threshold")
-    if threshold <= 1.0:
-        raise UnsupportedThresholdError(
-            f"sensitive regions are characterised only for thresholds above 1, "
-            f"got {threshold!r}"
-        )
-    return threshold
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +149,7 @@ def bt_boundary(threshold: float, p_kj: float) -> float:
     two-sided average of nearby evaluations is returned so plotted
     boundaries stay continuous.
     """
-    threshold = _require_threshold(threshold)
+    threshold = require_threshold(threshold)
     p_kj = require_probability(p_kj, "p_kj")
     if abs(1.0 / p_kj - 2.0) < 1e-6:
         lo = _bt_boundary_raw(threshold, p_kj - 1e-7)
@@ -170,7 +160,7 @@ def bt_boundary(threshold: float, p_kj: float) -> float:
 
 def bt_region_slice(threshold: float, p_kj: float) -> BTRegionSlice:
     """Classify a p_kj slice and return its sensitive p_ik interval."""
-    threshold = _require_threshold(threshold)
+    threshold = require_threshold(threshold)
     p_kj = require_probability(p_kj, "p_kj")
     boundary = bt_boundary(threshold, p_kj)
     if p_kj < 1.0 / (1.0 + threshold):
@@ -194,7 +184,7 @@ def bt_region_area(threshold: float) -> AreaResult:
     Strictly decreasing in the threshold, with limit ln(2)/2 as the
     threshold approaches 1 from above.
     """
-    threshold = _require_threshold(threshold)
+    threshold = require_threshold(threshold)
     root = math.sqrt(threshold)
     area = 0.5 * math.log((threshold - 1.0) / (threshold + 1.0)) + (
         1.0 / (2.0 * root)
@@ -319,7 +309,7 @@ def _pl_region(
     fixed: float,
     which: str,
 ) -> PLRegionBounds:
-    threshold = _require_threshold(threshold)
+    threshold = require_threshold(threshold)
     fixed = require_probability(fixed, "fixed coordinate")
     scale = threshold if which == "uv" else ctx.alpha**2 * threshold
     disc = ctx.beta * (ctx.beta - 4.0 * ctx.alpha * threshold * fixed)
@@ -349,7 +339,7 @@ def pl_region_area(threshold: float, ctx: PLSensitivityContext, which: str = "uv
     disagrees with quadrature by far more than the verification tolerance
     for every threshold of 2 or more.
     """
-    threshold = _require_threshold(threshold)
+    threshold = require_threshold(threshold)
     if which == "uv":
         area = ctx.beta**2 / (6.0 * ctx.alpha * threshold**2)
         return AreaResult(closed_form=area, method="pl_closed_form_uv")
@@ -375,7 +365,7 @@ def compare_bt_pl_areas(threshold: float, ctx: PLSensitivityContext) -> AreaComp
     universal lower bound 1 / (6 M^2), which is what makes the inequality
     hold for every admissible (alpha, beta).
     """
-    threshold = _require_threshold(threshold)
+    threshold = require_threshold(threshold)
     if ctx.k <= 2:
         raise DomainError("comparison requires a K-tuple context with K > 2")
     bt = bt_region_area(threshold).closed_form

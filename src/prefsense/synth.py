@@ -12,6 +12,19 @@ rendered from fixed template banks. Generation is driven by a single
 sequential seeded stream, with one draw per decision in a pinned order
 (pair, question template, answer template, display order, winner), so a
 dataset is reproducible byte for byte from its spec.
+
+A bank of n_q questions and n_a answers can only ever render
+2 * n_q * 2 * n_a * 2 distinct samples (4,800 for the default bank), so
+generation renders the question table (pair x template x display order)
+and the answer table (pair x template x winner) once per call, turns
+each sample's draws into table indices with numpy, and builds each
+distinct sample once; the returned list shares those frozen instances.
+
+Checking goes the other way, from rendered text back to outcomes:
+tally_outcomes reads the winner and loser off each distinct
+(chosen, rejected) text pair once, and both empirical_check and the
+fitter's count aggregation build on it. It never sees the draws, so it
+stays an independent check of the generator.
 """
 
 from __future__ import annotations
@@ -19,13 +32,18 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
+
+import numpy as np
 
 from .errors import DomainError, ValidationError, require_finite
 from .oracles import make_rng
 
 __all__ = [
+    "MAX_SAMPLES",
     "QUESTION_TEMPLATES",
     "ANSWER_TEMPLATES",
     "TemplateBank",
@@ -37,10 +55,22 @@ __all__ = [
     "generate",
     "sweep",
     "empirical_check",
+    "tally_outcomes",
     "write_jsonl",
     "read_jsonl",
     "write_manifest",
 ]
+
+# Largest dataset a spec admits, refused before anything is allocated.
+# generate itself keeps 8 bytes per sample (its list slot; samples share
+# instances), but a dataset's JSONL file takes about 200 bytes per sample
+# and read_jsonl about 400 bytes per sample in memory: 4 GB at this cap.
+MAX_SAMPLES = 10**7
+
+# generate draws the (n, 5) matrix in blocks of this many rows. The stream
+# is the same as one (n, 5) draw; blocks keep the scratch arrays small
+# (40 bytes per row for the draws) whatever n is.
+_BLOCK = 8192
 
 QUESTION_TEMPLATES = (
     "If you had to choose between <A> and <B>, which would you prefer?",
@@ -150,8 +180,10 @@ class DatasetSpec:
             if not 0.0 <= p <= 1.0:
                 raise DomainError(f"{name} must lie in [0, 1], got {p!r}")
             object.__setattr__(self, name, p)
-        if int(self.n_samples) < 1:
-            raise ValidationError(f"n_samples must be >= 1, got {self.n_samples}")
+        if not 1 <= int(self.n_samples) <= MAX_SAMPLES:
+            raise ValidationError(
+                f"n_samples must lie in [1, {MAX_SAMPLES}], got {self.n_samples}"
+            )
         object.__setattr__(self, "n_samples", int(self.n_samples))
         object.__setattr__(self, "seed", int(self.seed))
 
@@ -170,29 +202,55 @@ def generate(spec: DatasetSpec, bank: TemplateBank | None = None) -> list[Prefer
     admissible pairs, the question template, the answer template (shared
     by chosen and rejected, with slots swapped), the display order in the
     question, and the Bernoulli winner. The (first, third) pair is never
-    emitted.
+    emitted. Equal samples are the same (frozen) object.
     """
     bank = bank or default_bank()
     o1, o2, o3 = spec.permutation
-    pairs = ((o1, o2, spec.p12), (o2, o3, spec.p23))
-    draws = make_rng(spec.seed).random((spec.n_samples, 5))
-    n_q = len(bank.questions)
-    n_a = len(bank.answers)
-    samples = []
-    for u_pair, u_q, u_a, u_disp, u_win in draws:
-        first_opt, second_opt, p_win = pairs[0 if u_pair < 0.5 else 1]
-        question_t = bank.questions[min(int(u_q * n_q), n_q - 1)]
-        answer_t = bank.answers[min(int(u_a * n_a), n_a - 1)]
-        shown = (first_opt, second_opt) if u_disp < 0.5 else (second_opt, first_opt)
-        winner, loser = (first_opt, second_opt) if u_win < p_win else (second_opt, first_opt)
-        samples.append(
-            PreferenceSample(
-                question=question_t.replace("<A>", shown[0]).replace("<B>", shown[1]),
-                chosen=answer_t.replace("<A>", winner).replace("<B>", loser),
-                rejected=answer_t.replace("<A>", loser).replace("<B>", winner),
-            )
-        )
+    pairs = ((o1, o2), (o2, o3))
+    # questions[pair][template][display]: display 1 shows the pair's second option first.
+    questions = [[(_fill(t, a, b), _fill(t, b, a)) for t in bank.questions] for a, b in pairs]
+    # answers[pair][template][outcome]: (chosen, rejected); outcome 1 means the second option wins.
+    answers = [
+        [((_fill(t, a, b), _fill(t, b, a)), (_fill(t, b, a), _fill(t, a, b))) for t in bank.answers]
+        for a, b in pairs
+    ]
+    shape = (2, len(bank.questions), 2, len(bank.answers), 2)
+    rng = make_rng(spec.seed)
+    made: dict[int, PreferenceSample] = {}
+    samples: list[PreferenceSample] = []
+    for start in range(0, spec.n_samples, _BLOCK):
+        draws = rng.random((min(_BLOCK, spec.n_samples - start), 5))
+        keys = _cell_keys(draws, spec, shape).tolist()
+        new = np.array(list(set(keys).difference(made)), dtype=np.int64)
+        cells = zip(new.tolist(), *(i.tolist() for i in np.unravel_index(new, shape)))
+        for key, p, q, d, a, w in cells:
+            made[key] = PreferenceSample(questions[p][q][d], *answers[p][a][w])
+        samples += map(made.__getitem__, keys)
     return samples
+
+
+def _cell_keys(draws: np.ndarray, spec: DatasetSpec, shape: tuple[int, ...]) -> np.ndarray:
+    """Flat index of each row's (pair, question, display, answer, outcome) cell."""
+    u_pair, u_q, u_a, u_disp, u_win = draws.T
+    pair = u_pair >= 0.5
+    return np.ravel_multi_index(
+        (
+            pair,
+            _template_index(u_q, shape[1]),
+            u_disp >= 0.5,
+            _template_index(u_a, shape[3]),
+            u_win >= np.where(pair, spec.p23, spec.p12),
+        ),
+        shape,
+    )
+
+
+def _template_index(u: np.ndarray, n: int) -> np.ndarray:
+    return np.minimum((u * n).astype(np.int64), n - 1)
+
+
+def _fill(template: str, a: str, b: str) -> str:
+    return template.replace("<A>", a).replace("<B>", b)
 
 
 def sweep(base: DatasetSpec) -> list[DatasetSpec]:
@@ -249,24 +307,12 @@ def empirical_check(samples: Sequence[PreferenceSample], spec: DatasetSpec) -> E
     its count, which must be 0 for a well-formed dataset.
     """
     o1, o2, o3 = spec.permutation
-    counts = {(o1, o2): [0, 0], (o2, o3): [0, 0]}
-    forbidden = 0
-    for sample in samples:
-        winner = _first_label(sample.chosen, spec.permutation)
-        loser = _first_label(sample.rejected, spec.permutation)
-        if winner is None or loser is None or winner == loser:
-            raise ValidationError(
-                f"sample does not reference two distinct known options: {sample!r}"
-            )
-        pair = frozenset((winner, loser))
-        if pair == frozenset((o1, o3)):
-            forbidden += 1
-        elif pair == frozenset((o1, o2)):
-            counts[(o1, o2)][0] += 1
-            counts[(o1, o2)][1] += winner == o1
-        else:
-            counts[(o2, o3)][0] += 1
-            counts[(o2, o3)][1] += winner == o2
+    tally = tally_outcomes(samples, spec.permutation)
+    counts = {
+        (o1, o2): (tally[o1, o2] + tally[o2, o1], tally[o1, o2]),
+        (o2, o3): (tally[o2, o3] + tally[o3, o2], tally[o2, o3]),
+    }
+    forbidden = tally[o1, o3] + tally[o3, o1]
     stats = []
     for pair, expected in (((o1, o2), spec.p12), ((o2, o3), spec.p23)):
         n, wins = counts[pair]
@@ -298,16 +344,41 @@ def empirical_check(samples: Sequence[PreferenceSample], spec: DatasetSpec) -> E
     )
 
 
-def _first_label(text: str, labels: Sequence[str]) -> str | None:
-    """Earliest-occurring option name in a rendered answer.
+def tally_outcomes(
+    samples: Sequence[PreferenceSample], labels: Sequence[str]
+) -> Counter[tuple[str, str]]:
+    """Count (winner, loser) outcomes read from the samples' answer texts.
 
-    Answer templates always place the preferred slot first, so on the
-    chosen side this is the winner. Longer labels win position ties so a
-    label that prefixes another cannot shadow it.
+    Answer templates always place the preferred slot first, so the
+    winner is the earliest label in the chosen answer and the loser the
+    earliest label in the rejected answer; longer labels win position
+    ties so a label that prefixes another cannot shadow it. Each
+    distinct (chosen, rejected) text pair is parsed once.
     """
+    labels = [str(label) for label in labels]
+    if len(labels) < 2 or len(set(labels)) != len(labels):
+        raise ValidationError(f"need at least 2 distinct labels, got {labels}")
+    longest_first = sorted(labels, key=len, reverse=True)
+    tally: Counter[tuple[str, str]] = Counter()
+    for (chosen, rejected), count in Counter(map(_answers, samples)).items():
+        winner = _first_label(chosen, longest_first)
+        loser = _first_label(rejected, longest_first)
+        if winner is None or loser is None or winner == loser:
+            raise ValidationError(
+                f"answers do not name two distinct known options: {chosen!r} / {rejected!r}"
+            )
+        tally[winner, loser] += count
+    return tally
+
+
+_answers = attrgetter("chosen", "rejected")
+
+
+def _first_label(text: str, longest_first: Sequence[str]) -> str | None:
+    """Earliest label in text; scanning longest first gives ties to the longer label."""
     best = None
     best_pos = len(text) + 1
-    for label in sorted(labels, key=len, reverse=True):
+    for label in longest_first:
         pos = text.find(label)
         if pos != -1 and pos < best_pos:
             best = label

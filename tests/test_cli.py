@@ -167,6 +167,16 @@ class TestData:
         )
         assert code == 1
 
+    def test_gen_data_refuses_oversized(self, capsys, tmp_path):
+        out = tmp_path / "d.jsonl"
+        code, _, err = run(
+            capsys, "gen-data", "--permutation", "a,b,c", "--p12", "0.9",
+            "--p23", "0.5", "--n", str(10**12), "--seed", "0", "--out", str(out),
+        )
+        assert code == 1
+        assert "n_samples" in err
+        assert not out.exists()
+
     def test_fit_jsonl_requires_options(self, capsys, tmp_path):
         data = tmp_path / "d.jsonl"
         data.write_text("{}\n")

@@ -97,6 +97,11 @@ class TestMCAreaBT:
         with pytest.raises(DomainError):
             mc_area_bt(2.0, 100)
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf])
+    def test_non_finite_threshold(self, threshold):
+        with pytest.raises(DomainError):
+            mc_area_bt(threshold, 10_000)
+
 
 class TestQuadAreaPL:
     def test_matches_closed_form(self):
@@ -120,6 +125,13 @@ class TestQuadAreaPL:
             quad_area_pl(2.0, 1.01, 0.99, "uv", 100)
         with pytest.raises(DomainError):
             quad_area_pl(2.0, 0.5, 0.99)
+
+    @pytest.mark.parametrize(
+        "args", [(math.nan, 1.01, 0.99), (2.0, math.nan, 0.99), (2.0, math.inf, 0.99)]
+    )
+    def test_non_finite_arguments(self, args):
+        with pytest.raises(DomainError):
+            quad_area_pl(*args)
 
 
 class TestBruteForce:

@@ -114,6 +114,11 @@ class TestGridConstruction:
         with pytest.raises(DomainError):
             raster_pl("d_uv", 0.9, 0.99, THRESHOLDS, 64)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_non_finite_alpha(self, alpha):
+        with pytest.raises(DomainError):
+            raster_pl("d_uv", alpha, 0.99, THRESHOLDS, 64)
+
 
 class TestRegionAgreement:
     def test_bt_classes_match_analytic_membership(self):

@@ -1,7 +1,9 @@
 """Dataset synthesis: templates, sampling protocol, reproducibility."""
 
+import hashlib
 import json
 import math
+from collections import Counter
 
 import pytest
 
@@ -14,17 +16,54 @@ from prefsense import (
     default_bank,
     empirical_check,
     generate,
+    make_rng,
     read_jsonl,
     sweep,
     write_jsonl,
     write_manifest,
 )
+from prefsense.synth import _BLOCK, MAX_SAMPLES, tally_outcomes
 
 PERM = ("dog", "bird", "cat")
+
+# sha256 of write_jsonl(generate(DatasetSpec(PERM, 0.99, 0.02, 2000, 0))).
+GOLDEN_SHA256 = "9d94e18c9c7ab20e243d8a723c496bb3cc46aeb08845c9037d06125af58c3072"
 
 
 def spec(p12=0.99, p23=0.01, n=2000, seed=3):
     return DatasetSpec(PERM, p12, p23, n, seed)
+
+
+def reference_generate(spec, bank=None):
+    """One sample at a time, straight from the draws: the oracle for generate."""
+    bank = bank or default_bank()
+    o1, o2, o3 = spec.permutation
+    pairs = ((o1, o2, spec.p12), (o2, o3, spec.p23))
+    n_q, n_a = len(bank.questions), len(bank.answers)
+    samples = []
+    for u_pair, u_q, u_a, u_disp, u_win in make_rng(spec.seed).random((spec.n_samples, 5)):
+        first, second, p_win = pairs[0 if u_pair < 0.5 else 1]
+        question = bank.questions[min(int(u_q * n_q), n_q - 1)]
+        answer = bank.answers[min(int(u_a * n_a), n_a - 1)]
+        shown = (first, second) if u_disp < 0.5 else (second, first)
+        winner, loser = (first, second) if u_win < p_win else (second, first)
+        samples.append(
+            PreferenceSample(
+                question=question.replace("<A>", shown[0]).replace("<B>", shown[1]),
+                chosen=answer.replace("<A>", winner).replace("<B>", loser),
+                rejected=answer.replace("<A>", loser).replace("<B>", winner),
+            )
+        )
+    return samples
+
+
+def reference_tally(samples, labels):
+    """Per-sample outcome count: earliest label, the longer one on a tie."""
+
+    def first_label(text):
+        return min((text.find(l), -len(l), l) for l in labels if l in text)[2]
+
+    return Counter((first_label(s.chosen), first_label(s.rejected)) for s in samples)
 
 
 class TestTemplateBank:
@@ -57,6 +96,12 @@ class TestDatasetSpec:
             DatasetSpec(PERM, 1.5, 0.5, 10, 0)
         with pytest.raises(ValidationError):
             DatasetSpec(PERM, 0.5, 0.5, 0, 0)
+
+    def test_oversized_refused(self):
+        DatasetSpec(PERM, 0.5, 0.5, MAX_SAMPLES, 0)
+        for n in (MAX_SAMPLES + 1, 10**12):
+            with pytest.raises(ValidationError):
+                DatasetSpec(PERM, 0.5, 0.5, n, 0)
 
     def test_endpoints_admitted(self):
         DatasetSpec(PERM, 0.99, 0.0, 10, 0)
@@ -138,6 +183,59 @@ class TestGenerate:
             winner = next(o for o in pair if s.chosen.find(o) == winner_pos)
             loser = next(o for o in pair if s.rejected.find(o) == rej_winner_pos)
             assert winner != loser
+
+
+class TestGenerateMatchesReference:
+    @pytest.mark.parametrize("p12,p23", [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)])
+    def test_probability_endpoints(self, p12, p23):
+        s = DatasetSpec(PERM, p12, p23, 2000, 11)
+        assert generate(s) == reference_generate(s)
+
+    def test_spans_draw_blocks(self):
+        s = DatasetSpec(PERM, 0.6, 0.3, 2 * _BLOCK + 17, 8)
+        assert generate(s) == reference_generate(s)
+
+    def test_single_sample(self):
+        for seed in range(20):
+            s = DatasetSpec(PERM, 0.5, 0.5, 1, seed)
+            assert generate(s) == reference_generate(s)
+
+    def test_custom_bank(self):
+        # Answers that omit <B> or repeat <A> render differently from the
+        # default bank's; a single question exercises the clamp at n_q - 1.
+        bank = TemplateBank(
+            questions=("<B> or <A>?",),
+            answers=("I just prefer <A>.", "<A>, <A> and again <A> over <B>.", "<A> wins."),
+        )
+        s = DatasetSpec(PERM, 0.8, 0.3, 3000, 4)
+        assert generate(s, bank) == reference_generate(s, bank)
+
+    def test_prefix_labels(self):
+        s = DatasetSpec(("cat", "catfish", "dog"), 0.7, 0.4, 3000, 2)
+        samples = generate(s)
+        assert samples == reference_generate(s)
+        assert tally_outcomes(samples, s.permutation) == reference_tally(samples, s.permutation)
+
+    def test_golden_digest(self, tmp_path):
+        path = tmp_path / "golden.jsonl"
+        write_jsonl(generate(DatasetSpec(PERM, 0.99, 0.02, 2000, 0)), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256
+
+
+class TestTallyOutcomes:
+    def test_matches_per_sample_count(self, tmp_path):
+        samples = generate(spec(p12=0.6, p23=0.3, n=5000))
+        assert tally_outcomes(samples, PERM) == reference_tally(samples, PERM)
+        # Read-back samples share no string objects; the tally must not care.
+        path = tmp_path / "d.jsonl"
+        write_jsonl(samples, path)
+        assert tally_outcomes(read_jsonl(path), PERM) == reference_tally(samples, PERM)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValidationError):
+            tally_outcomes([PreferenceSample("q", "I prefer dog.", "I prefer dog.")], PERM)
+        with pytest.raises(ValidationError):
+            tally_outcomes([], ("dog", "dog"))
 
 
 class TestEmpiricalCheck:
