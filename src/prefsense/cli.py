@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import PrefsenseError
+from .errors import DomainError, PrefsenseError, require_probability
 from .fitting import counts_from_samples, fit_bt, load_counts, predict
 from .links import get_link
 from .models import compose_pairwise
@@ -57,13 +57,12 @@ def _fmt(x) -> str:
 
 
 def _probability(text: str) -> float:
+    # A DomainError is a ValueError, which argparse would replace with its
+    # own message; a usage error keeps ours.
     try:
-        value = float(text)
-    except ValueError:
-        raise _UsageError(f"not a number: {text!r}")
-    if not 0.0 < value < 1.0:
-        raise _UsageError(f"probability must lie strictly inside (0, 1), got {value!r}")
-    return value
+        return require_probability(text, "probability")
+    except DomainError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -508,13 +507,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except PrefsenseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PrefsenseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,6 +22,7 @@ __all__ = [
     "require_finite",
     "require_probability",
     "require_threshold",
+    "require_alpha_beta",
 ]
 
 
@@ -112,3 +113,12 @@ def require_threshold(threshold: Any) -> float:
             f"got {threshold!r}"
         )
     return threshold
+
+
+def require_alpha_beta(alpha: Any, beta: Any) -> tuple[float, float]:
+    """Validate the K-tuple constants: finite alpha >= 1 and 0 < beta <= 1."""
+    alpha = require_finite(alpha, "alpha")
+    beta = require_finite(beta, "beta")
+    if alpha < 1.0 or not 0.0 < beta <= 1.0:
+        raise DomainError(f"need alpha >= 1 and 0 < beta <= 1, got {alpha!r}, {beta!r}")
+    return alpha, beta

@@ -16,6 +16,8 @@ SaturationWarning rather than silently.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 
 from .errors import DomainError, SaturationWarning, require_finite, require_probability
@@ -24,15 +26,21 @@ __all__ = ["LinkFunction", "LogisticLink", "ProbitLink", "LOGISTIC", "PROBIT", "
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
 def _warn_if_saturated(p: float) -> float:
     if p <= 0.0 or p >= 1.0:
+        # Point the warning at the first caller outside the package, however
+        # deep the call that saturated (stacklevel 1 is this frame).
+        level, frame = 1, sys._getframe()
+        while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+            level, frame = level + 1, frame.f_back
         warnings.warn(
             f"probability saturated to {p!r} in float64; open-interval codomain "
             "cannot be represented at this magnitude",
             SaturationWarning,
-            stacklevel=3,
+            stacklevel=level,
         )
     return p
 

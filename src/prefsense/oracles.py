@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, EnumerationSizeError, require_finite, require_threshold
+from .errors import DomainError, EnumerationSizeError, require_alpha_beta, require_threshold
 from .models import ScoredOptionSet, logit_normal_density
 
 __all__ = [
@@ -128,15 +128,12 @@ def quad_area_pl(
     1/alpha^2 scaling of its interval width.
     """
     threshold = require_threshold(threshold)
-    alpha = require_finite(alpha, "alpha")
-    beta = require_finite(beta, "beta")
+    alpha, beta = require_alpha_beta(alpha, beta)
     grid_n = int(grid_n)
     if grid_n < 10_000:
         raise DomainError(f"grid_n must be at least 10^4, got {grid_n}")
     if which not in ("uv", "vu"):
         raise DomainError(f"which must be 'uv' or 'vu', got {which!r}")
-    if alpha < 1.0 or not 0.0 < beta <= 1.0:
-        raise DomainError(f"need alpha >= 1 and 0 < beta <= 1, got {alpha!r}, {beta!r}")
     upper = beta / (4.0 * alpha * threshold)
     x = np.linspace(0.0, upper, grid_n + 1)
     width = np.sqrt(np.maximum(beta * (beta - 4.0 * alpha * threshold * x), 0.0)) / threshold

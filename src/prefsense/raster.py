@@ -12,11 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, require_finite
+from .errors import DomainError, require_alpha_beta
+from .sensitivity import bt_partial_terms, pl_partial_terms
 
 __all__ = [
     "DEFAULT_THRESHOLDS",
     "DEFAULT_RESOLUTION",
+    "MAX_RESOLUTION",
     "RasterGrid",
     "raster_bt",
     "raster_pl",
@@ -26,6 +28,12 @@ __all__ = [
 
 DEFAULT_THRESHOLDS = (1.01, 2.0, 3.0, 5.0, 10.0)
 DEFAULT_RESOLUTION = 512
+# Memory grows as resolution^2. Measured with tracemalloc at 256^2-1024^2:
+# CSV export peaks at about 183 B per cell (170 for the text plus the 13 the
+# grid keeps; building a grid takes less), so about 3 GB at this cap, the
+# same order as synth.MAX_SAMPLES. Larger requests are refused before
+# anything is allocated.
+MAX_RESOLUTION = 4096
 
 _MARGIN = 60
 _PLOT = 600
@@ -60,13 +68,16 @@ class RasterGrid:
     values: np.ndarray
     classes: np.ndarray
     singular: np.ndarray
-    kind: str
     which: str
     xlabel: str
     ylabel: str
 
     def cell_centers(self) -> np.ndarray:
-        return (np.arange(self.resolution) + 0.5) / self.resolution
+        return _centers(self.resolution)
+
+
+def _centers(resolution: int) -> np.ndarray:
+    return (np.arange(resolution) + 0.5) / resolution
 
 
 def _check_thresholds(thresholds) -> tuple[float, ...]:
@@ -83,16 +94,34 @@ def _check_thresholds(thresholds) -> tuple[float, ...]:
 
 def _check_resolution(resolution: int) -> int:
     resolution = int(resolution)
-    if resolution < 64:
-        raise DomainError(f"resolution must be at least 64, got {resolution}")
+    if not 64 <= resolution <= MAX_RESOLUTION:
+        raise DomainError(f"resolution must lie in [64, {MAX_RESOLUTION}], got {resolution}")
     return resolution
 
 
-def _classify(values: np.ndarray, thresholds: tuple[float, ...]) -> np.ndarray:
+def _grid(numer, denom, thresholds, which: str, xlabel: str, ylabel: str) -> RasterGrid:
+    """Divide a kernel's terms into the [ix, iy] grid and classify the magnitudes.
+
+    Kernels get x as a column and y as a row, so only terms of both take a
+    full grid. Cells with a zero denominator are singular and set to +inf.
+    """
+    singular = denom == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = numer / denom
+    values[singular] = np.inf
     classes = np.zeros(values.shape, dtype=np.int32)
     for t in thresholds:
         classes += values > t
-    return classes
+    return RasterGrid(
+        resolution=values.shape[0],
+        thresholds=thresholds,
+        values=values,
+        classes=classes,
+        singular=singular,
+        which=which,
+        xlabel=xlabel,
+        ylabel=ylabel,
+    )
 
 
 def raster_bt(
@@ -108,27 +137,10 @@ def raster_bt(
     if which not in ("d_pik", "d_pkj"):
         raise DomainError(f"which must be 'd_pik' or 'd_pkj', got {which!r}")
     thresholds = _check_thresholds(thresholds)
-    resolution = _check_resolution(resolution)
-    centers = (np.arange(resolution) + 0.5) / resolution
-    x, y = np.meshgrid(centers, centers, indexing="ij")
-    base = x + y - 2.0 * x * y - 1.0
-    denom = base * base
-    numer = y * (1.0 - y) if which == "d_pik" else x * (1.0 - x)
-    singular = denom == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = numer / denom
-    values[singular] = np.inf
-    return RasterGrid(
-        resolution=resolution,
-        thresholds=thresholds,
-        values=values,
-        classes=_classify(values, thresholds),
-        singular=singular,
-        kind="bt",
-        which=which,
-        xlabel="p_ik",
-        ylabel="p_kj",
-    )
+    c = _centers(_check_resolution(resolution))
+    x, y = c[:, None], c[None, :]
+    numer, denom = bt_partial_terms(x, y) if which == "d_pik" else bt_partial_terms(y, x)
+    return _grid(numer, denom, thresholds, which, "p_ik", "p_kj")
 
 
 def raster_pl(
@@ -141,31 +153,12 @@ def raster_pl(
     """Rasterize the K-tuple swap-pair derivative over (p_uv, p_vu)."""
     if which not in ("d_uv", "d_vu"):
         raise DomainError(f"which must be 'd_uv' or 'd_vu', got {which!r}")
-    alpha = require_finite(alpha, "alpha")
-    beta = require_finite(beta, "beta")
-    if alpha < 1.0 or not 0.0 < beta <= 1.0:
-        raise DomainError(f"need alpha >= 1 and 0 < beta <= 1, got {alpha!r}, {beta!r}")
+    alpha, beta = require_alpha_beta(alpha, beta)
     thresholds = _check_thresholds(thresholds)
-    resolution = _check_resolution(resolution)
-    centers = (np.arange(resolution) + 0.5) / resolution
-    x, y = np.meshgrid(centers, centers, indexing="ij")
-    denom = (alpha * x + y) ** 2
-    numer = beta * y if which == "d_uv" else beta * x
-    singular = denom == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = numer / denom
-    values[singular] = np.inf
-    return RasterGrid(
-        resolution=resolution,
-        thresholds=thresholds,
-        values=values,
-        classes=_classify(values, thresholds),
-        singular=singular,
-        kind="pl",
-        which=which,
-        xlabel="p_uv",
-        ylabel="p_vu",
-    )
+    c = _centers(_check_resolution(resolution))
+    x, y = c[:, None], c[None, :]
+    numer, denom = pl_partial_terms(x, y, alpha, beta, "uv" if which == "d_uv" else "vu")
+    return _grid(numer, denom, thresholds, which, "p_uv", "p_vu")
 
 
 # ---------------------------------------------------------------------------

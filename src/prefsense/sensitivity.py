@@ -36,6 +36,7 @@ from .errors import (
     DomainError,
     SingularityError,
     WitnessNotFoundError,
+    require_alpha_beta,
     require_finite,
     require_probability,
     require_threshold,
@@ -52,6 +53,7 @@ __all__ = [
     "Witness",
     "bt_partial",
     "general_partial",
+    "bt_boundary",
     "bt_region_slice",
     "bt_region_area",
     "pl_context",
@@ -69,6 +71,15 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def bt_partial_terms(p_ik, p_kj):
+    """(numerator, denominator) of d p_ij / d p_ik, for floats or arrays.
+
+    Unvalidated; d p_ij / d p_kj is bt_partial_terms(p_kj, p_ik).
+    """
+    base = p_ik + p_kj - 2.0 * p_ik * p_kj - 1.0
+    return p_kj * (1.0 - p_kj), base * base
+
+
 def bt_partial(p_ik: float, p_kj: float) -> float:
     """Derivative of the composed Bradley-Terry probability w.r.t. p_ik.
 
@@ -79,14 +90,13 @@ def bt_partial(p_ik: float, p_kj: float) -> float:
     """
     p_ik = require_probability(p_ik, "p_ik")
     p_kj = require_probability(p_kj, "p_kj")
-    base = p_ik + p_kj - 2.0 * p_ik * p_kj - 1.0
-    denom = base * base
+    numer, denom = bt_partial_terms(p_ik, p_kj)
     if denom == 0.0:
         raise SingularityError(
             f"composition derivative undefined at ({p_ik!r}, {p_kj!r})",
             point=(p_ik, p_kj),
         )
-    return p_kj * (1.0 - p_kj) / denom
+    return numer / denom
 
 
 def general_partial(link: LinkFunction, p_ik: float, p_kj: float) -> float:
@@ -221,15 +231,14 @@ class PLSensitivityContext:
             raise DomainError(
                 f"need 0 <= u < v < K, got u={self.u}, v={self.v}, K={self.k}"
             )
-        if not (math.isfinite(self.alpha) and self.alpha >= 1.0):
-            raise DomainError(f"alpha must be finite and >= 1, got {self.alpha!r}")
-        if not (math.isfinite(self.beta) and 0.0 < self.beta <= 1.0):
-            raise DomainError(f"beta must lie in (0, 1], got {self.beta!r}")
+        alpha, beta = require_alpha_beta(self.alpha, self.beta)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
     @classmethod
     def from_alpha_beta(cls, alpha: float, beta: float, k: int = 3) -> "PLSensitivityContext":
         """Synthetic context with explicit constants (for sweeps and plots)."""
-        return cls(k=k, u=0, v=1, alpha=float(alpha), beta=float(beta))
+        return cls(k=k, u=0, v=1, alpha=alpha, beta=beta)
 
 
 def pl_context(
@@ -260,6 +269,15 @@ def pl_context(
     )
 
 
+def pl_partial_terms(p_uv, p_vu, alpha, beta, which: str):
+    """(numerator, denominator) of |d p / d p_uv| ("uv") or |d p / d p_vu| ("vu").
+
+    For floats or arrays, unvalidated; both share (alpha p_uv + p_vu)^2.
+    """
+    d = alpha * p_uv + p_vu
+    return beta * (p_vu if which == "uv" else p_uv), d * d
+
+
 def pl_partials(p_uv: float, p_vu: float, ctx: PLSensitivityContext) -> tuple[float, float]:
     """Ranking-probability derivatives w.r.t. the two swap probabilities.
 
@@ -268,13 +286,14 @@ def pl_partials(p_uv: float, p_vu: float, ctx: PLSensitivityContext) -> tuple[fl
     """
     p_uv = require_probability(p_uv, "p_uv")
     p_vu = require_probability(p_vu, "p_vu")
-    denom = (ctx.alpha * p_uv + p_vu) ** 2
+    numer_uv, denom = pl_partial_terms(p_uv, p_vu, ctx.alpha, ctx.beta, "uv")
     if denom == 0.0:
         raise SingularityError(
             f"ranking derivative undefined at ({p_uv!r}, {p_vu!r})",
             point=(p_uv, p_vu),
         )
-    return ctx.beta * p_vu / denom, -ctx.beta * p_uv / denom
+    numer_vu, _ = pl_partial_terms(p_uv, p_vu, ctx.alpha, ctx.beta, "vu")
+    return numer_uv / denom, -numer_vu / denom
 
 
 @dataclass(frozen=True)
@@ -389,7 +408,6 @@ class Witness:
 
     threshold: float
     delta: float
-    p0: float
     p_ik: float
     p_kj: float
     derivative: float
@@ -428,7 +446,6 @@ def sensitivity_witness(
                     return Witness(
                         threshold=threshold,
                         delta=delta,
-                        p0=p_ik,
                         p_ik=p_ik,
                         p_kj=p_kj,
                         derivative=deriv,

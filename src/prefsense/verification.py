@@ -43,7 +43,7 @@ from .sensitivity import (
 )
 from .synth import DatasetSpec, empirical_check, generate, sweep
 
-__all__ = ["CheckResult", "CHECKS", "run_checks", "run_all"]
+__all__ = ["CheckResult", "CHECKS", "run_all"]
 
 # Fixed seed for the Monte-Carlo area comparison. Hit-or-miss at 10^6
 # samples leaves ~1.8% relative standard error at threshold 10, so the 2%
@@ -402,40 +402,30 @@ def check_raster_boundaries(quick: bool = False) -> CheckResult:
                     f"of the boundary",
                 )
         ctx = PLSensitivityContext.from_alpha_beta(FIGURE_ALPHA, FIGURE_BETA)
-        pl_uv_grid = raster_pl("d_uv", FIGURE_ALPHA, FIGURE_BETA, FIGURE_THRESHOLDS, resolution)
-        for level, t in enumerate(FIGURE_THRESHOLDS, start=1):
-            exceeded = pl_uv_grid.classes >= level
-            for ix, x in enumerate(centers):
-                bounds = pl_region_uv(t, ctx, x)
-                if bounds.empty:
-                    analytic = np.zeros(resolution, dtype=bool)
-                    curve = []
-                else:
-                    lo, hi = bounds.interval
-                    analytic = (centers > lo) & (centers < hi)
-                    curve = [lo, hi]
-                ok = _mismatch_within(centers, analytic, exceeded[ix, :], curve, cell)
-                f.expect(
-                    ok,
-                    f"pl uv raster column x={x:.5f} M={t:g}: transition beyond one cell",
-                )
-        pl_vu_grid = raster_pl("d_vu", FIGURE_ALPHA, FIGURE_BETA, FIGURE_THRESHOLDS, resolution)
-        for level, t in enumerate(FIGURE_THRESHOLDS, start=1):
-            exceeded = pl_vu_grid.classes >= level
-            for iy, y in enumerate(centers):
-                bounds = pl_region_vu(t, ctx, y)
-                if bounds.empty:
-                    analytic = np.zeros(resolution, dtype=bool)
-                    curve = []
-                else:
-                    lo, hi = bounds.interval
-                    analytic = (centers > lo) & (centers < hi)
-                    curve = [lo, hi]
-                ok = _mismatch_within(centers, analytic, exceeded[:, iy], curve, cell)
-                f.expect(
-                    ok,
-                    f"pl vu raster row y={y:.5f} M={t:g}: transition beyond one cell",
-                )
+        # Each PL field is checked along the axis of its fixed coordinate.
+        for which, region, axis, label in (
+            ("d_uv", pl_region_uv, 0, "uv raster column x"),
+            ("d_vu", pl_region_vu, 1, "vu raster row y"),
+        ):
+            grid = raster_pl(which, FIGURE_ALPHA, FIGURE_BETA, FIGURE_THRESHOLDS, resolution)
+            for level, t in enumerate(FIGURE_THRESHOLDS, start=1):
+                exceeded = grid.classes >= level
+                for i, fixed in enumerate(centers):
+                    bounds = region(t, ctx, fixed)
+                    if bounds.empty:
+                        analytic = np.zeros(resolution, dtype=bool)
+                        curve = []
+                    else:
+                        lo, hi = bounds.interval
+                        analytic = (centers > lo) & (centers < hi)
+                        curve = [lo, hi]
+                    ok = _mismatch_within(
+                        centers, analytic, exceeded.take(i, axis=axis), curve, cell
+                    )
+                    f.expect(
+                        ok,
+                        f"pl {label}={fixed:.5f} M={t:g}: transition beyond one cell",
+                    )
         return (
             f"resolution {resolution}, thresholds {FIGURE_THRESHOLDS}: all class "
             "transitions within one cell of the analytic curves"
@@ -602,15 +592,5 @@ CHECKS: tuple[tuple[str, Callable[[bool], CheckResult]], ...] = (
 )
 
 
-def run_checks(names=None, quick: bool = False) -> list[CheckResult]:
-    wanted = set(names) if names else None
-    results = []
-    for name, fn in CHECKS:
-        if wanted is not None and name not in wanted:
-            continue
-        results.append(fn(quick))
-    return results
-
-
 def run_all(quick: bool = False) -> list[CheckResult]:
-    return run_checks(None, quick)
+    return [fn(quick) for _, fn in CHECKS]

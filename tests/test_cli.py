@@ -134,10 +134,11 @@ class TestRaster:
         assert code == 0
 
     def test_bad_resolution(self, capsys, tmp_path):
-        code, _, err = run(
-            capsys, "raster", "bt", "--out", str(tmp_path / "x.csv"), "--resolution", "8"
-        )
-        assert code == 1
+        for resolution in ("8", "4097"):
+            out = tmp_path / f"{resolution}.csv"
+            code, _, err = run(capsys, "raster", "bt", "--out", str(out), "--resolution", resolution)
+            assert code == 1
+            assert not out.exists()
 
 
 class TestData:

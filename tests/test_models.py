@@ -13,6 +13,7 @@ from prefsense import (
     LOGISTIC,
     PROBIT,
     DomainError,
+    FitResult,
     KTuplePreference,
     SaturationWarning,
     ScoredOptionSet,
@@ -25,6 +26,7 @@ from prefsense import (
     pl_prob,
     pl_prob_from_ratios,
     pl_ratio,
+    predict,
     ratio_matrix,
 )
 
@@ -184,6 +186,33 @@ class TestComposition:
     def test_saturation_flag(self):
         with pytest.warns(SaturationWarning):
             bt_compose(1 - 1e-16, 1 - 1e-16)
+
+
+_NEAR_ONE = 1 - 1e-16
+_EXTREME = ScoredOptionSet(["a", "b", "c"], [800.0, 0.0, -800.0])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bt_prob(40.0, 0.0),
+        lambda: compose_pairwise(LOGISTIC, _NEAR_ONE, _NEAR_ONE),
+        lambda: compose_pairwise(PROBIT, _NEAR_ONE, _NEAR_ONE),
+        lambda: bt_compose(_NEAR_ONE, _NEAR_ONE),
+        lambda: pl_prob(KTuplePreference((0, 1, 2)), _EXTREME),
+        lambda: LOGISTIC.evaluate(40.0),
+        lambda: PROBIT.evaluate(40.0),
+        lambda: predict(FitResult((0.0, 40.0), 0.0, 1, True), 1, 0),
+    ],
+    ids=[
+        "bt_prob", "compose_logistic", "compose_probit", "bt_compose", "pl_prob",
+        "logistic_evaluate", "probit_evaluate", "fitting_predict",
+    ],
+)
+def test_saturation_warning_points_at_caller(call):
+    with pytest.warns(SaturationWarning) as record:
+        call()
+    assert [w.filename for w in record] == [__file__]
 
 
 class TestPLProb:

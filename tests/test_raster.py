@@ -1,5 +1,7 @@
 """Raster grids and their CSV/SVG exports."""
 
+import hashlib
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -13,11 +15,12 @@ from prefsense import (
     export,
     pl_partials,
     pl_region_uv,
+    quad_area_pl,
     raster_bt,
     raster_pl,
     read_csv_grid,
 )
-from prefsense.raster import RasterGrid
+from prefsense.raster import MAX_RESOLUTION, RasterGrid
 
 THRESHOLDS = (1.01, 2.0, 3.0, 5.0, 10.0)
 
@@ -34,7 +37,6 @@ def tiny_grid() -> RasterGrid:
         values=values,
         classes=classes,
         singular=np.zeros((2, 2), dtype=bool),
-        kind="bt",
         which="d_pik",
         xlabel="x",
         ylabel="y",
@@ -48,28 +50,29 @@ class TestGridConstruction:
         assert centers[0] == pytest.approx(0.5 / 64)
         assert centers[-1] == pytest.approx(63.5 / 64)
 
+    # Rasters and the scalar derivatives share one kernel, so every cell
+    # must equal the scalar value exactly.
     def test_values_match_pointwise_derivative(self):
         grid = raster_bt("d_pik", THRESHOLDS, 64)
-        centers = grid.cell_centers()
-        for ix, iy in ((0, 0), (10, 50), (63, 1), (32, 32)):
-            assert grid.values[ix, iy] == pytest.approx(
-                bt_partial(centers[ix], centers[iy]), rel=1e-12
-            )
+        c = grid.cell_centers()
+        expect = [[bt_partial(c[ix], c[iy]) for iy in range(64)] for ix in range(64)]
+        assert (grid.values == np.array(expect)).all()
 
     def test_mirror_field(self):
         grid = raster_bt("d_pkj", THRESHOLDS, 64)
-        centers = grid.cell_centers()
-        assert grid.values[10, 50] == pytest.approx(
-            bt_partial(centers[50], centers[10]), rel=1e-12
-        )
+        c = grid.cell_centers()
+        expect = [[bt_partial(c[iy], c[ix]) for iy in range(64)] for ix in range(64)]
+        assert (grid.values == np.array(expect)).all()
 
     def test_pl_values(self):
         ctx = PLSensitivityContext.from_alpha_beta(1.01, 0.99)
         for which, idx in (("d_uv", 0), ("d_vu", 1)):
             grid = raster_pl(which, 1.01, 0.99, THRESHOLDS, 64)
-            centers = grid.cell_centers()
-            expect = abs(pl_partials(centers[3], centers[40], ctx)[idx])
-            assert grid.values[3, 40] == pytest.approx(expect, rel=1e-12)
+            c = grid.cell_centers()
+            expect = [
+                [abs(pl_partials(c[ix], c[iy], ctx)[idx]) for iy in range(64)] for ix in range(64)
+            ]
+            assert (grid.values == np.array(expect)).all()
 
     def test_classes_monotone_in_value(self):
         grid = raster_pl("d_uv", 1.01, 0.99, THRESHOLDS, 64)
@@ -113,11 +116,41 @@ class TestGridConstruction:
             raster_bt("d_pik", (2.0, 2.0), 64)
         with pytest.raises(DomainError):
             raster_pl("d_uv", 0.9, 0.99, THRESHOLDS, 64)
-
-    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
-    def test_non_finite_alpha(self, alpha):
         with pytest.raises(DomainError):
-            raster_pl("d_uv", alpha, 0.99, THRESHOLDS, 64)
+            raster_bt("d_pik", THRESHOLDS, MAX_RESOLUTION + 1)
+
+    # Every entry point that takes K-tuple constants rejects the same inputs.
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [("x", 0.99), (None, 0.99), (math.nan, 0.99), (math.inf, 0.99),
+         (0.9, 0.99), (1.01, 0.0), (1.01, 1.5)],
+        ids=["x", "None", "nan", "inf", "alpha0.9", "beta0", "beta1.5"],
+    )
+    def test_non_finite_alpha(self, alpha, beta):
+        with pytest.raises(DomainError):
+            PLSensitivityContext.from_alpha_beta(alpha, beta)
+        with pytest.raises(DomainError):
+            raster_pl("d_uv", alpha, beta, THRESHOLDS, 64)
+        with pytest.raises(DomainError):
+            quad_area_pl(2.0, alpha, beta)
+
+    # Recorded from the default 64x64 figures (`prefsense raster {bt,pl}
+    # --resolution 64`); every export must stay byte-identical.
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("bt.csv", "c024fe96555cb353eaa24cca98c675a45e79826b3f75e6b11b539e901ed9c642"),
+            ("bt.svg", "f7c5a132d2c73ea7d55005dadb3503d78592da11d64ba07e054f47da8b33315e"),
+            ("pl.csv", "e386096160f83cef5fc4350014f3a73808612030e789579dbbee73e28a2c88b4"),
+            ("pl.svg", "9fa5c65ebc46acfb8075297cc9c52b222d157dc58942b2d56b4f9c094f0e593f"),
+        ],
+    )
+    def test_export_digest(self, tmp_path, name, digest):
+        model, fmt = name.split(".")
+        grid = raster_bt(resolution=64) if model == "bt" else raster_pl(resolution=64)
+        path = tmp_path / name
+        export(grid, fmt, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestRegionAgreement:
