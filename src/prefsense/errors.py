@@ -7,6 +7,7 @@ so callers can distinguish bad input from genuine numerical breakdown.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Any
 
 __all__ = [
@@ -19,6 +20,7 @@ __all__ = [
     "DisconnectedDataError",
     "EnumerationSizeError",
     "SaturationWarning",
+    "require_int",
     "require_finite",
     "require_probability",
     "require_threshold",
@@ -83,6 +85,14 @@ class SaturationWarning(RuntimeWarning):
     The open-interval codomain cannot be honoured at this magnitude; the
     saturated value is still returned, with this warning as the flag.
     """
+
+
+def require_int(x: Any, name: str) -> int:
+    """Accept ints and numpy integers; reject floats, strings and the rest."""
+    try:
+        return operator.index(x)
+    except TypeError as exc:
+        raise DomainError(f"{name} must be an integer, got {x!r}") from exc
 
 
 def require_finite(x: Any, name: str) -> float:

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, EnumerationSizeError, require_alpha_beta, require_threshold
+from .errors import DomainError, EnumerationSizeError, require_alpha_beta, require_int, require_threshold
 from .models import ScoredOptionSet, logit_normal_density
 
 __all__ = [
@@ -95,7 +95,7 @@ def mc_area_bt(threshold: float, n: int, seed: int = DEFAULT_SEED) -> MonteCarlo
     of the region formulas being verified.
     """
     threshold = require_threshold(threshold)
-    n = int(n)
+    n = require_int(n, "n")
     if n < 10_000:
         raise DomainError(f"n must be at least 10^4 for a usable estimate, got {n}")
     rng = make_rng(seed)
@@ -129,7 +129,7 @@ def quad_area_pl(
     """
     threshold = require_threshold(threshold)
     alpha, beta = require_alpha_beta(alpha, beta)
-    grid_n = int(grid_n)
+    grid_n = require_int(grid_n, "grid_n")
     if grid_n < 10_000:
         raise DomainError(f"grid_n must be at least 10^4, got {grid_n}")
     if which not in ("uv", "vu"):
@@ -172,7 +172,7 @@ def mode_count(sigma2: float, grid_n: int = 10_000) -> int:
     merged first, so a flat-topped peak counts once and the symmetric
     two-point tie straddling 0.5 is not missed.
     """
-    grid_n = int(grid_n)
+    grid_n = require_int(grid_n, "grid_n")
     if grid_n < 10_000:
         raise DomainError(f"grid_n must be at least 10^4, got {grid_n}")
     grid = np.linspace(0.0, 1.0, grid_n + 2)[1:-1]

@@ -8,11 +8,12 @@ contours (SVG, extracted with marching squares).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, require_alpha_beta
+from .errors import DomainError, require_alpha_beta, require_finite, require_int
 from .sensitivity import bt_partial_terms, pl_partial_terms
 
 __all__ = [
@@ -29,10 +30,10 @@ __all__ = [
 DEFAULT_THRESHOLDS = (1.01, 2.0, 3.0, 5.0, 10.0)
 DEFAULT_RESOLUTION = 512
 # Memory grows as resolution^2. Measured with tracemalloc at 256^2-1024^2:
-# CSV export peaks at about 183 B per cell (170 for the text plus the 13 the
-# grid keeps; building a grid takes less), so about 3 GB at this cap, the
-# same order as synth.MAX_SAMPLES. Larger requests are refused before
-# anything is allocated.
+# CSV export peaks at about 91 B per cell (78 for the text and row lists plus
+# the 13 the grid keeps; building a grid or reading the CSV back takes less),
+# so about 1.5 GB at this cap, the same order as synth.MAX_SAMPLES. Larger
+# requests are refused before anything is allocated.
 MAX_RESOLUTION = 4096
 
 _MARGIN = 60
@@ -81,11 +82,11 @@ def _centers(resolution: int) -> np.ndarray:
 
 
 def _check_thresholds(thresholds) -> tuple[float, ...]:
-    ts = tuple(float(t) for t in thresholds)
+    ts = tuple(require_finite(t, "threshold") for t in thresholds)
     if not ts:
         raise DomainError("at least one threshold is required")
-    if any(t <= 0 or not np.isfinite(t) for t in ts):
-        raise DomainError(f"thresholds must be positive and finite, got {ts}")
+    if any(t <= 0 for t in ts):
+        raise DomainError(f"thresholds must be positive, got {ts}")
     st = tuple(sorted(set(ts)))
     if len(st) != len(ts):
         raise DomainError(f"thresholds must be distinct, got {ts}")
@@ -93,7 +94,7 @@ def _check_thresholds(thresholds) -> tuple[float, ...]:
 
 
 def _check_resolution(resolution: int) -> int:
-    resolution = int(resolution)
+    resolution = require_int(resolution, "resolution")
     if not 64 <= resolution <= MAX_RESOLUTION:
         raise DomainError(f"resolution must lie in [64, {MAX_RESOLUTION}], got {resolution}")
     return resolution
@@ -167,32 +168,34 @@ def raster_pl(
 
 
 def _csv_text(grid: RasterGrid) -> str:
-    centers = grid.cell_centers()
-    lines = ["x,y,value,class"]
-    res = grid.resolution
-    values = grid.values
-    classes = grid.classes
-    for ix in range(res):
-        cx = f"{centers[ix]:.9g}"
-        for iy in range(res):
-            lines.append(f"{cx},{centers[iy]:.9g},{values[ix, iy]:.9g},{classes[ix, iy]}")
-    return "\n".join(lines) + "\n"
+    # One %-template per grid row, with the formatted y centers written in.
+    centers = [f"{c:.9g}" for c in grid.cell_centers().tolist()]
+    template = "".join(f"%s,{cy},%.9g,%d\n" for cy in centers)
+    fields = [None] * (3 * grid.resolution)
+    lines = ["x,y,value,class\n"]
+    for cx, values, classes in zip(centers, grid.values.tolist(), grid.classes.tolist()):
+        fields[0::3] = [cx] * grid.resolution
+        fields[1::3] = values
+        fields[2::3] = classes
+        lines.append(template % tuple(fields))
+    return "".join(lines)
 
 
 def read_csv_grid(path) -> dict[str, np.ndarray]:
-    """Re-parse an exported CSV into flat x/y/value/class arrays."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Re-parse an exported CSV into flat x/y/value/class arrays, or raise DomainError."""
+    with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
         header = fh.readline().strip()
         if header != "x,y,value,class":
             raise DomainError(f"unexpected CSV header {header!r} in {path}")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    data = np.array([[float(a), float(b), float(c), int(d)] for a, b, c, d in rows])
-    return {
-        "x": data[:, 0],
-        "y": data[:, 1],
-        "value": data[:, 2],
-        "class": data[:, 3].astype(int),
-    }
+        warnings.simplefilter("error", UserWarning)  # numpy only warns on an empty body
+        dtype = [("x", "f8"), ("y", "f8"), ("value", "f8"), ("class", "i8")]
+        try:
+            data = np.loadtxt(fh, delimiter=",", comments=None, dtype=dtype, ndmin=1)
+        except ValueError as exc:
+            raise DomainError(f"malformed CSV row in {path}: {exc}") from exc
+        except UserWarning as exc:
+            raise DomainError(f"no data rows after the header in {path}") from exc
+    return {name: data[name] for name in data.dtype.names}
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from .errors import (
     WitnessNotFoundError,
     require_alpha_beta,
     require_finite,
+    require_int,
     require_probability,
     require_threshold,
 )
@@ -225,15 +226,14 @@ class PLSensitivityContext:
     ratios: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self):
-        if self.k < 2:
-            raise DomainError(f"K must be at least 2, got {self.k}")
-        if not 0 <= self.u < self.v < self.k:
-            raise DomainError(
-                f"need 0 <= u < v < K, got u={self.u}, v={self.v}, K={self.k}"
-            )
+        k, u, v = (require_int(getattr(self, n), n) for n in ("k", "u", "v"))
+        if k < 2:
+            raise DomainError(f"K must be at least 2, got {k}")
+        if not 0 <= u < v < k:
+            raise DomainError(f"need 0 <= u < v < K, got u={u}, v={v}, K={k}")
         alpha, beta = require_alpha_beta(self.alpha, self.beta)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        for name, value in (("k", k), ("u", u), ("v", v), ("alpha", alpha), ("beta", beta)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_alpha_beta(cls, alpha: float, beta: float, k: int = 3) -> "PLSensitivityContext":

@@ -102,6 +102,14 @@ class TestMCAreaBT:
         with pytest.raises(DomainError):
             mc_area_bt(threshold, 10_000)
 
+    @pytest.mark.parametrize("n", ["x", None, 1e5, 10_000.5], ids=["x", "None", "1e5", "10000.5"])
+    def test_non_integer_n(self, n):
+        with pytest.raises(DomainError, match="n must be an integer"):
+            mc_area_bt(2.0, n)
+
+    def test_numpy_integer_n(self):
+        assert mc_area_bt(2.0, np.int64(10_000), seed=3) == mc_area_bt(2.0, 10_000, seed=3)
+
 
 class TestQuadAreaPL:
     def test_matches_closed_form(self):
@@ -132,6 +140,11 @@ class TestQuadAreaPL:
     def test_non_finite_arguments(self, args):
         with pytest.raises(DomainError):
             quad_area_pl(*args)
+
+    @pytest.mark.parametrize("grid_n", ["x", 1e5], ids=["x", "1e5"])
+    def test_non_integer_grid(self, grid_n):
+        with pytest.raises(DomainError, match="grid_n must be an integer"):
+            quad_area_pl(2.0, 1.1, 0.5, grid_n=grid_n)
 
 
 class TestBruteForce:
@@ -196,3 +209,8 @@ class TestModeCount:
     def test_grid_guard(self):
         with pytest.raises(DomainError):
             mode_count(1.1, 100)
+
+    @pytest.mark.parametrize("grid_n", ["x", 1e4], ids=["x", "1e4"])
+    def test_non_integer_grid(self, grid_n):
+        with pytest.raises(DomainError, match="grid_n must be an integer"):
+            mode_count(1.1, grid_n)

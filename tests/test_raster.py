@@ -1,7 +1,9 @@
 """Raster grids and their CSV/SVG exports."""
 
+import dataclasses
 import hashlib
 import math
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -41,6 +43,26 @@ def tiny_grid() -> RasterGrid:
         xlabel="x",
         ylabel="y",
     )
+
+
+def with_singular_cells(grid: RasterGrid) -> RasterGrid:
+    """The grid with a lattice of cells flagged singular, as +inf above every threshold."""
+    singular = np.zeros_like(grid.singular)
+    singular[::7, ::5] = True
+    values = np.where(singular, np.inf, grid.values)
+    classes = np.where(singular, len(grid.thresholds), grid.classes).astype(grid.classes.dtype)
+    return dataclasses.replace(grid, values=values, classes=classes, singular=singular)
+
+
+def reference_csv_text(grid: RasterGrid) -> str:
+    """Per-cell CSV writer, independent of the package's row templates."""
+    centers = (np.arange(grid.resolution) + 0.5) / grid.resolution
+    lines = ["x,y,value,class"]
+    for ix in range(grid.resolution):
+        cx = f"{centers[ix]:.9g}"
+        for iy in range(grid.resolution):
+            lines.append(f"{cx},{centers[iy]:.9g},{grid.values[ix, iy]:.9g},{grid.classes[ix, iy]}")
+    return "\n".join(lines) + "\n"
 
 
 class TestGridConstruction:
@@ -119,6 +141,28 @@ class TestGridConstruction:
         with pytest.raises(DomainError):
             raster_bt("d_pik", THRESHOLDS, MAX_RESOLUTION + 1)
 
+    @pytest.mark.parametrize("resolution", ["x", None, 64.9, 64.0], ids=["x", "None", "64.9", "64.0"])
+    def test_non_integer_resolution(self, resolution):
+        with pytest.raises(DomainError, match="resolution must be an integer"):
+            raster_bt(resolution=resolution)
+        with pytest.raises(DomainError, match="resolution must be an integer"):
+            raster_pl(resolution=resolution)
+
+    def test_numpy_integer_resolution(self):
+        grid = raster_bt(resolution=np.int64(64))
+        assert type(grid.resolution) is int
+        assert (grid.values == raster_bt(resolution=64).values).all()
+
+    @pytest.mark.parametrize(
+        "thresholds", [("x",), (2.0, None), (math.nan,), (2.0, math.inf), (0.0, 2.0)],
+        ids=["x", "None", "nan", "inf", "zero"],
+    )
+    def test_bad_thresholds(self, thresholds):
+        with pytest.raises(DomainError):
+            raster_bt(thresholds=thresholds, resolution=64)
+        with pytest.raises(DomainError):
+            raster_pl(thresholds=thresholds, resolution=64)
+
     # Every entry point that takes K-tuple constants rejects the same inputs.
     @pytest.mark.parametrize(
         "alpha, beta",
@@ -150,6 +194,20 @@ class TestGridConstruction:
         grid = raster_bt(resolution=64) if model == "bt" else raster_pl(resolution=64)
         path = tmp_path / name
         export(grid, fmt, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    # The 512x512 CSVs (`prefsense raster {bt,pl}` at the default size).
+    @pytest.mark.parametrize(
+        "model, digest",
+        [
+            ("bt", "3fb362c65159c3c5fd37b24bae522ffacbc92dda7aaa698e05a85166a66b853f"),
+            ("pl", "0d646b65d6c0b2d0e8a6c4e27b07007d6a64356d561fb6c445f5e5653e82eb80"),
+        ],
+    )
+    def test_default_csv_digest(self, tmp_path, model, digest):
+        grid = raster_bt() if model == "bt" else raster_pl()
+        path = tmp_path / f"{model}.csv"
+        export(grid, "csv", path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
@@ -203,16 +261,69 @@ class TestCSVExport:
         assert lines[0] == "x,y,value,class"
         assert len(lines) == 1 + 4
 
+    @pytest.mark.parametrize("resolution", [64, 97])
+    @pytest.mark.parametrize("which", ["d_pik", "d_pkj", "d_uv", "d_vu"])
+    @pytest.mark.parametrize("singular", [False, True], ids=["finite", "singular"])
+    def test_matches_reference_writer(self, tmp_path, resolution, which, singular):
+        make = raster_bt if which in ("d_pik", "d_pkj") else raster_pl
+        grid = make(which, thresholds=(2, 5), resolution=resolution)
+        if singular:
+            grid = with_singular_cells(grid)
+        path = tmp_path / "grid.csv"
+        export(grid, "csv", path)
+        assert path.read_bytes() == reference_csv_text(grid).encode("utf-8")
+
+    # Every column reads back exactly as printed, +inf included.
     def test_round_trip(self, tmp_path):
-        grid = raster_bt("d_pik", THRESHOLDS, 64)
+        grid = with_singular_cells(raster_bt("d_pik", THRESHOLDS, 64))
         path = tmp_path / "grid.csv"
         export(grid, "csv", path)
         data = read_csv_grid(path)
-        assert len(data["x"]) == 64 * 64
-        # Values reproduce at the printed precision (9 significant digits).
-        flat = grid.values.flatten()
-        np.testing.assert_allclose(data["value"], flat, rtol=1e-8)
-        np.testing.assert_array_equal(data["class"], grid.classes.flatten())
+        centers = [float(f"{c:.9g}") for c in grid.cell_centers().tolist()]
+        assert data["x"].tolist() == [cx for cx in centers for _ in centers]
+        assert data["y"].tolist() == centers * 64
+        assert data["value"].tolist() == [float(f"{v:.9g}") for v in grid.values.ravel().tolist()]
+        assert np.isinf(data["value"]).sum() == grid.singular.sum() > 0
+        assert data["class"].dtype == np.int64
+        assert (data["class"] == grid.classes.ravel()).all()
+
+    def test_single_row(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("x,y,value,class\n0.25,0.75,inf,3\n")
+        data = read_csv_grid(path)
+        assert [data[k].tolist() for k in ("x", "y", "value", "class")] == [
+            [0.25], [0.75], [math.inf], [3]
+        ]
+
+    # numpy only warns on a header-only file; it must not leak.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x,y,val,class\n0.5,0.5,1.0,0\n",
+            "x,y,value,class\n0.5,0.5,1.0,0\n0.5,0.5,abc,0\n",
+            "x,y,value,class\n0.5,0.5,1.0\n",
+            "x,y,value,class\n0.5,0.5,1.0,1.5\n",
+            "x,y,value,class\n",
+            "",
+        ],
+        ids=["header", "non-number", "three-columns", "fractional-class", "header-only", "empty"],
+    )
+    def test_malformed_file(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(DomainError, match="bad.csv"):
+            read_csv_grid(path)
+
+    # Under the default filters too: the refusal is not a converted warning.
+    def test_header_only_file_warns_nothing(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x,y,value,class\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError, match="bad.csv"):
+                read_csv_grid(path)
+        assert caught == []
 
     def test_byte_identical_re_export(self, tmp_path):
         grid = raster_pl("d_uv", 1.01, 0.99, THRESHOLDS, 64)

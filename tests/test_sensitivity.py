@@ -255,6 +255,23 @@ class TestPLContext:
             PLSensitivityContext.from_alpha_beta(1.5, 0.0)
         with pytest.raises(DomainError):
             PLSensitivityContext.from_alpha_beta(1.5, 1.5)
+        with pytest.raises(DomainError):
+            PLSensitivityContext.from_alpha_beta(1.1, 0.5, k="x")
+
+    # K and the positions are integers: floats are refused, not compared.
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("k", "x"), ("k", 3.0), ("u", None), ("u", 0.0), ("v", "1"), ("v", 1.0)],
+    )
+    def test_non_integer_k_u_v(self, field, bad):
+        kwargs = {"k": 3, "u": 0, "v": 1, "alpha": 1.1, "beta": 0.5, field: bad}
+        with pytest.raises(DomainError, match=f"{field} must be an integer"):
+            PLSensitivityContext(**kwargs)
+
+    def test_numpy_integer_k_u_v(self):
+        ctx = PLSensitivityContext(k=np.int64(3), u=np.int32(0), v=np.int64(1), alpha=1.1, beta=0.5)
+        assert (ctx.k, ctx.u, ctx.v) == (3, 0, 1)
+        assert all(type(n) is int for n in (ctx.k, ctx.u, ctx.v))
 
 
 class TestPLPartials:
