@@ -21,6 +21,7 @@ __all__ = [
     "EnumerationSizeError",
     "SaturationWarning",
     "require_int",
+    "require_seed",
     "require_finite",
     "require_probability",
     "require_threshold",
@@ -93,6 +94,14 @@ def require_int(x: Any, name: str) -> int:
         return operator.index(x)
     except TypeError as exc:
         raise DomainError(f"{name} must be an integer, got {x!r}") from exc
+
+
+def require_seed(seed: Any) -> int:
+    """Validate a random seed: a non-negative integer."""
+    seed = require_int(seed, "seed")
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 def require_finite(x: Any, name: str) -> float:

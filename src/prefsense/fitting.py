@@ -24,6 +24,7 @@ from .errors import (
     DisconnectedDataError,
     DomainError,
     ValidationError,
+    require_int,
 )
 from .models import KTuplePreference, bt_prob
 from .synth import PreferenceSample, tally_outcomes
@@ -232,7 +233,7 @@ def fit_pl(
     rankings may appear multiple times and are aggregated. With only
     2-tuples this coincides with fit_bt on the induced counts.
     """
-    n = int(n_options)
+    n = require_int(n_options, "n_options")
     if n < 2:
         raise DomainError(f"need at least 2 options, got {n}")
     weights: dict[tuple[int, ...], float] = {}

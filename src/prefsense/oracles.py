@@ -18,7 +18,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, EnumerationSizeError, require_alpha_beta, require_int, require_threshold
+from .errors import (
+    DomainError,
+    EnumerationSizeError,
+    require_alpha_beta,
+    require_int,
+    require_seed,
+    require_threshold,
+)
 from .models import ScoredOptionSet, logit_normal_density
 
 __all__ = [
@@ -43,7 +50,7 @@ def make_rng(seed: int) -> np.random.Generator:
     Oracles are the trust anchor of the package, so their randomness must
     be reproducible across runs and platforms.
     """
-    return np.random.Generator(np.random.Philox(int(seed)))
+    return np.random.Generator(np.random.Philox(require_seed(seed)))
 
 
 @dataclass(frozen=True)

@@ -82,7 +82,11 @@ def _centers(resolution: int) -> np.ndarray:
 
 
 def _check_thresholds(thresholds) -> tuple[float, ...]:
-    ts = tuple(require_finite(t, "threshold") for t in thresholds)
+    try:
+        items = iter(thresholds)
+    except TypeError as exc:
+        raise DomainError(f"thresholds must be a sequence of numbers, got {thresholds!r}") from exc
+    ts = tuple(require_finite(t, "threshold") for t in items)
     if not ts:
         raise DomainError("at least one threshold is required")
     if any(t <= 0 for t in ts):

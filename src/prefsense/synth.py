@@ -19,6 +19,9 @@ generation renders the question table (pair x template x display order)
 and the answer table (pair x template x winner) once per call, turns
 each sample's draws into table indices with numpy, and builds each
 distinct sample once; the returned list shares those frozen instances.
+JSONL files work the same way: write_jsonl renders each distinct sample's
+line once, and read_jsonl parses each distinct line once and shares the
+resulting instance.
 
 Checking goes the other way, from rendered text back to outcomes:
 tally_outcomes reads the winner and loser off each distinct
@@ -39,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, require_finite
+from .errors import DomainError, ValidationError, require_finite, require_int, require_seed
 from .oracles import make_rng
 
 __all__ = [
@@ -62,9 +65,13 @@ __all__ = [
 ]
 
 # Largest dataset a spec admits, refused before anything is allocated.
-# generate itself keeps 8 bytes per sample (its list slot; samples share
-# instances), but a dataset's JSONL file takes about 200 bytes per sample
-# and read_jsonl about 400 bytes per sample in memory: 4 GB at this cap.
+# generate keeps 8 bytes per sample (its list slot; samples share
+# instances) and its JSONL file takes about 200 bytes per sample. JSONL
+# I/O caches each distinct line: read_jsonl keeps 8 bytes per sample plus
+# about 3 MB for the at most 4,800 distinct lines of a default-bank
+# dataset, and write_jsonl about 1 MB. A file whose lines are all distinct
+# is the worst case, where both caches grow with n: read_jsonl then peaks
+# at about 700 bytes per sample (7 GB at this cap), write_jsonl at about 300.
 MAX_SAMPLES = 10**7
 
 # generate draws the (n, 5) matrix in blocks of this many rows. The stream
@@ -180,12 +187,11 @@ class DatasetSpec:
             if not 0.0 <= p <= 1.0:
                 raise DomainError(f"{name} must lie in [0, 1], got {p!r}")
             object.__setattr__(self, name, p)
-        if not 1 <= int(self.n_samples) <= MAX_SAMPLES:
-            raise ValidationError(
-                f"n_samples must lie in [1, {MAX_SAMPLES}], got {self.n_samples}"
-            )
-        object.__setattr__(self, "n_samples", int(self.n_samples))
-        object.__setattr__(self, "seed", int(self.seed))
+        n = require_int(self.n_samples, "n_samples")
+        if not 1 <= n <= MAX_SAMPLES:
+            raise ValidationError(f"n_samples must lie in [1, {MAX_SAMPLES}], got {n}")
+        object.__setattr__(self, "n_samples", n)
+        object.__setattr__(self, "seed", require_seed(self.seed))
 
 
 @dataclass(frozen=True)
@@ -392,35 +398,63 @@ def _first_label(text: str, longest_first: Sequence[str]) -> str | None:
 
 
 def write_jsonl(samples: Sequence[PreferenceSample], path) -> str:
-    """One JSON record per line with fields question, chosen, rejected."""
+    """One JSON record per line with fields question, chosen, rejected.
+
+    Each distinct sample's line is rendered once and reused for every
+    sample equal to it, whether or not it is the same instance.
+    """
+    lines: dict[PreferenceSample, str] = {}
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for s in samples:
-            fh.write(
-                json.dumps({"question": s.question, "chosen": s.chosen, "rejected": s.rejected})
-            )
-            fh.write("\n")
+            line = lines.get(s)
+            if line is None:
+                record = {"question": s.question, "chosen": s.chosen, "rejected": s.rejected}
+                line = lines[s] = json.dumps(record) + "\n"
+            fh.write(line)
     return str(path)
 
 
 def read_jsonl(path) -> list[PreferenceSample]:
+    """Samples from a UTF-8 file of JSON records, one per line.
+
+    Each non-blank line, stripped of surrounding whitespace, must be a
+    JSON object whose question, chosen and rejected fields are strings;
+    other fields are ignored and blank lines are skipped. Each distinct
+    line is parsed once, so equal lines give the same (frozen) object,
+    as generate's equal samples do. Raises ValidationError naming the
+    path and line of the first malformed record, or naming the path if
+    the file is not UTF-8.
+    """
+    parsed: dict[str, PreferenceSample] = {}
     samples = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                samples.append(
-                    PreferenceSample(
-                        question=rec["question"],
-                        chosen=rec["chosen"],
-                        rejected=rec["rejected"],
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValidationError(f"{path}:{line_no}: malformed sample record") from exc
+        try:
+            for line_no, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                sample = parsed.get(line)
+                if sample is None:
+                    sample = parsed[line] = _parse_record(line, path, line_no)
+                samples.append(sample)
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     return samples
+
+
+def _parse_record(line: str, path, line_no: int) -> PreferenceSample:
+    try:
+        record = json.loads(line)
+        sample = PreferenceSample(record["question"], record["chosen"], record["rejected"])
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise ValidationError(f"{path}:{line_no}: malformed sample record") from exc
+    if not (
+        isinstance(sample.question, str)
+        and isinstance(sample.chosen, str)
+        and isinstance(sample.rejected, str)
+    ):
+        raise ValidationError(f"{path}:{line_no}: malformed sample record")
+    return sample
 
 
 def write_manifest(entries: Sequence[tuple[DatasetSpec, str]], path) -> str:

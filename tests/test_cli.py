@@ -14,6 +14,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_one_error_line(err, text):
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert text in err
+    assert "Traceback" not in err
+
+
 class TestCompose:
     def test_example_value(self, capsys):
         code, out, _ = run(capsys, "compose", "--p-ik", "0.9801", "--p-kj", "0.02")
@@ -177,6 +183,30 @@ class TestData:
         assert code == 1
         assert "n_samples" in err
         assert not out.exists()
+
+    def test_gen_data_refuses_negative_seed(self, capsys, tmp_path):
+        out = tmp_path / "d.jsonl"
+        code, _, err = run(
+            capsys, "gen-data", "--permutation", "a,b,c", "--p12", "0.9",
+            "--p23", "0.5", "--n", "10", "--seed", "-1", "--out", str(out),
+        )
+        assert code == 1
+        assert_one_error_line(err, "seed must be non-negative")
+        assert not out.exists()
+
+    def test_fit_jsonl_not_utf8(self, capsys, tmp_path):
+        data = tmp_path / "d.jsonl"
+        data.write_bytes('{"question": "caf\u00e9?", "chosen": "a over b", "rejected": "b over a"}\n'.encode("latin-1"))
+        code, _, err = run(capsys, "fit", "--in", str(data), "--options", "a,b")
+        assert code == 1
+        assert_one_error_line(err, f"{data}: not UTF-8")
+
+    def test_fit_jsonl_null_field(self, capsys, tmp_path):
+        data = tmp_path / "d.jsonl"
+        data.write_text('{"question": "q", "chosen": null, "rejected": "b over a"}\n')
+        code, _, err = run(capsys, "fit", "--in", str(data), "--options", "a,b")
+        assert code == 1
+        assert_one_error_line(err, f"{data}:1: malformed sample record")
 
     def test_fit_jsonl_requires_options(self, capsys, tmp_path):
         data = tmp_path / "d.jsonl"

@@ -209,6 +209,15 @@ class TestFitPL:
         with pytest.raises(DomainError):
             fit_pl([(KTuplePreference((0, 5)), 1.0)], 3)
 
+    @pytest.mark.parametrize("n_options", ["x", None, 2.5, 3.0], ids=["x", "None", "2.5", "3.0"])
+    def test_non_integer_n_options(self, n_options):
+        with pytest.raises(DomainError, match="n_options must be an integer"):
+            fit_pl([(KTuplePreference((0, 1)), 1.0)], n_options)
+
+    def test_numpy_integer_n_options(self):
+        rankings = [(KTuplePreference((0, 1)), 3.0), (KTuplePreference((1, 0)), 1.0)]
+        assert fit_pl(rankings, np.int64(2)).scores == fit_pl(rankings, 2).scores
+
 
 class TestPredict:
     def test_self_comparison(self):

@@ -34,6 +34,18 @@ class TestMakeRng:
     def test_counter_based_family(self):
         assert isinstance(make_rng(0).bit_generator, np.random.Philox)
 
+    @pytest.mark.parametrize("seed", ["x", None, 1.5, 1.0], ids=["x", "None", "1.5", "1.0"])
+    def test_non_integer_seed(self, seed):
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            make_rng(seed)
+
+    def test_negative_seed(self):
+        with pytest.raises(DomainError, match="seed must be non-negative"):
+            make_rng(-1)
+
+    def test_numpy_integer_seed(self):
+        assert make_rng(np.int64(7)).random(5).tolist() == make_rng(7).random(5).tolist()
+
 
 class TestFiniteDiff:
     def test_identity(self):
@@ -109,6 +121,16 @@ class TestMCAreaBT:
 
     def test_numpy_integer_n(self):
         assert mc_area_bt(2.0, np.int64(10_000), seed=3) == mc_area_bt(2.0, 10_000, seed=3)
+
+    @pytest.mark.parametrize("seed", ["x", 1.5, -1], ids=["x", "1.5", "-1"])
+    def test_bad_seed(self, seed):
+        with pytest.raises(DomainError, match="seed must be"):
+            mc_area_bt(2.0, 10_000, seed=seed)
+
+    def test_numpy_integer_seed(self):
+        estimate = mc_area_bt(2.0, 10_000, seed=np.int64(3))
+        assert type(estimate.seed) is int
+        assert estimate == mc_area_bt(2.0, 10_000, seed=3)
 
 
 class TestQuadAreaPL:

@@ -163,6 +163,15 @@ class TestGridConstruction:
         with pytest.raises(DomainError):
             raster_pl(thresholds=thresholds, resolution=64)
 
+    @pytest.mark.parametrize(
+        "thresholds", [2.0, None, np.float64(2.0), np.array(2.0)], ids=["float", "None", "np.float64", "0-d"]
+    )
+    def test_non_iterable_thresholds(self, thresholds):
+        with pytest.raises(DomainError, match="thresholds must be a sequence"):
+            raster_bt(thresholds=thresholds, resolution=64)
+        with pytest.raises(DomainError, match="thresholds must be a sequence"):
+            raster_pl(thresholds=thresholds, resolution=64)
+
     # Every entry point that takes K-tuple constants rejects the same inputs.
     @pytest.mark.parametrize(
         "alpha, beta",

@@ -3,8 +3,10 @@
 import hashlib
 import json
 import math
+import re
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from prefsense import (
@@ -26,8 +28,10 @@ from prefsense.synth import _BLOCK, MAX_SAMPLES, tally_outcomes
 
 PERM = ("dog", "bird", "cat")
 
-# sha256 of write_jsonl(generate(DatasetSpec(PERM, 0.99, 0.02, 2000, 0))).
+# sha256 of write_jsonl(generate(DatasetSpec(PERM, 0.99, 0.02, n, 0))) for
+# n = 2000 and n = 10^5.
 GOLDEN_SHA256 = "9d94e18c9c7ab20e243d8a723c496bb3cc46aeb08845c9037d06125af58c3072"
+GOLDEN_SHA256_100K = "85ad38d4efd819d719b1ec65babcbfe9b01330e9d27061ab519dd051444d5879"
 
 
 def spec(p12=0.99, p23=0.01, n=2000, seed=3):
@@ -55,6 +59,21 @@ def reference_generate(spec, bank=None):
             )
         )
     return samples
+
+
+def reference_write_jsonl(samples, path):
+    """One json.dumps per sample: the oracle for write_jsonl's bytes."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for s in samples:
+            fh.write(json.dumps({"question": s.question, "chosen": s.chosen, "rejected": s.rejected}))
+            fh.write("\n")
+
+
+def reference_read_jsonl(path):
+    """One json.loads per non-blank line: the oracle for read_jsonl."""
+    with open(path, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh if line.strip()]
+    return [PreferenceSample(r["question"], r["chosen"], r["rejected"]) for r in records]
 
 
 def reference_tally(samples, labels):
@@ -106,6 +125,26 @@ class TestDatasetSpec:
     def test_endpoints_admitted(self):
         DatasetSpec(PERM, 0.99, 0.0, 10, 0)
         DatasetSpec(PERM, 0.99, 1.0, 10, 0)
+
+    @pytest.mark.parametrize("n", ["x", None, 5.7, 5.0], ids=["x", "None", "5.7", "5.0"])
+    def test_non_integer_n_samples(self, n):
+        with pytest.raises(DomainError, match="n_samples must be an integer"):
+            DatasetSpec(PERM, 0.5, 0.5, n, 0)
+
+    @pytest.mark.parametrize("seed", ["x", None, 1.5, 1.0], ids=["x", "None", "1.5", "1.0"])
+    def test_non_integer_seed(self, seed):
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            DatasetSpec(PERM, 0.5, 0.5, 10, seed)
+
+    def test_negative_seed(self):
+        with pytest.raises(DomainError, match="seed must be non-negative"):
+            DatasetSpec(PERM, 0.5, 0.5, 10, -1)
+
+    def test_numpy_integers(self):
+        s = DatasetSpec(PERM, 0.5, 0.5, np.int64(10), np.int32(3))
+        assert type(s.n_samples) is int and type(s.seed) is int
+        assert generate(s) == generate(DatasetSpec(PERM, 0.5, 0.5, 10, 3))
+        assert [t.seed for t in sweep(s)] == list(range(3, 24))
 
 
 class TestGenerate:
@@ -295,6 +334,34 @@ class TestFiles:
         with pytest.raises(ValidationError):
             read_jsonl(path)
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"question": "q", "chosen": null, "rejected": "b over a"}',
+            '{"question": "q", "chosen": "a over b", "rejected": 3}',
+            '{"question": ["q"], "chosen": "a over b", "rejected": "b over a"}',
+            '{"question": "q", "chosen": {}, "rejected": "b over a"}',
+            '["q", "a over b", "b over a"]',
+            '"q"',
+            "null",
+            "7",
+            "{not json",
+        ],
+        ids=["null", "number", "list-field", "object-field", "array", "string", "json-null", "json-number", "syntax"],
+    )
+    def test_jsonl_bad_record(self, tmp_path, record):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(record + "\n")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}:1: malformed sample record")):
+            read_jsonl(path)
+
+    def test_jsonl_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.jsonl"
+        line = '{"question": "caf\u00e9?", "chosen": "a over b", "rejected": "b over a"}\n'
+        path.write_bytes(line.encode("latin-1"))
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: not UTF-8")):
+            read_jsonl(path)
+
     def test_manifest(self, tmp_path):
         specs = sweep(spec(n=10))[:3]
         entries = [(s, f"data_{i}.jsonl") for i, s in enumerate(specs)]
@@ -304,3 +371,65 @@ class TestFiles:
         assert lines[0] == "permutation,p12,p23,seed,path"
         assert len(lines) == 4
         assert lines[1].startswith('"dog,bird,cat",0.99,0.0,')
+
+
+class TestJsonlMatchesReference:
+    def test_writer_on_generate_output(self, tmp_path):
+        for s in (spec(p12=0.6, p23=0.3, n=3000), spec(p12=1.0, p23=0.0, n=500, seed=9)):
+            samples = generate(s)
+            reference_write_jsonl(samples, tmp_path / "ref.jsonl")
+            write_jsonl(samples, tmp_path / "got.jsonl")
+            assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
+
+    def test_writer_on_distinct_samples(self, tmp_path):
+        # Every sample differs; the texts need JSON escapes (quotes,
+        # backslashes, control and non-ASCII characters).
+        samples = [
+            PreferenceSample(f'q{i} "\\ caf\u00e9 \u2028', f"a{i}\tover b\n", f"b over a{i} \U0001f600")
+            for i in range(300)
+        ]
+        assert len(set(samples)) == len(samples)
+        reference_write_jsonl(samples, tmp_path / "ref.jsonl")
+        write_jsonl(samples, tmp_path / "got.jsonl")
+        assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
+        assert read_jsonl(tmp_path / "got.jsonl") == samples
+
+    def test_writer_on_read_back_samples(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        reference_write_jsonl(generate(spec(p12=0.6, p23=0.3, n=3000)), path)
+        # The reference reader returns equal but distinct instances; the
+        # reader returns shared ones. Both must write the same bytes.
+        for samples in (reference_read_jsonl(path), read_jsonl(path)):
+            write_jsonl(samples, tmp_path / "again.jsonl")
+            assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+
+    def test_reader_on_repeats_blanks_and_padding(self, tmp_path):
+        a, b = generate(spec(n=200))[:2]
+        line_a = json.dumps({"question": a.question, "chosen": a.chosen, "rejected": a.rejected})
+        line_b = json.dumps({"rejected": b.rejected, "question": b.question, "chosen": b.chosen, "x": 1})
+        path = tmp_path / "mixed.jsonl"
+        path.write_text(
+            f"{line_a}\n\n{line_b}\n  {line_a}\t\n{line_a}\n   \n{line_b}\r\n{line_a}",
+            encoding="utf-8",
+        )
+        got = read_jsonl(path)
+        assert got == reference_read_jsonl(path) == [a, b, a, a, b, a]
+        # Equal lines, padded or not, give one shared instance.
+        assert got[0] is got[2] is got[3] is got[5]
+        assert got[1] is got[4]
+        assert got[0] is not got[1]
+
+    def test_reader_malformed_after_repeats_names_its_line(self, tmp_path):
+        (good,) = generate(spec(n=1))
+        line = json.dumps({"question": good.question, "chosen": good.chosen, "rejected": good.rejected})
+        path = tmp_path / "late.jsonl"
+        path.write_text(f"{line}\n{line}\n\n{line}\n" + line.replace('"chosen"', '"Chosen"') + f"\n{line}\n")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}:5: malformed sample record")):
+            read_jsonl(path)
+
+    def test_golden_digest_100k(self, tmp_path):
+        path = tmp_path / "golden.jsonl"
+        samples = generate(DatasetSpec(PERM, 0.99, 0.02, 100_000, 0))
+        write_jsonl(samples, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256_100K
+        assert read_jsonl(path) == samples
