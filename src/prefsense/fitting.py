@@ -318,6 +318,8 @@ def parse_counts_text(text: str) -> PairwiseCounts:
         values = [float(t) for t in tokens[1:]]
     except ValueError as exc:
         raise ValidationError(f"count matrix must be numeric: {exc}") from exc
+    if n < 2:
+        raise ValidationError(f"count matrix needs at least 2 options, got N = {n}")
     if len(values) != n * n:
         raise ValidationError(
             f"expected {n}*{n} = {n * n} matrix entries, got {len(values)}"
@@ -326,5 +328,10 @@ def parse_counts_text(text: str) -> PairwiseCounts:
 
 
 def load_counts(path) -> PairwiseCounts:
+    """Counts from a UTF-8 file in parse_counts_text's format."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_counts_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    return parse_counts_text(text)

@@ -22,6 +22,7 @@ from .errors import (
     DomainError,
     EnumerationSizeError,
     require_alpha_beta,
+    require_finite,
     require_int,
     require_seed,
     require_threshold,
@@ -79,6 +80,7 @@ def finite_diff(
     if not 0 <= slot < len(point):
         raise DomainError(f"slot {slot} out of range for point of length {len(point)}")
     x = point[slot]
+    h = require_finite(h, "h")
     if h <= 0.0:
         raise DomainError(f"step h must be positive, got {h!r}")
     h_eff = min(h, x - BOUNDARY_MARGIN, 1.0 - x - BOUNDARY_MARGIN)

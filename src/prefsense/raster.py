@@ -340,7 +340,7 @@ def _svg_text(grid: RasterGrid) -> str:
         loops = _contour_loops(grid.values, level, grid.resolution)
         chunks = []
         for loop in loops:
-            pts = " L".join(f"{_to_px(x, y)[0]:.2f} {_to_px(x, y)[1]:.2f}" for x, y in loop)
+            pts = " L".join("%.2f %.2f" % _to_px(x, y) for x, y in loop)
             chunks.append(f"M{pts} Z")
         d = " ".join(chunks)
         parts.append(

@@ -66,22 +66,47 @@ class CheckResult:
     elapsed_s: float
 
 
-class _Failures:
+class _Gates:
+    """The pass/fail gates of one check; failure text is built only on failure.
+
+    A numeric gate fails unless `value <= bound` (`at_most`) or
+    `value > bound` (`above`), so a NaN value fails either kind. `at` is
+    the point or parameters the gate is evaluated at, and goes into the
+    failure message with the gate's name, value and bound. `worst[name]`
+    is the largest value an `at_most` gate has seen, starting from 0.
+    """
+
     def __init__(self):
-        self.messages: list[str] = []
+        self.failures: list[str] = []
+        self.worst: dict[str, float] = {}
 
-    def expect(self, condition: bool, message: str) -> None:
+    def at_most(self, name: str, value: float, bound: float, at: tuple = ()) -> None:
+        self.worst[name] = max(self.worst.get(name, 0.0), value)
+        if not value <= bound:
+            self._fail(name, at, f"{value:.6g}, want <= {bound:.6g}")
+
+    def above(self, name: str, value: float, bound: float, at: tuple = ()) -> None:
+        if not value > bound:
+            self._fail(name, at, f"{value:.6g}, want > {bound:.6g}")
+
+    def holds(self, name: str, condition: bool, at: tuple = ()) -> None:
         if not condition:
-            self.messages.append(message)
+            self._fail(name, at, "does not hold")
+
+    def _fail(self, name: str, at: tuple, verdict: str) -> None:
+        if at:
+            point = ", ".join(v if isinstance(v, str) else f"{v:.6g}" for v in at)
+            name = f"{name} at ({point})"
+        self.failures.append(f"{name}: {verdict}")
 
 
-def _run(name: str, body: Callable[[_Failures], str]) -> CheckResult:
-    fails = _Failures()
+def _run(name: str, body: Callable[[_Gates], str]) -> CheckResult:
+    gates = _Gates()
     start = time.perf_counter()
-    summary = body(fails)
+    summary = body(gates)
     elapsed = time.perf_counter() - start
-    if fails.messages:
-        return CheckResult(name, False, "; ".join(fails.messages), elapsed)
+    if gates.failures:
+        return CheckResult(name, False, "; ".join(gates.failures), elapsed)
     return CheckResult(name, True, summary, elapsed)
 
 
@@ -91,42 +116,39 @@ def _run(name: str, body: Callable[[_Failures], str]) -> CheckResult:
 
 
 def check_example_composition(quick: bool = False) -> CheckResult:
-    def body(f: _Failures) -> str:
+    def body(f: _Gates) -> str:
         near = bt_compose(0.9801, 0.02)
         far = bt_compose(0.9999, 0.02)
-        f.expect(abs(near - 0.5013) <= 1e-4, f"bt_compose(0.9801, 0.02) = {near}, want 0.5013")
-        f.expect(abs(near - 0.50) <= 0.005, f"{near} not within 0.005 of the reported 0.50")
-        f.expect(abs(far - 0.9951) <= 1e-4, f"bt_compose(0.9999, 0.02) = {far}, want 0.9951")
+        f.at_most("|bt_compose - 0.5013|", abs(near - 0.5013), 1e-4, (0.9801, 0.02))
+        f.at_most("|bt_compose - reported 0.50|", abs(near - 0.50), 0.005, (0.9801, 0.02))
+        f.at_most("|bt_compose - 0.9951|", abs(far - 0.9951), 1e-4, (0.9999, 0.02))
         return f"0.9801,0.02 -> {near:.6f}; 0.9999,0.02 -> {far:.6f}"
 
     return _run("example_composition", body)
 
 
 def check_example_sensitivity(quick: bool = False) -> CheckResult:
-    def body(f: _Failures) -> str:
+    def body(f: _Gates) -> str:
         deriv = bt_partial(0.99, 0.02)
-        f.expect(abs(deriv - 22.37) <= 0.01, f"bt_partial(0.99, 0.02) = {deriv}, want 22.37")
-        f.expect(deriv > 20.0, f"derivative {deriv} should exceed 20")
+        f.at_most("|bt_partial - 22.37|", abs(deriv - 22.37), 0.01, (0.99, 0.02))
+        f.above("bt_partial", deriv, 20.0, (0.99, 0.02))
         region = bt_region_slice(20.0, 0.02)
-        f.expect(region.case == "case1", f"slice case {region.case}, want case1")
-        f.expect(
-            abs(region.boundary - 0.98823) <= 1e-5,
-            f"boundary {region.boundary}, want 0.98823",
-        )
-        f.expect(region.contains(0.99), "(0.99, 0.02) should be inside the threshold-20 region")
+        f.holds("threshold-20 slice is case1", region.case == "case1", (0.02,))
+        f.at_most("|boundary - 0.98823|", abs(region.boundary - 0.98823), 1e-5, (20.0, 0.02))
+        f.holds("threshold-20 region contains the point", region.contains(0.99), (0.99, 0.02))
         return f"derivative {deriv:.4f}, boundary {region.boundary:.6f}"
 
     return _run("example_sensitivity", body)
 
 
 def check_reward_model_crosscheck(quick: bool = False) -> CheckResult:
-    def body(f: _Failures) -> str:
+    def body(f: _Gates) -> str:
         strong = bt_compose(0.9993, 0.0141)
         weak = bt_compose(0.9820, 0.0141)
-        f.expect(abs(strong - 0.9533) <= 1e-4, f"bt_compose(0.9993, 0.0141) = {strong}")
-        f.expect(abs(strong - 0.9526) <= 0.002, f"{strong} vs measured 0.9526 beyond 0.002")
-        f.expect(abs(weak - 0.4382) <= 1e-4, f"bt_compose(0.9820, 0.0141) = {weak}")
-        f.expect(abs(weak - 0.4378) <= 0.001, f"{weak} vs measured 0.4378 beyond 0.001")
+        f.at_most("|bt_compose - 0.9533|", abs(strong - 0.9533), 1e-4, (0.9993, 0.0141))
+        f.at_most("|bt_compose - measured 0.9526|", abs(strong - 0.9526), 0.002, (0.9993, 0.0141))
+        f.at_most("|bt_compose - 0.4382|", abs(weak - 0.4382), 1e-4, (0.9820, 0.0141))
+        f.at_most("|bt_compose - measured 0.4378|", abs(weak - 0.4378), 0.001, (0.9820, 0.0141))
         return f"0.9993,0.0141 -> {strong:.6f}; 0.9820,0.0141 -> {weak:.6f}"
 
     return _run("reward_model_crosscheck", body)
@@ -141,39 +163,32 @@ def check_bt_area_monte_carlo(quick: bool = False) -> CheckResult:
     thresholds = (1.5, 2.0) if quick else (1.5, 2.0, 5.0, 10.0)
     n = 200_000 if quick else 1_000_000
 
-    def body(f: _Failures) -> str:
+    def body(f: _Gates) -> str:
         rels = []
         for m in thresholds:
             closed = bt_region_area(m).closed_form
             est = mc_area_bt(m, n, MC_AREA_SEED)
             rel = abs(est.value - closed) / closed
             rels.append(f"M={m:g}: closed {closed:.6f}, mc {est.value:.6f}, rel {rel:.4f}")
-            f.expect(rel <= 0.02, f"M={m:g}: relative error {rel:.4f} exceeds 2%")
+            f.at_most("Monte Carlo relative area error", rel, 0.02, (m,))
         return "; ".join(rels)
 
     return _run("bt_area_monte_carlo", body)
 
 
 def check_pl_area_exponent(quick: bool = False) -> CheckResult:
-    def body(f: _Failures) -> str:
-        worst = 0.0
+    tol = 1e-4
+
+    def body(f: _Gates) -> str:
         for alpha in (1.01, 1.5):
             for beta in (0.99, 0.5):
                 for m in (2.0, 5.0):
                     quad = quad_area_pl(m, alpha, beta, "uv", 100_000)
                     good = beta**2 / (6.0 * alpha * m**2)
                     bad = beta**2 / (6.0 * alpha * m)
-                    worst = max(worst, abs(quad - good))
-                    f.expect(
-                        abs(quad - good) <= 1e-4,
-                        f"alpha={alpha}, beta={beta}, M={m}: quadrature {quad} vs "
-                        f"1/M^2 form {good}",
-                    )
-                    f.expect(
-                        abs(quad - bad) > 10 * 1e-4,
-                        f"alpha={alpha}, beta={beta}, M={m}: quadrature {quad} does not "
-                        f"reject the 1/M form {bad}",
-                    )
+                    f.at_most("|quad - 1/M^2 form|", abs(quad - good), tol, (alpha, beta, m))
+                    f.above("|quad - 1/M form|", abs(quad - bad), 10 * tol, (alpha, beta, m))
+        worst = f.worst["|quad - 1/M^2 form|"]
         return f"worst |quad - closed| = {worst:.2e}; 1/M variant rejected everywhere"
 
     return _run("pl_area_exponent", body)
@@ -206,39 +221,28 @@ def check_derivative_oracles(quick: bool = False) -> CheckResult:
     n_points = 200 if quick else 1000
     rel_tol = 1e-5
 
-    def body(f: _Failures) -> str:
+    def body(f: _Gates) -> str:
         rng = make_rng(VERIFY_SEED)
         options = ScoredOptionSet(("a", "b", "c", "d"), (0.8, 0.1, -0.4, -1.2))
         omega = KTuplePreference((0, 1, 2, 3))
         ctx = pl_context(options, omega, 1, 2)
         ratio_fn = _pl_ratio_fn(ctx)
-        worst = {"bt": 0.0, "logistic": 0.0, "probit": 0.0, "pl_uv": 0.0, "pl_vu": 0.0}
+        # Each gate's name is its key in the summary of worst relative errors.
         for _ in range(n_points):
-            a, b = 0.01 + 0.98 * rng.random(2)
-            fd = finite_diff(bt_compose, (a, b), slot=0)
-            rel = abs(bt_partial(a, b) - fd) / abs(fd)
-            worst["bt"] = max(worst["bt"], rel)
-            f.expect(rel <= rel_tol, f"bt_partial vs fd at ({a:.4f}, {b:.4f}): rel {rel:.2e}")
+            a, b = at = tuple(0.01 + 0.98 * rng.random(2))
+            fd = finite_diff(bt_compose, at, slot=0)
+            f.at_most("bt", abs(bt_partial(a, b) - fd) / abs(fd), rel_tol, at)
             for name, link in (("logistic", LOGISTIC), ("probit", PROBIT)):
-                fd = finite_diff(lambda x, y: compose_pairwise(link, x, y), (a, b), slot=0)
-                rel = abs(general_partial(link, a, b) - fd) / abs(fd)
-                worst[name] = max(worst[name], rel)
-                f.expect(
-                    rel <= rel_tol,
-                    f"general_partial[{name}] vs fd at ({a:.4f}, {b:.4f}): rel {rel:.2e}",
-                )
+                fd = finite_diff(lambda x, y: compose_pairwise(link, x, y), at, slot=0)
+                f.at_most(name, abs(general_partial(link, a, b) - fd) / abs(fd), rel_tol, at)
             d_uv, d_vu = pl_partials(a, b, ctx)
-            fd_uv = finite_diff(ratio_fn, (a, b), slot=0)
-            fd_vu = finite_diff(ratio_fn, (a, b), slot=1)
-            rel_uv = abs(d_uv - fd_uv) / abs(fd_uv)
-            rel_vu = abs(d_vu - fd_vu) / abs(fd_vu)
-            worst["pl_uv"] = max(worst["pl_uv"], rel_uv)
-            worst["pl_vu"] = max(worst["pl_vu"], rel_vu)
-            f.expect(rel_uv <= rel_tol, f"pl d_uv vs fd at ({a:.4f}, {b:.4f}): rel {rel_uv:.2e}")
-            f.expect(rel_vu <= rel_tol, f"pl d_vu vs fd at ({a:.4f}, {b:.4f}): rel {rel_vu:.2e}")
+            fd_uv = finite_diff(ratio_fn, at, slot=0)
+            fd_vu = finite_diff(ratio_fn, at, slot=1)
+            f.at_most("pl_uv", abs(d_uv - fd_uv) / abs(fd_uv), rel_tol, at)
+            f.at_most("pl_vu", abs(d_vu - fd_vu) / abs(fd_vu), rel_tol, at)
         return (
             f"{n_points} points; worst rel: "
-            + ", ".join(f"{k} {v:.2e}" for k, v in worst.items())
+            + ", ".join(f"{k} {v:.2e}" for k, v in f.worst.items())
         )
 
     return _run("derivative_oracles", body)
@@ -251,112 +255,70 @@ def check_derivative_oracles(quick: bool = False) -> CheckResult:
 _MARGIN = 1e-3
 
 
+def _open_unit(rng) -> float:
+    """A uniform draw kept 1e-6 away from both ends of (0, 1)."""
+    return 1e-6 + (1 - 2e-6) * rng.random()
+
+
 def _bt_inside(rng, threshold) -> tuple[float, float]:
     # Alternate the two region lobes; sample strictly inside.
+    edge = threshold / (1.0 + threshold)
     if rng.random() < 0.5:
-        q = (1e-6 + (1 - 2e-6) * rng.random()) / (1.0 + threshold)
-        region = bt_region_slice(threshold, q)
-        lo, hi = region.interval
+        q = _open_unit(rng) / (1.0 + threshold)
     else:
-        width = 1.0 - threshold / (1.0 + threshold)
-        q = threshold / (1.0 + threshold) + width * (1e-6 + (1 - 2e-6) * rng.random())
-        region = bt_region_slice(threshold, q)
-        lo, hi = region.interval
-    p = lo + (hi - lo) * (1e-6 + (1 - 2e-6) * rng.random())
-    return p, q
-
-
-def _bt_outside_with_margin(threshold, p, q) -> bool:
-    def inside(x, y):
-        x = min(max(x, 1e-9), 1 - 1e-9)
-        y = min(max(y, 1e-9), 1 - 1e-9)
-        return bt_region_slice(threshold, y).contains(x)
-
-    probes = [(p, q), (p - _MARGIN, q), (p + _MARGIN, q), (p, q - _MARGIN), (p, q + _MARGIN)]
-    return not any(inside(x, y) for x, y in probes)
+        q = edge + (1.0 - edge) * _open_unit(rng)
+    lo, hi = bt_region_slice(threshold, q).interval
+    return lo + (hi - lo) * _open_unit(rng), q
 
 
 def _pl_inside(rng, threshold, ctx, which) -> tuple[float, float]:
-    cap = ctx.beta / (4.0 * ctx.alpha * threshold)
-    fixed = cap * (1e-6 + (1 - 2e-6) * rng.random())
-    bounds = (
-        pl_region_uv(threshold, ctx, fixed)
-        if which == "uv"
-        else pl_region_vu(threshold, ctx, fixed)
-    )
-    lo, hi = bounds.interval
-    free = lo + (hi - lo) * (1e-6 + (1 - 2e-6) * rng.random())
-    if which == "uv":
-        return fixed, free  # (p_uv, p_vu)
-    return free, fixed
+    fixed = ctx.beta / (4.0 * ctx.alpha * threshold) * _open_unit(rng)
+    region = pl_region_uv if which == "uv" else pl_region_vu
+    lo, hi = region(threshold, ctx, fixed).interval
+    free = lo + (hi - lo) * _open_unit(rng)
+    return (fixed, free) if which == "uv" else (free, fixed)  # (p_uv, p_vu)
 
 
-def _pl_outside_with_margin(threshold, ctx, which, p_uv, p_vu) -> bool:
-    def inside(x, y):
-        x = min(max(x, 1e-9), 1 - 1e-9)
-        y = min(max(y, 1e-9), 1 - 1e-9)
-        if which == "uv":
-            return pl_region_uv(threshold, ctx, x).contains(y)
-        return pl_region_vu(threshold, ctx, y).contains(x)
-
-    probes = [
-        (p_uv, p_vu),
-        (p_uv - _MARGIN, p_vu),
-        (p_uv + _MARGIN, p_vu),
-        (p_uv, p_vu - _MARGIN),
-        (p_uv, p_vu + _MARGIN),
-    ]
-    return not any(inside(x, y) for x, y in probes)
+def _outside_with_margin(inside, p, q) -> bool:
+    """True if (p, q) and its four neighbours at _MARGIN all fail `inside`."""
+    probes = ((p, q), (p - _MARGIN, q), (p + _MARGIN, q), (p, q - _MARGIN), (p, q + _MARGIN))
+    clamp = lambda v: min(max(v, 1e-9), 1 - 1e-9)
+    return not any(inside(clamp(x), clamp(y)) for x, y in probes)
 
 
 def check_region_coherence(quick: bool = False) -> CheckResult:
     n_points = 200 if quick else 1000
     thresholds = (1.01, 2.0, 3.0, 5.0, 10.0)
 
-    def body(f: _Failures) -> str:
+    def body(f: _Gates) -> str:
         rng = make_rng(VERIFY_SEED)
         ctx = PLSensitivityContext.from_alpha_beta(FIGURE_ALPHA, FIGURE_BETA)
         checked_in = checked_out = 0
         for m in thresholds:
             for _ in range(n_points // len(thresholds)):
                 p, q = _bt_inside(rng, m)
-                f.expect(
-                    bt_partial(p, q) > m,
-                    f"inside point ({p:.6f}, {q:.6f}) has derivative <= {m}",
-                )
+                f.above("bt_partial inside region", bt_partial(p, q), m, (p, q))
                 x, y = _pl_inside(rng, m, ctx, "uv")
-                f.expect(
-                    pl_partials(x, y, ctx)[0] > m,
-                    f"inside uv point ({x:.6f}, {y:.6f}) has derivative <= {m}",
-                )
+                f.above("pl d_uv inside region", pl_partials(x, y, ctx)[0], m, (x, y))
                 x, y = _pl_inside(rng, m, ctx, "vu")
-                f.expect(
-                    abs(pl_partials(x, y, ctx)[1]) > m,
-                    f"inside vu point ({x:.6f}, {y:.6f}) has |derivative| <= {m}",
-                )
+                f.above("|pl d_vu| inside region", abs(pl_partials(x, y, ctx)[1]), m, (x, y))
                 checked_in += 3
+            bt_in = lambda x, y: bt_region_slice(m, y).contains(x)
+            uv_in = lambda x, y: pl_region_uv(m, ctx, x).contains(y)
+            vu_in = lambda x, y: pl_region_vu(m, ctx, y).contains(x)
             n_out = 0
             while n_out < n_points // len(thresholds):
                 p, q = rng.random(2)
                 if not (0 < p < 1 and 0 < q < 1):
                     continue
-                if _bt_outside_with_margin(m, p, q):
-                    f.expect(
-                        bt_partial(p, q) <= m,
-                        f"outside point ({p:.6f}, {q:.6f}) has derivative > {m}",
-                    )
+                if _outside_with_margin(bt_in, p, q):
+                    f.at_most("bt_partial outside region", bt_partial(p, q), m, (p, q))
                     n_out += 1
                     checked_out += 1
-                if _pl_outside_with_margin(m, ctx, "uv", p, q):
-                    f.expect(
-                        pl_partials(p, q, ctx)[0] <= m,
-                        f"outside uv point ({p:.6f}, {q:.6f}) has derivative > {m}",
-                    )
-                if _pl_outside_with_margin(m, ctx, "vu", p, q):
-                    f.expect(
-                        abs(pl_partials(p, q, ctx)[1]) <= m,
-                        f"outside vu point ({p:.6f}, {q:.6f}) has |derivative| > {m}",
-                    )
+                if _outside_with_margin(uv_in, p, q):
+                    f.at_most("pl d_uv outside region", pl_partials(p, q, ctx)[0], m, (p, q))
+                if _outside_with_margin(vu_in, p, q):
+                    f.at_most("|pl d_vu| outside region", abs(pl_partials(p, q, ctx)[1]), m, (p, q))
         return f"{checked_in} inside and {checked_out}+ outside points coherent"
 
     return _run("region_coherence", body)
@@ -367,65 +329,47 @@ def check_region_coherence(quick: bool = False) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _mismatch_within(centers, analytic_bool, raster_bool, curve_points, cell) -> bool:
-    mism = np.nonzero(analytic_bool != raster_bool)[0]
-    if len(mism) == 0:
-        return True
-    return all(
-        any(abs(centers[i] - c) <= cell * 1.0001 for c in curve_points) for i in mism
-    )
+def _transition_distance(centers, interval, exceeded, curve_points) -> float:
+    """Farthest distance from a cell whose raster class disagrees with the
+    analytic interval to its nearest curve point (0 if none disagrees)."""
+    analytic = np.zeros(len(centers), dtype=bool)
+    if interval is not None:
+        lo, hi = interval
+        analytic = (centers > lo) & (centers < hi)
+    mismatched = centers[analytic != exceeded]
+    nearest = (min((abs(x - c) for c in curve_points), default=math.inf) for x in mismatched)
+    return max(nearest, default=0.0)
 
 
 def check_raster_boundaries(quick: bool = False) -> CheckResult:
     resolution = 128 if quick else 512
 
-    def body(f: _Failures) -> str:
-        cell = 1.0 / resolution
+    def body(f: _Gates) -> str:
+        one_cell = 1.0 / resolution * 1.0001
         bt_grid = raster_bt("d_pik", FIGURE_THRESHOLDS, resolution)
         centers = bt_grid.cell_centers()
         for level, t in enumerate(FIGURE_THRESHOLDS, start=1):
             exceeded = bt_grid.classes >= level
             for iy, q in enumerate(centers):
                 region = bt_region_slice(t, q)
-                if region.case == "case1":
-                    analytic = centers > region.boundary
-                elif region.case == "case2":
-                    analytic = centers < region.boundary
-                else:
-                    analytic = np.zeros(resolution, dtype=bool)
-                ok = _mismatch_within(
-                    centers, analytic, exceeded[:, iy], [region.boundary], cell
-                )
-                f.expect(
-                    ok,
-                    f"bt raster row q={q:.5f} M={t:g}: transition beyond one cell "
-                    f"of the boundary",
-                )
+                curve = [region.boundary]
+                dist = _transition_distance(centers, region.interval, exceeded[:, iy], curve)
+                f.at_most("bt raster row: transition to boundary", dist, one_cell, (q, t))
         ctx = PLSensitivityContext.from_alpha_beta(FIGURE_ALPHA, FIGURE_BETA)
         # Each PL field is checked along the axis of its fixed coordinate.
-        for which, region, axis, label in (
-            ("d_uv", pl_region_uv, 0, "uv raster column x"),
-            ("d_vu", pl_region_vu, 1, "vu raster row y"),
+        for which, region, axis, name in (
+            ("d_uv", pl_region_uv, 0, "pl uv raster column: transition to boundary"),
+            ("d_vu", pl_region_vu, 1, "pl vu raster row: transition to boundary"),
         ):
             grid = raster_pl(which, FIGURE_ALPHA, FIGURE_BETA, FIGURE_THRESHOLDS, resolution)
             for level, t in enumerate(FIGURE_THRESHOLDS, start=1):
                 exceeded = grid.classes >= level
                 for i, fixed in enumerate(centers):
-                    bounds = region(t, ctx, fixed)
-                    if bounds.empty:
-                        analytic = np.zeros(resolution, dtype=bool)
-                        curve = []
-                    else:
-                        lo, hi = bounds.interval
-                        analytic = (centers > lo) & (centers < hi)
-                        curve = [lo, hi]
-                    ok = _mismatch_within(
-                        centers, analytic, exceeded.take(i, axis=axis), curve, cell
+                    interval = region(t, ctx, fixed).interval
+                    dist = _transition_distance(
+                        centers, interval, exceeded.take(i, axis=axis), interval or ()
                     )
-                    f.expect(
-                        ok,
-                        f"pl {label}={fixed:.5f} M={t:g}: transition beyond one cell",
-                    )
+                    f.at_most(name, dist, one_cell, (fixed, t))
         return (
             f"resolution {resolution}, thresholds {FIGURE_THRESHOLDS}: all class "
             "transitions within one cell of the analytic curves"
@@ -440,23 +384,16 @@ def check_raster_boundaries(quick: bool = False) -> CheckResult:
 
 
 def check_area_comparison(quick: bool = False) -> CheckResult:
-    def body(f: _Failures) -> str:
+    def body(f: _Gates) -> str:
         count = 0
         for m in (1.01, 1.1, 2.0, 5.0, 10.0, 100.0):
-            bt = bt_region_area(m).closed_form
-            f.expect(
-                bt > 1.0 / (6.0 * m**2),
-                f"M={m:g}: pairwise area {bt} violates the 1/(6 M^2) lower bound",
-            )
+            f.above("pairwise area", bt_region_area(m).closed_form, 1.0 / (6.0 * m**2), (m,))
             for alpha in (1.001, 1.5, 3.0):
                 for beta in (0.999, 0.5, 0.1):
                     ctx = PLSensitivityContext.from_alpha_beta(alpha, beta)
                     cmp = compare_bt_pl_areas(m, ctx)
-                    f.expect(
-                        cmp.holds,
-                        f"M={m:g}, alpha={alpha}, beta={beta}: pairwise {cmp.bt_area} "
-                        f"not above tuple {cmp.pl_area}",
-                    )
+                    at = (m, alpha, beta)
+                    f.above("pairwise area over tuple area", cmp.bt_area, cmp.pl_area, at)
                     count += 1
         return f"pairwise area exceeds the K-tuple area at all {count} grid points"
 
@@ -464,7 +401,7 @@ def check_area_comparison(quick: bool = False) -> CheckResult:
 
 
 def check_witness_construction(quick: bool = False) -> CheckResult:
-    def body(f: _Failures) -> str:
+    def body(f: _Gates) -> str:
         found = []
         for name, link in (("logistic", LOGISTIC), ("probit", PROBIT)):
             for m in (10.0, 100.0):
@@ -472,10 +409,7 @@ def check_witness_construction(quick: bool = False) -> CheckResult:
                 fd = finite_diff(
                     lambda a, b: compose_pairwise(link, a, b), (w.p_ik, w.p_kj), slot=0
                 )
-                f.expect(
-                    fd > m,
-                    f"{name} M={m:g}: finite difference {fd} at witness does not exceed M",
-                )
+                f.above("finite difference at the witness", fd, m, (name, w.p_ik, w.p_kj))
                 found.append(f"{name} M={m:g}: fd {fd:.2f} at p_ik={w.p_ik:.6f}")
         return "; ".join(found)
 
@@ -490,39 +424,23 @@ def check_witness_construction(quick: bool = False) -> CheckResult:
 def check_dataset_protocol(quick: bool = False) -> CheckResult:
     n_samples = 2000 if quick else 10_000
 
-    def body(f: _Failures) -> str:
+    def body(f: _Gates) -> str:
         base = DatasetSpec(("dog", "bird", "cat"), 0.99, 0.5, n_samples, VERIFY_SEED)
         specs = sweep(base)
-        f.expect(len(specs) == 21, f"sweep produced {len(specs)} specs, want 21")
+        f.holds("sweep has 21 specs", len(specs) == 21)
         grid = [round(s.p23, 2) for s in specs]
-        f.expect(
-            grid == [round(i * 0.05, 2) for i in range(21)],
-            f"sweep p23 grid mismatch: {grid}",
-        )
-        worst_z = 0.0
+        f.holds("sweep p23 grid", grid == [round(i * 0.05, 2) for i in range(21)])
         for spec in specs:
             samples = generate(spec)
-            f.expect(len(samples) == spec.n_samples, "wrong sample count")
+            f.holds("sample count", len(samples) == spec.n_samples, (spec.p23,))
             report = empirical_check(samples, spec)
-            f.expect(
-                report.forbidden_count == 0,
-                f"p23={spec.p23:g}: {report.forbidden_count} forbidden-pair samples",
-            )
+            f.at_most("forbidden-pair samples", report.forbidden_count, 0, (spec.p23,))
             for ps in report.pairs:
-                if math.isfinite(ps.z_score):
-                    worst_z = max(worst_z, abs(ps.z_score))
-                f.expect(
-                    abs(ps.z_score) <= 3.0,
-                    f"p23={spec.p23:g}, pair {ps.pair}: |z| = {abs(ps.z_score):.2f} > 3",
-                )
-        f.expect(
-            generate(specs[7]) == generate(specs[7]),
-            "regeneration is not deterministic",
-        )
-        f.expect(
-            generate(specs[0]) == generate(specs[0]),
-            "regeneration differs for the degenerate sweep point",
-        )
+                f.at_most("|z|", abs(ps.z_score), 3.0, (spec.p23, *ps.pair))
+        # specs[0] is the degenerate sweep point.
+        for spec in (specs[7], specs[0]):
+            f.holds("regeneration is deterministic", generate(spec) == generate(spec), (spec.p23,))
+        worst_z = f.worst["|z|"]
         return f"21 datasets x {n_samples} samples; worst |z| = {worst_z:.3f}; regeneration identical"
 
     return _run("dataset_protocol", body)
@@ -534,42 +452,38 @@ def check_fitting_round_trip(quick: bool = False) -> CheckResult:
     # run keeps the same z-equivalent by scaling with the sampling error.
     tol = 0.01 * math.sqrt(100_000 / per_pair)
 
-    def body(f: _Failures) -> str:
+    def body(f: _Gates) -> str:
         true_scores = (1.0, 0.0, -1.0)
         rng = make_rng(VERIFY_SEED)
         n = len(true_scores)
         wins = np.zeros((n, n))
         for i in range(n):
             for j in range(i + 1, n):
-                p = bt_prob(true_scores[i], true_scores[j])
-                w = rng.binomial(per_pair, p)
-                wins[i, j] = w
-                wins[j, i] = per_pair - w
+                w = rng.binomial(per_pair, bt_prob(true_scores[i], true_scores[j]))
+                wins[i, j], wins[j, i] = w, per_pair - w
         fit = fit_bt(PairwiseCounts(wins))
-        f.expect(fit.converged, f"fit did not converge in {fit.iterations} iterations")
-        worst = 0.0
+        f.holds("fit converged", fit.converged)
         for i in range(n):
             for j in range(n):
-                if i == j:
-                    continue
-                err = abs(predict(fit, i, j) - bt_prob(true_scores[i], true_scores[j]))
-                worst = max(worst, err)
-                f.expect(err <= tol, f"pair ({i}, {j}): fitted probability off by {err:.4f}")
+                if i != j:
+                    err = abs(predict(fit, i, j) - bt_prob(true_scores[i], true_scores[j]))
+                    f.at_most("fitted probability error", err, tol, (i, j))
         two = fit_bt(PairwiseCounts(np.array([[0.0, 25.0], [75.0, 0.0]])))
         gap = abs(two.scores[1] - math.log(3.0))
-        f.expect(gap <= 1e-4, f"two-option score {two.scores[1]} vs ln 3: off by {gap:.2e}")
+        f.at_most("|two-option score - ln 3|", gap, 1e-4)
+        worst = f.worst["fitted probability error"]
         return f"worst pairwise probability error {worst:.5f}; two-option gap {gap:.2e}"
 
     return _run("fitting_round_trip", body)
 
 
 def check_logit_normal_modes(quick: bool = False) -> CheckResult:
-    def body(f: _Failures) -> str:
+    def body(f: _Gates) -> str:
         results = []
         for sigma2, want in ((0.5, 1), (0.999, 1), (1.1, 2), (2.0, 2)):
             got = mode_count(sigma2, 10_000)
             results.append(f"sigma2={sigma2:g}: {got}")
-            f.expect(got == want, f"sigma2={sigma2:g}: {got} modes, want {want}")
+            f.holds("mode count", got == want, (sigma2,))
         return "; ".join(results)
 
     return _run("logit_normal_modes", body)

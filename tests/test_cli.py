@@ -222,6 +222,13 @@ class TestData:
         assert code == 0
         assert "1.09861" in out  # ln 3
 
+    def test_fit_counts_not_utf8(self, capsys, tmp_path):
+        counts = tmp_path / "counts.txt"
+        counts.write_bytes(b"2 0 25 75 \xff")
+        code, _, err = run(capsys, "fit", "--in", str(counts))
+        assert code == 1
+        assert_one_error_line(err, f"{counts}: not UTF-8")
+
     def test_sweep_data(self, capsys, tmp_path):
         out_dir = tmp_path / "sweep"
         code, out, _ = run(

@@ -60,6 +60,11 @@ class TestPairwiseCounts:
         with pytest.raises(ValidationError):
             parse_counts_text("two 0 75 25 0")
 
+    @pytest.mark.parametrize("text", ["-1 0", "0", "1 0"])
+    def test_parse_refuses_fewer_than_two_options(self, text):
+        with pytest.raises(ValidationError, match="at least 2 options"):
+            parse_counts_text(text)
+
     def test_load(self, tmp_path):
         path = tmp_path / "counts.txt"
         path.write_text("3\n0 10 20\n30 0 40\n50 60 0\n")

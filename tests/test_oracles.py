@@ -78,6 +78,9 @@ class TestFiniteDiff:
             finite_diff(lambda x: x, (0.5,), slot=3)
         with pytest.raises(DomainError):
             finite_diff(lambda x: x, (0.5,), h=0.0)
+        for h in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                finite_diff(lambda x: x * x, (0.5,), h=h)
 
 
 class TestMCAreaBT:
