@@ -24,6 +24,7 @@ from .errors import (
     DisconnectedDataError,
     DomainError,
     ValidationError,
+    require_finite,
     require_int,
 )
 from .models import KTuplePreference, bt_prob
@@ -238,9 +239,9 @@ def fit_pl(
         raise DomainError(f"need at least 2 options, got {n}")
     weights: dict[tuple[int, ...], float] = {}
     for pref, mult in rankings:
-        m = float(mult)
-        if m < 0 or not math.isfinite(m):
-            raise ValidationError(f"multiplicity must be finite and >= 0, got {mult!r}")
+        m = require_finite(mult, "multiplicity")
+        if m < 0:
+            raise ValidationError(f"multiplicity must be non-negative, got {mult!r}")
         if m == 0:
             continue
         for idx in pref.indices:
@@ -279,7 +280,7 @@ def fit_pl(
 
 def predict(fit: FitResult, i: int, j: int) -> float:
     """Fitted probability that option i is preferred over option j."""
-    n = len(fit.scores)
+    i, j, n = require_int(i, "i"), require_int(j, "j"), len(fit.scores)
     if not (0 <= i < n and 0 <= j < n):
         raise DomainError(f"indices ({i}, {j}) out of range for {n} fitted options")
     return bt_prob(fit.scores[i], fit.scores[j])

@@ -27,6 +27,7 @@ from .errors import (
     DomainError,
     ValidationError,
     require_finite,
+    require_int,
     require_probability,
 )
 from .links import LOGISTIC, LinkFunction, _warn_if_saturated
@@ -82,7 +83,7 @@ class KTuplePreference:
     indices: tuple[int, ...]
 
     def __init__(self, indices: Sequence[int]):
-        idx = tuple(int(i) for i in indices)
+        idx = tuple(require_int(i, "ranking index") for i in indices)
         if len(idx) < 2:
             raise ValidationError("a preference ranks at least 2 options")
         if len(set(idx)) != len(idx):
@@ -153,7 +154,7 @@ def pl_ratio(options: ScoredOptionSet, u: int, v: int) -> float:
     (..., v, u), the ratio of the swapped to the original probability is
     exp(-(s_u - s_v)), independent of K and of the prefix.
     """
-    n = len(options)
+    u, v, n = require_int(u, "u"), require_int(v, "v"), len(options)
     if not (0 <= u < n and 0 <= v < n):
         raise DomainError(f"indices ({u}, {v}) out of range for {n} options")
     if u == v:

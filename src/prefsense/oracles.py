@@ -76,7 +76,8 @@ def finite_diff(
     BOUNDARY_MARGIN inside (0, 1); if no positive step fits, the point is
     too close to the boundary and a DomainError is raised.
     """
-    point = [float(v) for v in at]
+    point = [require_finite(v, "point coordinate") for v in at]
+    slot = require_int(slot, "slot")
     if not 0 <= slot < len(point):
         raise DomainError(f"slot {slot} out of range for point of length {len(point)}")
     x = point[slot]
@@ -158,6 +159,7 @@ def brute_force_pl(options: ScoredOptionSet, k: int) -> dict[tuple[int, ...], fl
     independent check of the production evaluation path. Guarded to
     K <= 6 because the output grows factorially.
     """
+    k = require_int(k, "K")
     if k > 6:
         raise EnumerationSizeError(f"enumeration guard: K={k} exceeds the K <= 6 limit")
     n = len(options)

@@ -206,114 +206,73 @@ def read_csv_grid(path) -> dict[str, np.ndarray]:
 # SVG export (marching squares)
 # ---------------------------------------------------------------------------
 
-_EDGE_B = 0  # bottom, top, left, right of a marching cell
-_EDGE_T = 1
-_EDGE_L = 2
-_EDGE_R = 3
-
-# case -> list of (edge, edge) pairs the contour connects; cases 5 and 10
-# are saddles resolved by the cell-center mean.
-_SEGMENTS = {
-    1: [(_EDGE_L, _EDGE_B)],
-    2: [(_EDGE_B, _EDGE_R)],
-    3: [(_EDGE_L, _EDGE_R)],
-    4: [(_EDGE_R, _EDGE_T)],
-    6: [(_EDGE_B, _EDGE_T)],
-    7: [(_EDGE_L, _EDGE_T)],
-    8: [(_EDGE_T, _EDGE_L)],
-    9: [(_EDGE_B, _EDGE_T)],
-    11: [(_EDGE_R, _EDGE_T)],
-    12: [(_EDGE_L, _EDGE_R)],
-    13: [(_EDGE_B, _EDGE_R)],
-    14: [(_EDGE_L, _EDGE_B)],
-}
+# Marching-squares cases: bit k is set when corner k of cell (i, j) is above
+# the level, corners 0-3 being (i, j), (i+1, j), (i+1, j+1) and (i, j+1). Each
+# case lists the pairs of cell edges (bottom, left, top, right) its contour
+# segments join. The saddles 5 and 10 are listed as cut when the cell-center
+# mean is at or below the level.
+_CASES = ("", "lb", "br", "lr", "rt", "lb rt", "bt", "lt",
+          "tl", "bt", "br tl", "rt", "lr", "br", "lb", "")
 
 
-def _edge_key(edge: int, i: int, j: int) -> tuple[str, int, int]:
-    if edge == _EDGE_B:
-        return ("h", i, j)
-    if edge == _EDGE_T:
-        return ("h", i, j + 1)
-    if edge == _EDGE_L:
-        return ("v", i, j)
-    return ("v", i + 1, j)
+def _contour_path(values: np.ndarray, level: float, resolution: int) -> str:
+    """SVG path data for the closed loops of the level set {field > level}.
 
-
-def _contour_loops(values: np.ndarray, level: float, resolution: int):
-    """Closed loops of the level set {field > level}, padded so every
-    region touching the domain boundary closes along it."""
-    res = resolution
-    pad_val = level - max(1.0, abs(level))
-    v = np.full((res + 2, res + 2), pad_val)
+    The grid is padded so every region touching the domain boundary closes
+    along it. Node (i, j) of the padded grid is i * side + j; the edge to
+    (i+1, j) has id 2 * node and the edge to (i, j+1) has id 2 * node + 1.
+    """
+    side = resolution + 2
+    v = np.full((side, side), level - max(1.0, abs(level)))
     v[1:-1, 1:-1] = values
     inside = v > level
-    case = (
-        inside[:-1, :-1].astype(np.int8)
-        + 2 * inside[1:, :-1]
-        + 4 * inside[1:, 1:]
-        + 8 * inside[:-1, 1:]
-    )
-    adjacency: dict[tuple[str, int, int], list] = {}
-    for i, j in np.argwhere((case != 0) & (case != 15)):
-        c = int(case[i, j])
-        if c in (5, 10):
-            center = (v[i, j] + v[i + 1, j] + v[i, j + 1] + v[i + 1, j + 1]) / 4.0
-            if c == 5:
-                segs = [(_EDGE_B, _EDGE_R), (_EDGE_T, _EDGE_L)] if center > level else [
-                    (_EDGE_L, _EDGE_B),
-                    (_EDGE_R, _EDGE_T),
-                ]
-            else:
-                segs = [(_EDGE_L, _EDGE_B), (_EDGE_R, _EDGE_T)] if center > level else [
-                    (_EDGE_B, _EDGE_R),
-                    (_EDGE_T, _EDGE_L),
-                ]
-        else:
-            segs = _SEGMENTS[c]
-        for e0, e1 in segs:
-            k0 = _edge_key(e0, int(i), int(j))
-            k1 = _edge_key(e1, int(i), int(j))
-            adjacency.setdefault(k0, []).append(k1)
-            adjacency.setdefault(k1, []).append(k0)
+    case = inside[:-1, :-1] + 2 * inside[1:, :-1] + 4 * inside[1:, 1:] + 8 * inside[:-1, 1:]
+    i, j = np.nonzero((case != 0) & (case != 15))
+    case = case[i, j]
+    saddle = (case == 5) | (case == 10)
+    si, sj = i[saddle], j[saddle]
+    center = (v[si, sj] + v[si + 1, sj] + v[si, sj + 1] + v[si + 1, sj + 1]) / 4.0
+    # A saddle whose center is above the level joins the corners the other
+    # saddle cuts off, so it takes the other saddle's segments.
+    case[saddle] = np.where(center > level, 15 - case[saddle], case[saddle])
 
-    def point_of(key) -> tuple[float, float]:
-        axis, gi, gj = key
-        if axis == "h":
-            v0, v1 = v[gi, gj], v[gi + 1, gj]
-        else:
-            v0, v1 = v[gi, gj], v[gi, gj + 1]
-        if not (np.isfinite(v0) and np.isfinite(v1)):
-            t = 0.5 if not np.isfinite(v0) and not np.isfinite(v1) else (
-                0.0 if not np.isfinite(v0) else 1.0
-            )
-        else:
-            t = (level - v0) / (v1 - v0)
-        cx = (gi - 0.5) / res
-        cy = (gj - 0.5) / res
-        if axis == "h":
-            cx += t / res
-        else:
-            cy += t / res
-        return (min(max(cx, 0.0), 1.0), min(max(cy, 0.0), 1.0))
+    offset = {"b": 0, "l": 1, "t": 2, "r": 2 * side + 1}
+    table = [[(offset[a], offset[b]) for a, b in segs.split()] for segs in _CASES]
+    nbrs: dict[int, list[int]] = {}
+    for base, c in zip((2 * (i * side + j)).tolist(), case.tolist()):
+        for a, b in table[c]:
+            nbrs.setdefault(base + a, []).append(base + b)
+            nbrs.setdefault(base + b, []).append(base + a)
 
-    loops = []
-    visited: set = set()
-    for start in adjacency:
-        if start in visited:
+    node, vertical = np.divmod(np.fromiter(nbrs, dtype=np.int64, count=len(nbrs)), 2)
+    v0, v1 = v.flat[node], v.flat[node + np.where(vertical, 1, side)]
+    f0, f1 = np.isfinite(v0), np.isfinite(v1)
+    with np.errstate(invalid="ignore"):
+        t = (level - v0) / (v1 - v0)
+    # A non-finite end pulls the crossing onto itself; two put it mid-edge.
+    t = np.where(f0 & f1, t, np.where(f0, 1.0, np.where(f1, 0.0, 0.5)))
+    x = (node // side - 0.5) / resolution
+    y = (node % side - 0.5) / resolution
+    x = np.clip(np.where(vertical, x, x + t / resolution), 0.0, 1.0)
+    y = np.clip(np.where(vertical, y + t / resolution, y), 0.0, 1.0)
+    px, py = _to_px(x, y)
+    label = dict(zip(nbrs, map("%.2f %.2f".__mod__, zip(px.tolist(), py.tolist()))))
+
+    chunks = []
+    for start in nbrs:
+        if start not in label:  # already on a traced loop
             continue
-        loop = [start]
-        visited.add(start)
+        loop = [label.pop(start)]
         prev, cur = None, start
         while True:
-            nbrs = adjacency[cur]
-            nxt = nbrs[0] if nbrs[0] != prev else nbrs[1]
+            ends = nbrs[cur]
+            nxt = ends[0] if ends[0] != prev else ends[1]
             if nxt == start:
                 break
-            loop.append(nxt)
-            visited.add(nxt)
+            loop.append(label.pop(nxt))
             prev, cur = cur, nxt
-        loops.append([point_of(k) for k in loop])
-    return loops
+        chunks.append(f"M{' L'.join(loop)} Z")
+    return " ".join(chunks)
 
 
 def _to_px(x: float, y: float) -> tuple[float, float]:
@@ -337,12 +296,7 @@ def _svg_text(grid: RasterGrid) -> str:
         f'height="{_PLOT}" fill="{_palette_color(0, n_classes)}"/></g>',
     ]
     for k, level in enumerate(grid.thresholds):
-        loops = _contour_loops(grid.values, level, grid.resolution)
-        chunks = []
-        for loop in loops:
-            pts = " L".join("%.2f %.2f" % _to_px(x, y) for x, y in loop)
-            chunks.append(f"M{pts} Z")
-        d = " ".join(chunks)
+        d = _contour_path(grid.values, level, grid.resolution)
         parts.append(
             f'<g id="class-{k + 1}"><path d="{d}" fill="{_palette_color(k + 1, n_classes)}" '
             'fill-rule="evenodd" stroke="none"/></g>'

@@ -249,7 +249,7 @@ def pl_context(
 ) -> PLSensitivityContext:
     """Build the (alpha, beta) context for positions u < v of a ranking."""
     omega.validate_for(options)
-    k = len(omega)
+    k, u, v = len(omega), require_int(u, "u"), require_int(v, "v")
     if not 0 <= u < v < k:
         raise DomainError(f"need 0 <= u < v < K={k}, got u={u}, v={v}")
     ratios = ratio_matrix(options, omega)

@@ -64,7 +64,8 @@ __all__ = [
     "write_manifest",
 ]
 
-# Largest dataset a spec admits, refused before anything is allocated.
+# Largest dataset a spec admits or read_jsonl reads, refused before anything
+# is allocated.
 # generate keeps 8 bytes per sample (its list slot; samples share
 # instances) and its JSONL file takes about 200 bytes per sample. JSONL
 # I/O caches each distinct line: read_jsonl keeps 8 bytes per sample plus
@@ -422,8 +423,8 @@ def read_jsonl(path) -> list[PreferenceSample]:
     other fields are ignored and blank lines are skipped. Each distinct
     line is parsed once, so equal lines give the same (frozen) object,
     as generate's equal samples do. Raises ValidationError naming the
-    path and line of the first malformed record, or naming the path if
-    the file is not UTF-8.
+    path and line of the first malformed record or of the first record
+    past MAX_SAMPLES, or naming the path if the file is not UTF-8.
     """
     parsed: dict[str, PreferenceSample] = {}
     samples = []
@@ -433,6 +434,8 @@ def read_jsonl(path) -> list[PreferenceSample]:
                 line = line.strip()
                 if not line:
                     continue
+                if len(samples) == MAX_SAMPLES:
+                    raise ValidationError(f"{path}:{line_no}: more than {MAX_SAMPLES} records")
                 sample = parsed.get(line)
                 if sample is None:
                     sample = parsed[line] = _parse_record(line, path, line_no)

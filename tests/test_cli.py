@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from prefsense import cli
+from prefsense import PLSensitivityContext, cli, general_partial, get_link, pl_region_vu, synth
 from prefsense.verification import CheckResult
 
 
@@ -52,6 +52,28 @@ class TestGradRegionArea:
         assert code == 0
         assert "22.3703" in out
 
+    def test_grad_bt_probit(self, capsys):
+        code, out, _ = run(
+            capsys, "grad", "bt", "--link", "probit", "--p-ik", "0.99", "--p-kj", "0.02", "--json"
+        )
+        assert code == 0
+        probit = get_link("probit")
+        assert json.loads(out) == {
+            "link": "probit",
+            "d_p_ik": general_partial(probit, 0.99, 0.02),
+            "d_p_kj": general_partial(probit, 0.02, 0.99),
+        }
+
+    # beta p_vu / (alpha p_uv + p_vu)^2, and the p_uv : p_vu ratio for d p_vu.
+    def test_grad_pl(self, capsys):
+        code, out, _ = run(capsys, "grad", "pl", "--p-uv", "0.05", "--p-vu", "0.1", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["alpha"], payload["beta"]) == (1.01, 0.99)
+        d_uv = 0.99 * 0.1 / (1.01 * 0.05 + 0.1) ** 2
+        assert payload["d_p_uv"] == pytest.approx(d_uv, rel=1e-12)
+        assert payload["d_p_vu"] == pytest.approx(-d_uv / 2, rel=1e-12)
+
     def test_grad_requires_point(self, capsys):
         code, _, err = run(capsys, "grad", "bt")
         assert code == 1
@@ -74,6 +96,22 @@ class TestGradRegionArea:
         )
         assert code == 0
         assert "interval" in out
+
+    def test_region_pl_vu(self, capsys):
+        code, out, _ = run(
+            capsys, "region", "pl", "--M", "2", "--alpha", "1.01", "--beta", "0.99",
+            "--p-vu", "0.05", "--json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        bounds = pl_region_vu(2.0, PLSensitivityContext.from_alpha_beta(1.01, 0.99), 0.05)
+        assert payload["which"] == "vu"
+        assert payload["interval"] == list(bounds.interval)
+
+    def test_region_pl_requires_point(self, capsys):
+        code, _, err = run(capsys, "region", "pl", "--M", "2")
+        assert code == 1
+        assert_one_error_line(err, "region pl requires --p-uv or --p-vu")
 
     def test_region_threshold_guard(self, capsys):
         code, _, err = run(capsys, "region", "bt", "--M", "0.5", "--p-kj", "0.3")
@@ -214,6 +252,14 @@ class TestData:
         code, _, err = run(capsys, "fit", "--in", str(data))
         assert code == 1
         assert "--options" in err
+
+    def test_fit_jsonl_over_cap(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(synth, "MAX_SAMPLES", 3)
+        data = tmp_path / "d.jsonl"
+        data.write_text('{"question": "q", "chosen": "a over b", "rejected": "b over a"}\n' * 4)
+        code, _, err = run(capsys, "fit", "--in", str(data), "--options", "a,b")
+        assert code == 1
+        assert_one_error_line(err, f"{data}:4: more than 3 records")
 
     def test_fit_counts_file(self, capsys, tmp_path):
         counts = tmp_path / "counts.txt"

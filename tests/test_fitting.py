@@ -213,6 +213,9 @@ class TestFitPL:
             fit_pl([(KTuplePreference((0, 1)), -1.0)], 2)
         with pytest.raises(DomainError):
             fit_pl([(KTuplePreference((0, 5)), 1.0)], 3)
+        for mult in ("x", None, math.inf):
+            with pytest.raises(DomainError, match="multiplicity must be"):
+                fit_pl([(KTuplePreference((0, 1)), mult)], 2)
 
     @pytest.mark.parametrize("n_options", ["x", None, 2.5, 3.0], ids=["x", "None", "2.5", "3.0"])
     def test_non_integer_n_options(self, n_options):
@@ -238,6 +241,8 @@ class TestPredict:
         fit = FitResult(scores=(0.0, 1.0), log_likelihood=0.0, iterations=0, converged=True)
         with pytest.raises(DomainError):
             predict(fit, 0, 2)
+        with pytest.raises(DomainError, match="i must be an integer"):
+            predict(fit, 0.5, 1)
 
 
 class TestCountsFromSamples:

@@ -56,6 +56,9 @@ class TestTypes:
             KTuplePreference([0])
         with pytest.raises(ValidationError):
             KTuplePreference([0, 0])
+        for bad in ((0, 1.7), (0, "x")):
+            with pytest.raises(DomainError, match="ranking index must be an integer"):
+                KTuplePreference(bad)
         options = ScoredOptionSet(["a", "b"], [0.0, 1.0])
         with pytest.raises(DomainError):
             KTuplePreference([0, 5]).validate_for(options)
@@ -283,6 +286,8 @@ class TestPLRatio:
         options = ScoredOptionSet(["a", "b"], [0.0, 1.0])
         with pytest.raises(DomainError):
             pl_ratio(options, 1, 1)
+        with pytest.raises(DomainError, match="u must be an integer"):
+            pl_ratio(options, 0.5, 1)
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_swap_ratio_matches_probability_ratio(self, k):

@@ -76,6 +76,10 @@ class TestFiniteDiff:
             finite_diff(lambda x: x, (5e-10,), h=1e-6)
         with pytest.raises(DomainError):
             finite_diff(lambda x: x, (0.5,), slot=3)
+        with pytest.raises(DomainError, match="slot must be an integer"):
+            finite_diff(lambda x: x, (0.5,), slot=0.5)
+        with pytest.raises(DomainError, match="point coordinate must be a real number"):
+            finite_diff(lambda x: x, ("x",))
         with pytest.raises(DomainError):
             finite_diff(lambda x: x, (0.5,), h=0.0)
         for h in (math.nan, math.inf):
@@ -221,6 +225,8 @@ class TestBruteForce:
             brute_force_pl(options, 7)
         with pytest.raises(DomainError):
             brute_force_pl(options, 1)
+        with pytest.raises(DomainError, match="K must be an integer"):
+            brute_force_pl(options, 2.5)
 
 
 class TestModeCount:

@@ -3,7 +3,9 @@
 import dataclasses
 import hashlib
 import math
+import re
 import warnings
+from collections import Counter
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -63,6 +65,124 @@ def reference_csv_text(grid: RasterGrid) -> str:
         for iy in range(grid.resolution):
             lines.append(f"{cx},{centers[iy]:.9g},{grid.values[ix, iy]:.9g},{grid.classes[ix, iy]}")
     return "\n".join(lines) + "\n"
+
+
+# Marching-squares reference: the tuple-keyed loop tracer the SVG export
+# used before integer edge ids, kept to pin the export's bytes. `seen`
+# counts the saddle branches and non-finite crossings it takes.
+_B, _T, _L, _R = 0, 1, 2, 3
+_REF_SEGMENTS = {
+    1: [(_L, _B)], 2: [(_B, _R)], 3: [(_L, _R)], 4: [(_R, _T)], 6: [(_B, _T)], 7: [(_L, _T)],
+    8: [(_T, _L)], 9: [(_B, _T)], 11: [(_R, _T)], 12: [(_L, _R)], 13: [(_B, _R)], 14: [(_L, _B)],
+}
+
+
+def _ref_edge_key(edge, i, j):
+    if edge == _B:
+        return ("h", i, j)
+    if edge == _T:
+        return ("h", i, j + 1)
+    if edge == _L:
+        return ("v", i, j)
+    return ("v", i + 1, j)
+
+
+def reference_contour_path(values, level, resolution, seen: Counter) -> str:
+    res = resolution
+    pad_val = level - max(1.0, abs(level))
+    v = np.full((res + 2, res + 2), pad_val)
+    v[1:-1, 1:-1] = values
+    inside = v > level
+    case = (
+        inside[:-1, :-1].astype(np.int8)
+        + 2 * inside[1:, :-1]
+        + 4 * inside[1:, 1:]
+        + 8 * inside[:-1, 1:]
+    )
+    adjacency = {}
+    for i, j in np.argwhere((case != 0) & (case != 15)):
+        c = int(case[i, j])
+        if c in (5, 10):
+            center = (v[i, j] + v[i + 1, j] + v[i, j + 1] + v[i + 1, j + 1]) / 4.0
+            seen["saddle above" if center > level else "saddle below"] += 1
+            if c == 5:
+                segs = [(_B, _R), (_T, _L)] if center > level else [(_L, _B), (_R, _T)]
+            else:
+                segs = [(_L, _B), (_R, _T)] if center > level else [(_B, _R), (_T, _L)]
+        else:
+            segs = _REF_SEGMENTS[c]
+        for e0, e1 in segs:
+            k0 = _ref_edge_key(e0, int(i), int(j))
+            k1 = _ref_edge_key(e1, int(i), int(j))
+            adjacency.setdefault(k0, []).append(k1)
+            adjacency.setdefault(k1, []).append(k0)
+
+    def point_of(key):
+        axis, gi, gj = key
+        if axis == "h":
+            v0, v1 = v[gi, gj], v[gi + 1, gj]
+        else:
+            v0, v1 = v[gi, gj], v[gi, gj + 1]
+        if not (np.isfinite(v0) and np.isfinite(v1)):
+            seen["non-finite end"] += 1
+            t = 0.5 if not np.isfinite(v0) and not np.isfinite(v1) else (
+                0.0 if not np.isfinite(v0) else 1.0
+            )
+        else:
+            t = (level - v0) / (v1 - v0)
+        cx = (gi - 0.5) / res
+        cy = (gj - 0.5) / res
+        if axis == "h":
+            cx += t / res
+        else:
+            cy += t / res
+        x, y = min(max(cx, 0.0), 1.0), min(max(cy, 0.0), 1.0)
+        return "%.2f %.2f" % (60 + x * 600, 60 + (1.0 - y) * 600)
+
+    chunks = []
+    visited = set()
+    for start in adjacency:
+        if start in visited:
+            continue
+        loop = [start]
+        visited.add(start)
+        prev, cur = None, start
+        while True:
+            nbrs = adjacency[cur]
+            nxt = nbrs[0] if nbrs[0] != prev else nbrs[1]
+            if nxt == start:
+                break
+            loop.append(nxt)
+            visited.add(nxt)
+            prev, cur = cur, nxt
+        chunks.append("M" + " L".join(point_of(k) for k in loop) + " Z")
+    return " ".join(chunks)
+
+
+def saddle_grid(seed: int, resolution: int = 16) -> RasterGrid:
+    """A seeded random field with planted saddles and about 5% +inf cells.
+
+    At level 2 a planted saddle's centre mean is 1.3 or 2.55, so both
+    saddle resolutions occur.
+    """
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.0, 4.0, (resolution, resolution))
+    for i, j in rng.integers(0, resolution - 1, (6, 2)):
+        hi, lo = (2.5, 0.1) if rng.random() < 0.5 else (3.9, 1.2)
+        values[i, j] = values[i + 1, j + 1] = hi
+        values[i + 1, j] = values[i, j + 1] = lo
+    values[rng.random(values.shape) < 0.05] = np.inf
+    thresholds = (1.0, 2.0, 3.0)
+    return RasterGrid(
+        resolution=resolution,
+        thresholds=thresholds,
+        values=values,
+        classes=sum((values > t).astype(np.int32) for t in thresholds),
+        singular=np.isinf(values),
+        which="d_pik",
+        xlabel="x",
+        ylabel="y",
+    )
 
 
 class TestGridConstruction:
@@ -139,6 +259,8 @@ class TestGridConstruction:
         with pytest.raises(DomainError):
             raster_pl("d_uv", 0.9, 0.99, THRESHOLDS, 64)
         with pytest.raises(DomainError):
+            raster_pl(which="bad")
+        with pytest.raises(DomainError):
             raster_bt("d_pik", THRESHOLDS, MAX_RESOLUTION + 1)
 
     @pytest.mark.parametrize("resolution", ["x", None, 64.9, 64.0], ids=["x", "None", "64.9", "64.0"])
@@ -205,18 +327,21 @@ class TestGridConstruction:
         export(grid, fmt, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
-    # The 512x512 CSVs (`prefsense raster {bt,pl}` at the default size).
+    # The 512x512 figures (`prefsense raster {bt,pl}` at the default size).
     @pytest.mark.parametrize(
-        "model, digest",
+        "name, digest",
         [
-            ("bt", "3fb362c65159c3c5fd37b24bae522ffacbc92dda7aaa698e05a85166a66b853f"),
-            ("pl", "0d646b65d6c0b2d0e8a6c4e27b07007d6a64356d561fb6c445f5e5653e82eb80"),
+            ("bt.csv", "3fb362c65159c3c5fd37b24bae522ffacbc92dda7aaa698e05a85166a66b853f"),
+            ("bt.svg", "874ade1db937706285ba523781f6d0d0c945ce00f6484c33ba810cb6684d900f"),
+            ("pl.csv", "0d646b65d6c0b2d0e8a6c4e27b07007d6a64356d561fb6c445f5e5653e82eb80"),
+            ("pl.svg", "d26c2c1929d5e887968024323e39995e0c4cafee0686c0c21c597d43387e9f34"),
         ],
     )
-    def test_default_csv_digest(self, tmp_path, model, digest):
+    def test_default_digest(self, tmp_path, name, digest):
+        model, fmt = name.split(".")
         grid = raster_bt() if model == "bt" else raster_pl()
-        path = tmp_path / f"{model}.csv"
-        export(grid, "csv", path)
+        path = tmp_path / name
+        export(grid, fmt, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
@@ -379,6 +504,21 @@ class TestSVGExport:
         export(grid, "svg", path)
         text = path.read_text()
         assert '<g id="class-3"><path d=""' in text
+
+    # Saddles of both kinds and +inf cells, which the default figures lack,
+    # give the reference tracer's path bytes.
+    def test_matches_reference_tracer(self, tmp_path):
+        seen = Counter()
+        for seed in range(20):
+            grid = saddle_grid(seed)
+            path = tmp_path / f"{seed}.svg"
+            export(grid, "svg", path)
+            paths = re.findall(r'<path d="([^"]*)"', path.read_text())
+            assert paths == [
+                reference_contour_path(grid.values, t, grid.resolution, seen)
+                for t in grid.thresholds
+            ]
+        assert seen["saddle above"] and seen["saddle below"] and seen["non-finite end"]
 
     def test_contour_tracks_boundary(self, tmp_path):
         # All path coordinates for the top threshold layer must stay in

@@ -247,6 +247,8 @@ class TestPLContext:
             pl_context(options, omega, 2, 1)
         with pytest.raises(DomainError):
             pl_context(options, omega, 0, 3)
+        with pytest.raises(DomainError, match="u must be an integer"):
+            pl_context(options, omega, 0.5, 1)
 
     def test_synthetic_context_validation(self):
         with pytest.raises(DomainError):

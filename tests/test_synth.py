@@ -24,6 +24,7 @@ from prefsense import (
     write_jsonl,
     write_manifest,
 )
+from prefsense import synth
 from prefsense.synth import _BLOCK, MAX_SAMPLES, tally_outcomes
 
 PERM = ("dog", "bird", "cat")
@@ -360,6 +361,17 @@ class TestFiles:
         line = '{"question": "caf\u00e9?", "chosen": "a over b", "rejected": "b over a"}\n'
         path.write_bytes(line.encode("latin-1"))
         with pytest.raises(ValidationError, match=re.escape(f"{path}: not UTF-8")):
+            read_jsonl(path)
+
+    # Blank lines do not count toward the cap; the first record past it is refused.
+    def test_jsonl_record_cap(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(synth, "MAX_SAMPLES", 3)
+        record = '{"question": "q", "chosen": "a over b", "rejected": "b over a"}\n'
+        path = tmp_path / "capped.jsonl"
+        path.write_text("\n".join([record] * 3))
+        assert len(read_jsonl(path)) == 3
+        path.write_text("\n".join([record] * 4))
+        with pytest.raises(ValidationError, match=re.escape(f"{path}:7: more than 3 records")):
             read_jsonl(path)
 
     def test_manifest(self, tmp_path):
