@@ -21,6 +21,7 @@ __all__ = [
     "EnumerationSizeError",
     "SaturationWarning",
     "require_int",
+    "require_items",
     "require_seed",
     "require_finite",
     "require_probability",
@@ -94,6 +95,15 @@ def require_int(x: Any, name: str) -> int:
         return operator.index(x)
     except TypeError as exc:
         raise DomainError(f"{name} must be an integer, got {x!r}") from exc
+
+
+def require_items(x: Any, name: str) -> tuple:
+    """Materialise an iterable argument as a tuple; refuse a non-iterable."""
+    try:
+        items = iter(x)
+    except TypeError as exc:
+        raise DomainError(f"{name} must be a sequence, got {x!r}") from exc
+    return tuple(items)
 
 
 def require_seed(seed: Any) -> int:

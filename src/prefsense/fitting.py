@@ -5,10 +5,12 @@ samples under the K-tuple model; both use the same deterministic
 full-batch gradient ascent with a backtracking line search. The first
 option's score is pinned to 0 for identifiability.
 
-Dominant (one-sided) pairs push the unconstrained MLE to infinity. Scores
-are capped at |s| <= 30 and a DivergenceWarning is emitted instead of
-hiding the regime: a cap of 30 corresponds to a fitted pair probability
-within 1e-13 of certainty.
+The MLE is finite exactly when every option beats every other along some
+chain of wins, so one-sided pairs inside a cycle of wins are fine. When a
+group of options never lost to the rest, the MLE is at infinity: scores are
+capped at |s| <= 30 and a DivergenceWarning is emitted instead of hiding
+the regime. A cap of 30 corresponds to a fitted pair probability within
+1e-13 of certainty.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,6 +29,7 @@ from .errors import (
     ValidationError,
     require_finite,
     require_int,
+    require_items,
 )
 from .models import KTuplePreference, bt_prob
 from .synth import PreferenceSample, tally_outcomes
@@ -85,35 +89,43 @@ class FitResult:
     converged: bool
 
 
-def _components(n: int, edges: set[tuple[int, int]]) -> list[list[int]]:
-    adjacency: dict[int, set[int]] = {i: set() for i in range(n)}
-    for a, b in edges:
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    seen: set[int] = set()
-    comps = []
-    for root in range(n):
-        if root in seen:
-            continue
-        stack, comp = [root], []
-        seen.add(root)
-        while stack:
-            node = stack.pop()
-            comp.append(node)
-            for nb in adjacency[node]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        comps.append(sorted(comp))
-    return comps
+def _reach(adj: np.ndarray, start: int) -> np.ndarray:
+    """Mask of the options reachable from start along adj[i, j] (i -> j)."""
+    seen = np.zeros(len(adj), dtype=bool)
+    frontier = seen.copy()
+    frontier[start] = True
+    while frontier.any():
+        seen |= frontier
+        frontier = adj[frontier].any(axis=0) & ~seen
+    return seen
 
 
-def _require_connected(n: int, edges: set[tuple[int, int]], what: str) -> None:
-    comps = _components(n, edges)
+def _check_comparisons(beats: np.ndarray, what: str) -> None:
+    """Refuse a disconnected comparison graph; warn if the MLE diverges.
+
+    beats[i, j] is True when option i beat option j (or was ranked above
+    it). The MLE is finite exactly when this directed graph is strongly
+    connected (Ford 1957; Hunter 2004, Assumption 1): otherwise a group of
+    options never lost to the rest and its scores run off to the cap.
+    """
+    compared, comps, left = beats | beats.T, [], np.ones(len(beats), dtype=bool)
+    while left.any():
+        comp = _reach(compared, int(np.argmax(left)))
+        comps.append(np.flatnonzero(comp).tolist())
+        left &= ~comp
     if len(comps) > 1:
         raise DisconnectedDataError(
             f"{what} does not connect all options; components: {comps}",
             components=comps,
+        )
+    above = _reach(beats.T, 0)  # options with a chain of wins over option 0
+    unbeaten = above if not above.all() else ~_reach(beats, 0)
+    if unbeaten.any():
+        warnings.warn(
+            f"options {np.flatnonzero(unbeaten).tolist()} never lost to the others, "
+            f"so the MLE diverges; scores are capped at |s| = {SCORE_CAP:g}",
+            DivergenceWarning,
+            stacklevel=3,
         )
 
 
@@ -185,43 +197,30 @@ def _ascend(
     )
 
 
+def _bt_value_and_grad(wins: np.ndarray, s: np.ndarray) -> tuple[float, np.ndarray]:
+    """Log likelihood sum(wins[i, j] * log sigmoid(s_i - s_j)) and its gradient."""
+    diff = s[:, None] - s[None, :]
+    # log sigmoid(d) = min(d, 0) - log1p(exp(-|d|)): stable for both signs, and
+    # numpy runs exp and log1p as SIMD loops (logaddexp is a per-element libm loop).
+    log_p = np.minimum(diff, 0.0) - np.log1p(np.exp(-np.abs(diff)))
+    ll = float(np.sum(wins * log_p))
+    # No clip: _ascend keeps |s| <= SCORE_CAP, so |diff| <= 60 and exp is finite.
+    sig_neg = 1.0 / (1.0 + np.exp(diff))  # sigmoid(-diff)
+    g_matrix = wins * sig_neg
+    grad = g_matrix.sum(axis=1) - g_matrix.sum(axis=0)
+    return ll, grad
+
+
 def fit_bt(counts: PairwiseCounts) -> FitResult:
     """Fit pairwise-model scores to a win-count matrix.
 
-    Requires the comparison graph to be connected. Pairs that were
-    compared but never split (one side always wins) trigger a
-    DivergenceWarning up front, and the optimizer's score cap takes over.
+    Requires the comparison graph to be connected. A one-sided pair alone
+    does not diverge when N >= 3; only a group of options that never lost to
+    the rest does, and then a DivergenceWarning names it up front and the
+    optimizer's score cap takes over.
     """
-    w = counts.wins
-    n = counts.n
-    totals = w + w.T
-    edges = {(i, j) for i in range(n) for j in range(i + 1, n) if totals[i, j] > 0}
-    _require_connected(n, edges, "the pairwise comparison graph")
-    one_sided = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if totals[i, j] > 0 and (w[i, j] == 0 or w[j, i] == 0)
-    ]
-    if one_sided:
-        warnings.warn(
-            f"one-sided pairs {one_sided} push the MLE to infinity; "
-            f"scores will be capped at |s| = {SCORE_CAP:g}",
-            DivergenceWarning,
-            stacklevel=2,
-        )
-
-    def value_and_grad(s: np.ndarray) -> tuple[float, np.ndarray]:
-        diff = s[:, None] - s[None, :]
-        # log sigmoid(diff), stable for both signs
-        log_p = -np.logaddexp(0.0, -diff)
-        ll = float(np.sum(w * log_p))
-        sig_neg = 1.0 / (1.0 + np.exp(np.clip(diff, -700, 700)))  # sigmoid(-diff)
-        g_matrix = w * sig_neg
-        grad = g_matrix.sum(axis=1) - g_matrix.sum(axis=0)
-        return ll, grad
-
-    return _ascend(value_and_grad, n)
+    _check_comparisons(counts.wins > 0, "the pairwise comparison graph")
+    return _ascend(partial(_bt_value_and_grad, counts.wins), counts.n)
 
 
 def fit_pl(
@@ -238,7 +237,13 @@ def fit_pl(
     if n < 2:
         raise DomainError(f"need at least 2 options, got {n}")
     weights: dict[tuple[int, ...], float] = {}
-    for pref, mult in rankings:
+    for entry in require_items(rankings, "rankings"):
+        try:
+            pref, mult = entry
+        except (TypeError, ValueError):
+            pref = None
+        if not isinstance(pref, KTuplePreference):
+            raise ValidationError(f"rankings hold (KTuplePreference, multiplicity) pairs, got {entry!r}")
         m = require_finite(mult, "multiplicity")
         if m < 0:
             raise ValidationError(f"multiplicity must be non-negative, got {mult!r}")
@@ -250,12 +255,10 @@ def fit_pl(
         weights[pref.indices] = weights.get(pref.indices, 0.0) + m
     if not weights:
         raise ValidationError("no rankings with positive multiplicity")
-    edges = set()
-    for idx in weights:
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                edges.add((min(idx[a], idx[b]), max(idx[a], idx[b])))
-    _require_connected(n, edges, "the ranking comparison graph")
+    beats = np.zeros((n, n), dtype=bool)
+    for idx in weights:  # a chain of adjacent places reaches every later one
+        beats[idx[:-1], idx[1:]] = True
+    _check_comparisons(beats, "the ranking comparison graph")
 
     items = list(weights.items())
 

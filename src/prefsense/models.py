@@ -28,6 +28,7 @@ from .errors import (
     ValidationError,
     require_finite,
     require_int,
+    require_items,
     require_probability,
 )
 from .links import LOGISTIC, LinkFunction, _warn_if_saturated
@@ -56,8 +57,11 @@ class ScoredOptionSet:
     scores: tuple[float, ...]
 
     def __init__(self, labels: Sequence[str], scores: Sequence[float]):
-        labels = tuple(str(l) for l in labels)
-        scores = tuple(require_finite(s, f"scores[{i}]") for i, s in enumerate(scores))
+        labels = tuple(str(l) for l in require_items(labels, "labels"))
+        scores = tuple(
+            require_finite(s, f"scores[{i}]")
+            for i, s in enumerate(require_items(scores, "scores"))
+        )
         if len(labels) != len(scores):
             raise ValidationError(
                 f"{len(labels)} labels but {len(scores)} scores"
@@ -83,7 +87,7 @@ class KTuplePreference:
     indices: tuple[int, ...]
 
     def __init__(self, indices: Sequence[int]):
-        idx = tuple(require_int(i, "ranking index") for i in indices)
+        idx = tuple(require_int(i, "ranking index") for i in require_items(indices, "indices"))
         if len(idx) < 2:
             raise ValidationError("a preference ranks at least 2 options")
         if len(set(idx)) != len(idx):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, require_alpha_beta, require_finite, require_int
+from .errors import DomainError, require_alpha_beta, require_finite, require_int, require_items
 from .sensitivity import bt_partial_terms, pl_partial_terms
 
 __all__ = [
@@ -82,11 +82,7 @@ def _centers(resolution: int) -> np.ndarray:
 
 
 def _check_thresholds(thresholds) -> tuple[float, ...]:
-    try:
-        items = iter(thresholds)
-    except TypeError as exc:
-        raise DomainError(f"thresholds must be a sequence of numbers, got {thresholds!r}") from exc
-    ts = tuple(require_finite(t, "threshold") for t in items)
+    ts = tuple(require_finite(t, "threshold") for t in require_items(thresholds, "thresholds"))
     if not ts:
         raise DomainError("at least one threshold is required")
     if any(t <= 0 for t in ts):

@@ -1,6 +1,9 @@
 """Maximum-likelihood fitting: recovery, identifiability, divergence."""
 
 import math
+import re
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from prefsense import (
     parse_counts_text,
     predict,
 )
+from prefsense.fitting import SCORE_CAP, _ascend, _bt_value_and_grad
 from prefsense.synth import DatasetSpec
 
 
@@ -156,6 +160,194 @@ class TestFitBT:
         assert abs(fit.scores[1]) <= 30.0
         assert not fit.converged
 
+    @pytest.mark.parametrize(
+        "pairs, components",
+        [(((0, 2), (1, 3)), [[0, 2], [1, 3]]), (((0, 3), (3, 1)), [[0, 1, 3], [2]])],
+    )
+    def test_components_listed_sorted(self, pairs, components):
+        wins = np.zeros((4, 4))
+        for i, j in pairs:
+            wins[i, j] = wins[j, i] = 5
+        with pytest.raises(DisconnectedDataError) as exc_info:
+            fit_bt(PairwiseCounts(wins))
+        assert exc_info.value.components == components
+
+
+def fit_scale_counts(seed, n=100, per_pair=20):
+    """A dense win matrix: every pair compared per_pair times, N(0, 1) scores."""
+    rng = np.random.default_rng(seed)
+    true = rng.normal(size=n)
+    p = 1.0 / (1.0 + np.exp(true[None, :] - true[:, None]))
+    upper = np.triu_indices(n, 1)
+    wins = np.zeros((n, n))
+    wins[upper] = rng.binomial(per_pair, p[upper])
+    wins.T[upper] = per_pair - wins[upper]
+    return wins
+
+
+def fit_without_divergence_warning(fit, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DivergenceWarning)
+        return fit(*args)
+
+
+class TestDivergence:
+    """The MLE is finite exactly when the directed win graph is strongly connected."""
+
+    def test_one_sided_cycle_is_finite(self):
+        # Every pair is 20-0, but 0 beat 1, 1 beat 2 and 2 beat 0.
+        wins = np.zeros((3, 3))
+        wins[0, 1] = wins[1, 2] = wins[2, 0] = 20
+        fit = fit_without_divergence_warning(fit_bt, PairwiseCounts(wins))
+        assert fit.converged
+        np.testing.assert_allclose(fit.scores, 0.0, atol=1e-9)
+
+    def test_dense_input_with_one_sided_pairs_is_finite(self):
+        wins = fit_scale_counts(0)
+        assert np.sum(wins == 0) - 100 > 100  # one-sided pairs, off the diagonal
+        fit = fit_without_divergence_warning(fit_bt, PairwiseCounts(wins))
+        assert fit.converged
+        assert max(abs(s) for s in fit.scores) < SCORE_CAP
+
+    @pytest.mark.parametrize(
+        "winner, loser, group",
+        [(2, None, [2]), (0, None, [0]), (None, 3, [0, 1, 2])],
+        ids=["beats-all-2", "beats-all-0", "loses-to-all-3"],
+    )
+    def test_unbeaten_group_warns(self, winner, loser, group):
+        wins = np.full((4, 4), 3.0) - 3.0 * np.eye(4)
+        if winner is not None:
+            wins[:, winner] = 0.0
+        if loser is not None:
+            wins[loser, :] = 0.0
+        with pytest.warns(DivergenceWarning, match=re.escape(f"options {group} never lost")):
+            fit = fit_bt(PairwiseCounts(wins))
+        rest = [s for k, s in enumerate(fit.scores) if k not in group]
+        assert min(fit.scores[k] for k in group) > max(rest)
+
+    def test_rankings_use_the_same_check(self):
+        cycle = [(KTuplePreference(p), 5.0) for p in ((0, 1), (1, 2), (2, 0))]
+        fit = fit_without_divergence_warning(fit_pl, cycle, 3)
+        assert fit.converged
+        with pytest.warns(DivergenceWarning, match=re.escape("options [0] never lost")):
+            fit_pl([(KTuplePreference((0, 1, 2)), 5.0)], 3)
+
+
+U = 2.0**-53  # unit roundoff of float64
+
+
+def pairwise_sum_depth(n):
+    """Most roundings one addend meets in numpy's pairwise sum of n <= 8192 values.
+
+    numpy sums a block of at most 128 values into 8 partial sums (at most
+    15 additions each), joins those in 3 levels and adds the up to 7
+    leftovers one by one; a longer input is split in two, which adds one
+    level. An error bound is then depth * U * sum |x|, to first order.
+    """
+    assert n <= 8192  # one inner loop, no buffer chunks
+    depth = 15 + 3 + 7
+    while n > 128:
+        half = n // 2 - (n // 2) % 8
+        n, depth = n - half, depth + 1
+    return depth
+
+
+def random_objective_case(seed, n):
+    """Integer win counts and scores drawn within +-SCORE_CAP."""
+    rng = make_rng(seed)
+    wins = rng.integers(0, 21, size=(n, n)).astype(float)
+    np.fill_diagonal(wins, 0.0)
+    return wins, rng.uniform(-SCORE_CAP, SCORE_CAP, size=n)
+
+
+def logaddexp_value_and_grad(wins, s):
+    """The objective in its earlier np.logaddexp form, kept as a reference."""
+    diff = s[:, None] - s[None, :]
+    log_p = -np.logaddexp(0.0, -diff)
+    ll = float(np.sum(wins * log_p))
+    sig_neg = 1.0 / (1.0 + np.exp(np.clip(diff, -700, 700)))
+    g_matrix = wins * sig_neg
+    return ll, g_matrix.sum(axis=1) - g_matrix.sum(axis=0)
+
+
+class TestObjective:
+    """_bt_value_and_grad against derived float64 error bounds.
+
+    Rounding budget of one term w * log sigmoid(d) = w * (min(d, 0) - L),
+    L = log1p(exp(-|d|)): numpy's exp and log1p are within 1 ulp (2U) on
+    float64 (its umath validation tables), and exp's error reaches L at
+    most once more since e / (1 + e) <= log1p(e); so L is within 4U
+    relative. min(d, 0) <= 0 < L, so |term| >= L and the subtraction and
+    the product add U each: 6U * w * |log sigmoid|. Every term has the same
+    sign, so the sum of w * |log sigmoid| is |value|.
+    """
+
+    @pytest.mark.parametrize("n", [2, 10, 30, 90])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_value_matches_log_expit(self, seed, n):
+        from scipy.special import log_expit
+
+        wins, s = random_objective_case(seed, n)
+        value, _ = _bt_value_and_grad(wins, s)
+        terms = wins * log_expit(s[:, None] - s[None, :])
+        reference = math.fsum(terms.ravel())
+        # The kernel: 6U per term plus its pairwise sum. log_expit takes the
+        # same two branches through libm, also 6U per term, and fsum rounds
+        # once more.
+        ulps = 6 + pairwise_sum_depth(n * n) + 6 + 1
+        assert abs(value - reference) <= ulps * U * float(np.sum(np.abs(terms)))
+
+    @pytest.mark.parametrize("n", [2, 10, 30])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gradient_matches_central_difference(self, seed, n):
+        wins, s = random_objective_case(seed, n)
+        _, grad = _bt_value_and_grad(wins, s)
+        eps_f = (6 + pairwise_sum_depth(n * n)) * U  # relative error of a value
+        for k in range(n):
+            compared = float(wins[k].sum() + wins[:, k].sum())
+            # |d^3/dx^3 log sigmoid(x)| = s(1 - s)|1 - 2s| <= 1 / (6 sqrt 3).
+            f3 = compared / (6.0 * math.sqrt(3.0))
+            f0 = abs(_bt_value_and_grad(wins, s)[0])
+            h = 2.0 ** round(math.log2(math.cbrt(3.0 * eps_f * f0 / f3)))
+            x = s.copy()
+            x[k] = round(s[k] / h) * h  # so that x[k] +- h is exact
+            _, g = _bt_value_and_grad(wins, x)
+            up, down = x.copy(), x.copy()
+            up[k] += h
+            down[k] -= h
+            f_up, f_down = _bt_value_and_grad(wins, up)[0], _bt_value_and_grad(wins, down)[0]
+            fd = (f_up - f_down) / (2.0 * h)
+            # Truncation, rounding of the two values and of their
+            # difference, and the gradient's own rounding: 4U per
+            # sigmoid(-d), U per product, row sums pairwise, column sums
+            # sequential, one final subtraction.
+            bound = (
+                h * h / 6.0 * f3
+                + eps_f * max(abs(f_up), abs(f_down)) / h
+                + U * abs(fd)
+                + (5 + max(pairwise_sum_depth(n), n - 1) + 1) * U * compared
+            )
+            assert abs(fd - g[k]) <= bound, k
+
+    @pytest.mark.parametrize("n", [5, 12, 30])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_fit_matches_logaddexp_objective(self, seed, n):
+        rng = make_rng(100 + seed)
+        true = rng.normal(size=n)
+        wins = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                # A two-sided ring keeps the win graph strongly connected.
+                if j == i + 1 or rng.random() < 0.5:
+                    trials = int(rng.integers(2, 30))
+                    w = rng.binomial(trials, bt_prob(true[i], true[j]))
+                    w = min(max(w, 1), trials - 1) if j == i + 1 else w
+                    wins[i, j], wins[j, i] = w, trials - w
+        fit = fit_without_divergence_warning(fit_bt, PairwiseCounts(wins))
+        reference = _ascend(partial(logaddexp_value_and_grad, wins), n)
+        assert fit.converged and reference.converged
+        np.testing.assert_allclose(fit.scores, reference.scores, rtol=0, atol=1e-8)
+
 
 class TestFitPL:
     def test_uniform_rankings_give_zero_scores(self):
@@ -216,6 +408,15 @@ class TestFitPL:
         for mult in ("x", None, math.inf):
             with pytest.raises(DomainError, match="multiplicity must be"):
                 fit_pl([(KTuplePreference((0, 1)), mult)], 2)
+        with pytest.raises(DomainError, match="rankings must be a sequence"):
+            fit_pl(5, 2)
+        for entry in (((0, 1), 1.0), (KTuplePreference((0, 1)),), 7, [(0, 1), 1.0]):
+            with pytest.raises(ValidationError, match="rankings hold"):
+                fit_pl([entry], 2)
+
+    def test_list_entries_accepted(self):
+        pairs = [(KTuplePreference((0, 1)), 3.0), (KTuplePreference((1, 0)), 1.0)]
+        assert fit_pl([list(p) for p in pairs], 2) == fit_pl(pairs, 2)
 
     @pytest.mark.parametrize("n_options", ["x", None, 2.5, 3.0], ids=["x", "None", "2.5", "3.0"])
     def test_non_integer_n_options(self, n_options):

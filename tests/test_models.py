@@ -50,6 +50,10 @@ class TestTypes:
             ScoredOptionSet(["a", "b"], [1.0])
         with pytest.raises(DomainError):
             ScoredOptionSet(["a", "b"], [1.0, math.inf])
+        with pytest.raises(DomainError, match="scores must be a sequence"):
+            ScoredOptionSet(["a", "b"], None)
+        with pytest.raises(DomainError, match="labels must be a sequence"):
+            ScoredOptionSet(5, [1.0, 2.0])
 
     def test_preference_validation(self):
         with pytest.raises(ValidationError):
@@ -58,6 +62,9 @@ class TestTypes:
             KTuplePreference([0, 0])
         for bad in ((0, 1.7), (0, "x")):
             with pytest.raises(DomainError, match="ranking index must be an integer"):
+                KTuplePreference(bad)
+        for bad in (5, None, 1.5):
+            with pytest.raises(DomainError, match="indices must be a sequence"):
                 KTuplePreference(bad)
         options = ScoredOptionSet(["a", "b"], [0.0, 1.0])
         with pytest.raises(DomainError):
