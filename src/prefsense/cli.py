@@ -3,6 +3,9 @@
 One executable with subcommands for every computation: composition,
 derivatives, regions, areas, the witness construction, figure export,
 dataset synthesis, fitting, and the self-contained verification suite.
+The model commands (grad, region, area, raster) take the model, bt or pl,
+as a nested subcommand that accepts exactly the options its computation
+reads.
 
 Human output prints numerics at 6 significant digits; --json emits a
 single full-precision JSON object instead. Exit codes: 0 on success, 1 on
@@ -14,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .errors import DomainError, PrefsenseError, require_probability
@@ -56,6 +60,10 @@ def _fmt(x) -> str:
     return f"{float(x):.6g}"
 
 
+def _interval(interval) -> str:
+    return f"({_fmt(interval[0])}, {_fmt(interval[1])})"
+
+
 def _probability(text: str) -> float:
     # A DomainError is a ValueError, which argparse would replace with its
     # own message; a usage error keeps ours.
@@ -72,256 +80,213 @@ def _float_list(text: str) -> tuple[float, ...]:
         raise _UsageError(f"expected a comma-separated list of numbers, got {text!r}")
 
 
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
+
+
 def build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit full-precision JSON")
+    json_opt, link, composition, alpha_beta, threshold, seed, figure, permutation = (
+        argparse.ArgumentParser(add_help=False) for _ in range(8)
+    )
+    json_opt.add_argument("--json", action="store_true", help="emit full-precision JSON")
+    link.add_argument("--link", default="logistic", choices=("logistic", "probit"))
+    composition.add_argument("--p-ik", type=_probability, required=True)
+    composition.add_argument("--p-kj", type=_probability, required=True)
+    alpha_beta.add_argument("--alpha", type=float, default=1.01)
+    alpha_beta.add_argument("--beta", type=float, default=0.99)
+    threshold.add_argument("--M", type=float, required=True, dest="threshold")
+    seed.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    figure.add_argument("--out", required=True)
+    figure.add_argument("--format", choices=("csv", "svg"), default="csv")
+    figure.add_argument("--thresholds", type=_float_list, default=DEFAULT_THRESHOLDS)
+    figure.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
+    permutation.add_argument(
+        "--permutation", type=_names, required=True, help="three option names, comma-separated"
+    )
 
     parser = _Parser(prog="prefsense", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compose", parents=[common], help="compose two pair probabilities")
-    p.add_argument("--p-ik", type=_probability, required=True)
+    def leaf(group, name, handler, *parents, **kwargs) -> argparse.ArgumentParser:
+        p = group.add_parser(name, parents=[json_opt, *parents], **kwargs)
+        p.set_defaults(handler=handler)
+        return p
+
+    def models(name, help):
+        return commands.add_parser(name, help=help).add_subparsers(dest="model", required=True)
+
+    leaf(commands, "compose", _cmd_compose, composition, link, help="compose two pair probabilities")
+
+    grad = models("grad", "analytic derivatives at a point")
+    leaf(grad, "bt", _grad_bt, composition, link)
+    p = leaf(grad, "pl", _grad_pl, alpha_beta)
+    p.add_argument("--p-uv", type=_probability, required=True)
+    p.add_argument("--p-vu", type=_probability, required=True)
+
+    region = models("region", "sensitive-region bounds")
+    p = leaf(region, "bt", _region_bt, threshold)
     p.add_argument("--p-kj", type=_probability, required=True)
-    p.add_argument("--link", default="logistic", choices=("logistic", "probit"))
+    p = leaf(region, "pl", _region_pl, threshold, alpha_beta)
+    fixed = p.add_mutually_exclusive_group(required=True)
+    fixed.add_argument("--p-uv", type=_probability)
+    fixed.add_argument("--p-vu", type=_probability)
 
-    p = sub.add_parser("grad", parents=[common], help="analytic derivatives at a point")
-    p.add_argument("model", choices=("bt", "pl"))
-    p.add_argument("--p-ik", type=_probability)
-    p.add_argument("--p-kj", type=_probability)
-    p.add_argument("--link", default="logistic", choices=("logistic", "probit"))
-    p.add_argument("--p-uv", type=_probability)
-    p.add_argument("--p-vu", type=_probability)
-    p.add_argument("--alpha", type=float, default=1.01)
-    p.add_argument("--beta", type=float, default=0.99)
-
-    p = sub.add_parser("region", parents=[common], help="sensitive-region bounds")
-    p.add_argument("model", choices=("bt", "pl"))
-    p.add_argument("--M", type=float, required=True, dest="threshold")
-    p.add_argument("--p-kj", type=_probability)
-    p.add_argument("--p-uv", type=_probability)
-    p.add_argument("--p-vu", type=_probability)
-    p.add_argument("--alpha", type=float, default=1.01)
-    p.add_argument("--beta", type=float, default=0.99)
-
-    p = sub.add_parser("area", parents=[common], help="closed-form and oracle region areas")
-    p.add_argument("model", choices=("bt", "pl"))
-    p.add_argument("--M", type=float, required=True, dest="threshold")
-    p.add_argument("--alpha", type=float, default=1.01)
-    p.add_argument("--beta", type=float, default=0.99)
-    p.add_argument("--which", choices=("uv", "vu"), default="uv")
+    area = models("area", "closed-form and oracle region areas")
+    p = leaf(area, "bt", _area_bt, threshold, seed)
     p.add_argument("--n-samples", type=int, default=1_000_000)
+    p = leaf(area, "pl", _area_pl, threshold, alpha_beta)
+    p.add_argument("--which", choices=("uv", "vu"), default="uv")
     p.add_argument("--grid-n", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
-    p = sub.add_parser("witness", parents=[common], help="construct a high-derivative point")
-    p.add_argument("--link", default="logistic", choices=("logistic", "probit"))
-    p.add_argument("--M", type=float, required=True, dest="threshold")
+    raster = models("raster", "export a region figure")
+    p = leaf(raster, "bt", _raster_bt, figure)
+    p.add_argument("--which", choices=("d_pik", "d_pkj"), default="d_pik")
+    p = leaf(raster, "pl", _raster_pl, figure, alpha_beta)
+    p.add_argument("--which", choices=("d_uv", "d_vu"), default="d_uv")
+
+    p = leaf(commands, "witness", _cmd_witness, link, threshold, help="construct a high-derivative point")
     p.add_argument("--delta", type=float, default=1.0)
 
-    p = sub.add_parser("raster", parents=[common], help="export a region figure")
-    p.add_argument("model", choices=("bt", "pl"))
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "svg"), default="csv")
-    p.add_argument("--which", default=None)
-    p.add_argument("--thresholds", type=_float_list, default=DEFAULT_THRESHOLDS)
-    p.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
-    p.add_argument("--alpha", type=float, default=1.01)
-    p.add_argument("--beta", type=float, default=0.99)
-
-    p = sub.add_parser("gen-data", parents=[common], help="synthesize one preference dataset")
-    p.add_argument("--permutation", required=True, help="three option names, comma-separated")
+    p = leaf(commands, "gen-data", _cmd_gen_data, permutation, seed, help="synthesize one preference dataset")
     p.add_argument("--p12", type=_probability, required=True)
     p.add_argument("--p23", type=_probability, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("sweep-data", parents=[common], help="synthesize the 21-dataset sweep")
-    p.add_argument("--permutation", required=True)
+    p = leaf(commands, "sweep-data", _cmd_sweep_data, permutation, seed, help="synthesize the 21-dataset sweep")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out-dir", required=True)
 
-    p = sub.add_parser("fit", parents=[common], help="fit scores to comparison data")
+    p = leaf(commands, "fit", _cmd_fit, help="fit scores to comparison data")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--options", default=None, help="option names for JSONL input")
+    p.add_argument("--options", type=_names, default=None, help="option names for JSONL input")
     p.add_argument("--out", default=None, help="write the fit as JSON")
 
-    p = sub.add_parser("verify", parents=[common], help="run the oracle verification suite")
+    p = leaf(commands, "verify", _cmd_verify, help="run the oracle verification suite")
     p.add_argument("--quick", action="store_true", help="reduced sample sizes")
 
     return parser
 
 
-def _emit(args, payload: dict, lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        for line in lines:
-            print(line)
+# Each handler returns (payload, lines): main prints the payload as JSON
+# under --json and the human-readable lines otherwise.
 
 
-def _cmd_compose(args) -> int:
-    link = get_link(args.link)
-    value = compose_pairwise(link, args.p_ik, args.p_kj)
-    _emit(
-        args,
+def _cmd_compose(args):
+    value = compose_pairwise(get_link(args.link), args.p_ik, args.p_kj)
+    return (
         {"link": args.link, "p_ik": args.p_ik, "p_kj": args.p_kj, "composed": value},
         [f"composed probability ({args.link}): {_fmt(value)}"],
     )
-    return 0
 
 
-def _cmd_grad(args) -> int:
-    if args.model == "bt":
-        if args.p_ik is None or args.p_kj is None:
-            raise _UsageError("grad bt requires --p-ik and --p-kj")
-        if args.link == "logistic":
-            d_ik = bt_partial(args.p_ik, args.p_kj)
-            d_kj = bt_partial(args.p_kj, args.p_ik)
-        else:
-            link = get_link(args.link)
-            d_ik = general_partial(link, args.p_ik, args.p_kj)
-            d_kj = general_partial(link, args.p_kj, args.p_ik)
-        _emit(
-            args,
-            {"link": args.link, "d_p_ik": d_ik, "d_p_kj": d_kj},
-            [f"d p_ij / d p_ik: {_fmt(d_ik)}", f"d p_ij / d p_kj: {_fmt(d_kj)}"],
-        )
-        return 0
-    if args.p_uv is None or args.p_vu is None:
-        raise _UsageError("grad pl requires --p-uv and --p-vu")
+def _grad_bt(args):
+    if args.link == "logistic":
+        d_ik = bt_partial(args.p_ik, args.p_kj)
+        d_kj = bt_partial(args.p_kj, args.p_ik)
+    else:
+        link = get_link(args.link)
+        d_ik = general_partial(link, args.p_ik, args.p_kj)
+        d_kj = general_partial(link, args.p_kj, args.p_ik)
+    return (
+        {"link": args.link, "d_p_ik": d_ik, "d_p_kj": d_kj},
+        [f"d p_ij / d p_ik: {_fmt(d_ik)}", f"d p_ij / d p_kj: {_fmt(d_kj)}"],
+    )
+
+
+def _grad_pl(args):
     ctx = PLSensitivityContext.from_alpha_beta(args.alpha, args.beta)
     d_uv, d_vu = pl_partials(args.p_uv, args.p_vu, ctx)
-    _emit(
-        args,
+    return (
         {"alpha": args.alpha, "beta": args.beta, "d_p_uv": d_uv, "d_p_vu": d_vu},
         [f"d p / d p_uv: {_fmt(d_uv)}", f"d p / d p_vu: {_fmt(d_vu)}"],
     )
-    return 0
 
 
-def _cmd_region(args) -> int:
-    if args.model == "bt":
-        if args.p_kj is None:
-            raise _UsageError("region bt requires --p-kj")
-        region = bt_region_slice(args.threshold, args.p_kj)
-        payload = {
-            "threshold": region.threshold,
-            "p_kj": region.p_kj,
-            "case": region.case,
-            "boundary": region.boundary,
-            "interval": region.interval,
-        }
-        lines = [f"case: {region.case}", f"boundary p_ik: {_fmt(region.boundary)}"]
-        if region.interval:
-            lines.append(
-                f"sensitive p_ik interval: ({_fmt(region.interval[0])}, {_fmt(region.interval[1])})"
-            )
-        else:
-            lines.append("sensitive p_ik interval: empty")
-        _emit(args, payload, lines)
-        return 0
+def _region_bt(args):
+    region = bt_region_slice(args.threshold, args.p_kj)
+    return asdict(region), [
+        f"case: {region.case}",
+        f"boundary p_ik: {_fmt(region.boundary)}",
+        f"sensitive p_ik interval: {_interval(region.interval) if region.interval else 'empty'}",
+    ]
+
+
+def _region_pl(args):
     ctx = PLSensitivityContext.from_alpha_beta(args.alpha, args.beta)
     if args.p_uv is not None:
         bounds = pl_region_uv(args.threshold, ctx, args.p_uv)
-    elif args.p_vu is not None:
+    else:
         bounds = pl_region_vu(args.threshold, ctx, args.p_vu)
-    else:
-        raise _UsageError("region pl requires --p-uv or --p-vu")
-    payload = {
-        "threshold": bounds.threshold,
-        "which": bounds.which,
-        "fixed": bounds.fixed,
-        "center": None if bounds.empty else bounds.center,
-        "half_width": bounds.half_width,
-        "interval": bounds.interval,
-    }
+    payload = {**asdict(bounds), "center": None if bounds.empty else bounds.center}
     if bounds.empty:
-        lines = [f"[{bounds.which}] interval: empty (fixed coordinate beyond beta/(4 alpha M))"]
-    else:
-        lines = [
-            f"[{bounds.which}] center: {_fmt(bounds.center)}, half width: {_fmt(bounds.half_width)}",
-            f"interval: ({_fmt(bounds.interval[0])}, {_fmt(bounds.interval[1])})",
-        ]
-    _emit(args, payload, lines)
-    return 0
+        return payload, [f"[{bounds.which}] interval: empty (fixed coordinate beyond beta/(4 alpha M))"]
+    return payload, [
+        f"[{bounds.which}] center: {_fmt(bounds.center)}, half width: {_fmt(bounds.half_width)}",
+        f"interval: {_interval(bounds.interval)}",
+    ]
 
 
-def _cmd_area(args) -> int:
-    if args.model == "bt":
-        closed = bt_region_area(args.threshold)
-        oracle = mc_area_bt(args.threshold, args.n_samples, args.seed)
-        diff = abs(closed.closed_form - oracle.value)
-        payload = {
-            "threshold": args.threshold,
-            "closed_form": closed.closed_form,
-            "oracle": oracle.value,
-            "oracle_std_error": oracle.std_error,
-            "n_samples": oracle.n_samples,
-            "seed": oracle.seed,
-            "discrepancy": diff,
-        }
-        lines = [
-            f"closed form: {_fmt(closed.closed_form)}",
-            f"monte carlo ({oracle.n_samples} samples, seed {oracle.seed}): "
-            f"{_fmt(oracle.value)} +/- {_fmt(oracle.std_error)}",
-            f"discrepancy: {_fmt(diff)}",
-        ]
-        _emit(args, payload, lines)
-        return 0
+def _area_bt(args):
+    closed = bt_region_area(args.threshold).closed_form
+    oracle = mc_area_bt(args.threshold, args.n_samples, args.seed)
+    diff = abs(closed - oracle.value)
+    payload = {
+        "threshold": args.threshold,
+        "closed_form": closed,
+        "oracle": oracle.value,
+        "oracle_std_error": oracle.std_error,
+        "n_samples": oracle.n_samples,
+        "seed": oracle.seed,
+        "discrepancy": diff,
+    }
+    return payload, [
+        f"closed form: {_fmt(closed)}",
+        f"monte carlo ({oracle.n_samples} samples, seed {oracle.seed}): "
+        f"{_fmt(oracle.value)} +/- {_fmt(oracle.std_error)}",
+        f"discrepancy: {_fmt(diff)}",
+    ]
+
+
+def _area_pl(args):
     ctx = PLSensitivityContext.from_alpha_beta(args.alpha, args.beta)
-    closed = pl_region_area(args.threshold, ctx, args.which)
+    closed = pl_region_area(args.threshold, ctx, args.which).closed_form
     oracle = quad_area_pl(args.threshold, args.alpha, args.beta, args.which, args.grid_n)
-    diff = abs(closed.closed_form - oracle)
+    diff = abs(closed - oracle)
     payload = {
         "threshold": args.threshold,
         "alpha": args.alpha,
         "beta": args.beta,
         "which": args.which,
-        "closed_form": closed.closed_form,
+        "closed_form": closed,
         "oracle": oracle,
         "grid_n": args.grid_n,
         "discrepancy": diff,
     }
-    lines = [
-        f"closed form ({args.which}): {_fmt(closed.closed_form)}",
+    return payload, [
+        f"closed form ({args.which}): {_fmt(closed)}",
         f"quadrature (grid {args.grid_n}): {_fmt(oracle)}",
         f"discrepancy: {_fmt(diff)}",
     ]
-    _emit(args, payload, lines)
-    return 0
 
 
-def _cmd_witness(args) -> int:
-    link = get_link(args.link)
-    w = sensitivity_witness(link, args.threshold, args.delta)
-    payload = {
-        "link": args.link,
-        "threshold": w.threshold,
-        "delta": w.delta,
-        "p_ik": w.p_ik,
-        "p_kj": w.p_kj,
-        "derivative": w.derivative,
-    }
-    _emit(
-        args,
-        payload,
-        [
-            f"witness point: p_ik = {_fmt(w.p_ik)}, p_kj = {_fmt(w.p_kj)}",
-            f"derivative there: {_fmt(w.derivative)} (> {_fmt(w.threshold)})",
-        ],
-    )
-    return 0
+def _cmd_witness(args):
+    w = sensitivity_witness(get_link(args.link), args.threshold, args.delta)
+    return {"link": args.link, **asdict(w)}, [
+        f"witness point: p_ik = {_fmt(w.p_ik)}, p_kj = {_fmt(w.p_kj)}",
+        f"derivative there: {_fmt(w.derivative)} (> {_fmt(w.threshold)})",
+    ]
 
 
-def _cmd_raster(args) -> int:
-    if args.model == "bt":
-        which = args.which or "d_pik"
-        grid = raster_bt(which, args.thresholds, args.resolution)
-    else:
-        which = args.which or "d_uv"
-        grid = raster_pl(which, args.alpha, args.beta, args.thresholds, args.resolution)
+def _raster_bt(args):
+    return _export(args, raster_bt(args.which, args.thresholds, args.resolution))
+
+
+def _raster_pl(args):
+    return _export(args, raster_pl(args.which, args.alpha, args.beta, args.thresholds, args.resolution))
+
+
+def _export(args, grid):
     path = export(grid, args.format, args.out)
     payload = {
         "path": path,
@@ -331,32 +296,14 @@ def _cmd_raster(args) -> int:
         "which": grid.which,
         "singular_cells": int(grid.singular.sum()),
     }
-    _emit(
-        args,
-        payload,
-        [
-            f"wrote {args.format} raster ({grid.resolution}x{grid.resolution}, "
-            f"{len(grid.thresholds)} thresholds) to {path}"
-        ],
-    )
-    return 0
+    return payload, [
+        f"wrote {args.format} raster ({grid.resolution}x{grid.resolution}, "
+        f"{len(grid.thresholds)} thresholds) to {path}"
+    ]
 
 
-def _parse_permutation(text: str) -> tuple[str, str, str]:
-    names = tuple(tok.strip() for tok in text.split(",") if tok.strip())
-    if len(names) != 3:
-        raise _UsageError(f"--permutation needs exactly 3 names, got {text!r}")
-    return names
-
-
-def _cmd_gen_data(args) -> int:
-    spec = DatasetSpec(
-        permutation=_parse_permutation(args.permutation),
-        p12=args.p12,
-        p23=args.p23,
-        n_samples=args.n,
-        seed=args.seed,
-    )
+def _cmd_gen_data(args):
+    spec = DatasetSpec(args.permutation, args.p12, args.p23, args.n, args.seed)
     samples = generate(spec)
     write_jsonl(samples, args.out)
     report = empirical_check(samples, spec)
@@ -381,18 +328,11 @@ def _cmd_gen_data(args) -> int:
             f"pair {ps.pair[0]} > {ps.pair[1]}: {ps.count} samples, empirical "
             f"{_fmt(ps.empirical_p)} vs {_fmt(ps.expected_p)} (z = {_fmt(ps.z_score)})"
         )
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def _cmd_sweep_data(args) -> int:
-    base = DatasetSpec(
-        permutation=_parse_permutation(args.permutation),
-        p12=0.99,
-        p23=0.5,
-        n_samples=args.n,
-        seed=args.seed,
-    )
+def _cmd_sweep_data(args):
+    base = DatasetSpec(args.permutation, 0.99, 0.5, args.n, args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -407,20 +347,15 @@ def _cmd_sweep_data(args) -> int:
         "manifest": str(manifest),
         "datasets": [{"p23": spec.p23, "seed": spec.seed, "path": path} for spec, path in entries],
     }
-    _emit(
-        args,
-        payload,
-        [f"wrote {len(entries)} datasets and manifest to {out_dir}"],
-    )
-    return 0
+    return payload, [f"wrote {len(entries)} datasets and manifest to {out_dir}"]
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args):
     path = Path(args.infile)
     if path.suffix == ".jsonl":
         if not args.options:
             raise _UsageError("fitting a JSONL dataset requires --options with the option names")
-        labels = [tok.strip() for tok in args.options.split(",") if tok.strip()]
+        labels = list(args.options)
         counts = counts_from_samples(read_jsonl(path), labels)
     else:
         counts = load_counts(path)
@@ -439,77 +374,46 @@ def _cmd_fit(args) -> int:
         "converged": fit.converged,
         "predictions": predictions,
     }
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
     lines = [
         "scores: " + ", ".join(f"{lab} = {_fmt(s)}" for lab, s in zip(labels, fit.scores)),
         f"log likelihood: {_fmt(fit.log_likelihood)} "
         f"({'converged' if fit.converged else 'not converged'}, {fit.iterations} iterations)",
     ]
-    for key, value in predictions.items():
-        lines.append(f"p({key}) = {_fmt(value)}")
+    lines += [f"p({key}) = {_fmt(value)}" for key, value in predictions.items()]
     if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
         lines.append(f"wrote fit to {args.out}")
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     results = run_all(quick=args.quick)
-    failed = [r for r in results if not r.passed]
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "quick": args.quick,
-                    "passed": len(results) - len(failed),
-                    "failed": [r.name for r in failed],
-                    "results": [
-                        {
-                            "name": r.name,
-                            "passed": r.passed,
-                            "details": r.details,
-                            "elapsed_s": r.elapsed_s,
-                        }
-                        for r in results
-                    ],
-                }
-            )
-        )
-    else:
-        for r in results:
-            print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.details}")
-        print(
-            f"{len(results) - len(failed)}/{len(results)} criteria passed"
-            + (f"; FAILED: {', '.join(r.name for r in failed)}" if failed else "")
-        )
-    return 2 if failed else 0
-
-
-_HANDLERS = {
-    "compose": _cmd_compose,
-    "grad": _cmd_grad,
-    "region": _cmd_region,
-    "area": _cmd_area,
-    "witness": _cmd_witness,
-    "raster": _cmd_raster,
-    "gen-data": _cmd_gen_data,
-    "sweep-data": _cmd_sweep_data,
-    "fit": _cmd_fit,
-    "verify": _cmd_verify,
-}
+    failed = [r.name for r in results if not r.passed]
+    lines = [f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.details}" for r in results]
+    lines.append(
+        f"{len(results) - len(failed)}/{len(results)} criteria passed"
+        + (f"; FAILED: {', '.join(failed)}" if failed else "")
+    )
+    payload = {
+        "quick": args.quick,
+        "passed": len(results) - len(failed),
+        "failed": failed,
+        "results": [asdict(r) for r in results],
+    }
+    return payload, lines
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
+        args = build_parser().parse_args(argv)
+        payload, lines = args.handler(args)
     except (PrefsenseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(json.dumps(payload) if args.json else "\n".join(lines))
+    return 2 if args.command == "verify" and payload["failed"] else 0
 
 
 if __name__ == "__main__":

@@ -10,6 +10,8 @@ import math
 import operator
 from typing import Any
 
+import numpy as np
+
 __all__ = [
     "PrefsenseError",
     "DomainError",
@@ -22,6 +24,7 @@ __all__ = [
     "SaturationWarning",
     "require_int",
     "require_items",
+    "require_real_array",
     "require_seed",
     "require_finite",
     "require_probability",
@@ -104,6 +107,16 @@ def require_items(x: Any, name: str) -> tuple:
     except TypeError as exc:
         raise DomainError(f"{name} must be a sequence, got {x!r}") from exc
     return tuple(items)
+
+
+def require_real_array(x: Any, name: str) -> np.ndarray:
+    """Coerce to a float64 array; refuse non-numeric and complex entries."""
+    try:
+        if np.iscomplexobj(x):
+            raise TypeError("complex entries")
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must hold real numbers only: {exc}") from exc
 
 
 def require_seed(seed: Any) -> int:

@@ -30,6 +30,7 @@ from .errors import (
     require_finite,
     require_int,
     require_items,
+    require_real_array,
 )
 from .models import KTuplePreference, bt_prob
 from .synth import PreferenceSample, tally_outcomes
@@ -65,7 +66,7 @@ class PairwiseCounts:
     wins: np.ndarray
 
     def __init__(self, wins):
-        w = np.asarray(wins, dtype=float)
+        w = require_real_array(wins, "wins")
         if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] < 2:
             raise ValidationError(f"wins must be a square matrix with N >= 2, got {w.shape}")
         if np.any(w < 0) or not np.all(np.isfinite(w)):

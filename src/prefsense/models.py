@@ -30,6 +30,7 @@ from .errors import (
     require_int,
     require_items,
     require_probability,
+    require_real_array,
 )
 from .links import LOGISTIC, LinkFunction, _warn_if_saturated
 
@@ -186,7 +187,7 @@ def pl_prob_from_ratios(ratios: np.ndarray) -> float:
     the differentiation vehicle for sensitivity analysis, where one pair's
     ratio is perturbed away from any score-consistent value.
     """
-    r = np.asarray(ratios, dtype=float)
+    r = require_real_array(ratios, "ratios")
     if r.ndim != 2 or r.shape[0] != r.shape[1] or r.shape[0] < 2:
         raise ValidationError(f"ratio matrix must be square with K >= 2, got shape {r.shape}")
     k = r.shape[0]

@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, require_finite, require_int, require_seed
+from .errors import DomainError, ValidationError, require_finite, require_int, require_items, require_seed
 from .oracles import make_rng
 
 __all__ = [
@@ -179,7 +179,7 @@ class DatasetSpec:
     seed: int
 
     def __post_init__(self):
-        perm = tuple(str(o) for o in self.permutation)
+        perm = tuple(str(o) for o in require_items(self.permutation, "permutation"))
         if len(perm) != 3 or len(set(perm)) != 3:
             raise ValidationError(f"permutation must be 3 distinct names, got {perm}")
         object.__setattr__(self, "permutation", perm)

@@ -37,6 +37,7 @@ from .sensitivity import (
     general_partial,
     pl_context,
     pl_partials,
+    pl_region_area,
     pl_region_uv,
     pl_region_vu,
     sensitivity_witness,
@@ -182,9 +183,10 @@ def check_pl_area_exponent(quick: bool = False) -> CheckResult:
     def body(f: _Gates) -> str:
         for alpha in (1.01, 1.5):
             for beta in (0.99, 0.5):
+                ctx = PLSensitivityContext.from_alpha_beta(alpha, beta)
                 for m in (2.0, 5.0):
                     quad = quad_area_pl(m, alpha, beta, "uv", 100_000)
-                    good = beta**2 / (6.0 * alpha * m**2)
+                    good = pl_region_area(m, ctx).closed_form
                     bad = beta**2 / (6.0 * alpha * m)
                     f.at_most("|quad - 1/M^2 form|", abs(quad - good), tol, (alpha, beta, m))
                     f.above("|quad - 1/M form|", abs(quad - bad), 10 * tol, (alpha, beta, m))

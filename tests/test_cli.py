@@ -1,6 +1,9 @@
 """CLI surface: output conventions, files, exit codes."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -111,7 +114,7 @@ class TestGradRegionArea:
     def test_region_pl_requires_point(self, capsys):
         code, _, err = run(capsys, "region", "pl", "--M", "2")
         assert code == 1
-        assert_one_error_line(err, "region pl requires --p-uv or --p-vu")
+        assert_one_error_line(err, "one of the arguments --p-uv --p-vu is required")
 
     def test_region_threshold_guard(self, capsys):
         code, _, err = run(capsys, "region", "bt", "--M", "0.5", "--p-kj", "0.3")
@@ -318,3 +321,73 @@ class TestParsing:
     def test_missing_required(self, capsys):
         code, _, err = run(capsys, "region", "bt", "--p-kj", "0.3")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            ("grad bt --p-ik 0.99 --p-kj 0.02 --alpha 2", "unrecognized arguments: --alpha 2"),
+            ("area pl --M 2 --n-samples 7", "unrecognized arguments: --n-samples 7"),
+            ("raster bt --out x.csv --alpha 7", "unrecognized arguments: --alpha 7"),
+            ("region pl --M 2 --p-uv 0.05 --p-vu 0.9", "argument --p-vu: not allowed with argument --p-uv"),
+            ("grad --json bt --p-ik 0.99 --p-kj 0.02", "unrecognized arguments: --json"),
+        ],
+    )
+    def test_option_of_another_model_refused(self, capsys, tmp_path, monkeypatch, argv, text):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv.split())
+        assert code == 1 and out == ""
+        assert_one_error_line(err, text)
+        assert list(tmp_path.iterdir()) == []
+
+    # Each model leaf, a valid invocation of it, and the options it reads.
+    LEAVES = {
+        "grad bt": ("--p-ik 0.9 --p-kj 0.1", {"--p-ik", "--p-kj", "--link"}),
+        "grad pl": ("--p-uv 0.1 --p-vu 0.1", {"--p-uv", "--p-vu", "--alpha", "--beta"}),
+        "region bt": ("--M 2 --p-kj 0.1", {"--M", "--p-kj"}),
+        "region pl": ("--M 2 --p-uv 0.1", {"--M", "--p-uv", "--p-vu", "--alpha", "--beta"}),
+        "area bt": ("--M 2", {"--M", "--n-samples", "--seed"}),
+        "area pl": ("--M 2", {"--M", "--alpha", "--beta", "--which", "--grid-n"}),
+        "raster bt": (
+            "--out x.csv",
+            {"--out", "--format", "--which", "--thresholds", "--resolution"},
+        ),
+        "raster pl": (
+            "--out x.csv",
+            {"--out", "--format", "--which", "--thresholds", "--resolution", "--alpha", "--beta"},
+        ),
+    }
+    MODEL_OPTIONS = set().union(*(options for _, options in LEAVES.values()))
+
+    @pytest.mark.parametrize("leaf", sorted(LEAVES))
+    def test_leaf_refuses_every_option_it_does_not_read(self, capsys, tmp_path, monkeypatch, leaf):
+        monkeypatch.chdir(tmp_path)
+        valid, reads = self.LEAVES[leaf]
+        for option in sorted(self.MODEL_OPTIONS - reads):
+            code, _, err = run(capsys, *leaf.split(), *valid.split(), option, "2")
+            assert code == 1, option
+            assert_one_error_line(err, f"unrecognized arguments: {option} 2")
+        assert list(tmp_path.iterdir()) == []
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_cli_lines():
+    block = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    return [line.strip() for line in block.splitlines() if line.startswith("prefsense ")]
+
+
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
+    """Every `prefsense` line of README's CLI block exits 0, in order, and
+    prints the value of its `# -> value` comment."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "counts.txt").write_text("2 0 25 75 0")
+    lines = readme_cli_lines()
+    assert lines
+    for line in lines:
+        code, out, err = run(capsys, *shlex.split(line, comments=True)[1:])
+        assert code == 0, (line, err)
+        expected = re.search(r"#\s*->\s*(\S+)", line)
+        if expected:
+            assert expected.group(1) in out, (line, out)

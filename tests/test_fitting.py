@@ -51,6 +51,15 @@ class TestPairwiseCounts:
         with pytest.raises(ValidationError):
             PairwiseCounts(np.array([[0.0, -1.0], [3.0, 0.0]]))
 
+    @pytest.mark.parametrize(
+        "wins",
+        [[[0, "x"], [1, 0]], [[0, 1j], [1, 0]], np.array([[0, 1j], [1, 0]]), [[0, 1], [1]]],
+        ids=["string", "complex", "complex-array", "ragged"],
+    )
+    def test_non_real_entries(self, wins):
+        with pytest.raises(ValidationError, match="wins must hold real numbers only"):
+            PairwiseCounts(wins)
+
     def test_parse_text(self):
         counts = parse_counts_text("2  0 75  25 0")
         assert counts.n == 2

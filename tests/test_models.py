@@ -344,6 +344,11 @@ class TestPLFromRatios:
         with pytest.raises(ValidationError):
             pl_prob_from_ratios(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("ratios", [[[1, "x"], [1, 1]], [[1, 2j], [1, 1]]], ids=["string", "complex"])
+    def test_rejects_non_real(self, ratios):
+        with pytest.raises(ValidationError, match="ratios must hold real numbers only"):
+            pl_prob_from_ratios(ratios)
+
 
 class TestLogitNormalDensity:
     def test_midpoint_closed_form(self):

@@ -141,6 +141,10 @@ class TestDatasetSpec:
         with pytest.raises(DomainError, match="seed must be non-negative"):
             DatasetSpec(PERM, 0.5, 0.5, 10, -1)
 
+    def test_non_iterable_permutation(self):
+        with pytest.raises(DomainError, match="permutation must be a sequence"):
+            DatasetSpec(5, 0.5, 0.5, 10, 0)
+
     def test_numpy_integers(self):
         s = DatasetSpec(PERM, 0.5, 0.5, np.int64(10), np.int32(3))
         assert type(s.n_samples) is int and type(s.seed) is int

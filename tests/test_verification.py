@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from prefsense import verification
+from prefsense.sensitivity import AreaResult
 
 EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
 
@@ -43,6 +44,18 @@ def test_wrong_partial_fails_derivative_oracles_at_the_point(monkeypatch):
     a, b = points[0]
     # rel = |0 - fd| / |fd| = 1 at every point, against the 1e-5 bound.
     assert f"bt at ({a:.6g}, {b:.6g}): 1, want <= 1e-05" in result.details
+
+
+def test_wrong_pl_area_fails_the_exponent_check(monkeypatch):
+    right = verification.pl_region_area
+    monkeypatch.setattr(
+        verification,
+        "pl_region_area",
+        lambda m, ctx: AreaResult(1.01 * right(m, ctx).closed_form, "wrong"),
+    )
+    result = verification.check_pl_area_exponent(True)
+    assert not result.passed
+    assert "|quad - 1/M^2 form| at (1.01, 0.99, 2)" in result.details
 
 
 def test_quick_details_match_the_pinned_strings():
