@@ -44,7 +44,6 @@ from .oracles import (
 )
 from .sensitivity import (
     AreaComparison,
-    AreaResult,
     BTRegionSlice,
     PLRegionBounds,
     PLSensitivityContext,
@@ -57,9 +56,8 @@ from .sensitivity import (
     general_partial,
     pl_context,
     pl_partials,
+    pl_region,
     pl_region_area,
-    pl_region_uv,
-    pl_region_vu,
     sensitivity_witness,
 )
 from .raster import RasterGrid, export, raster_bt, raster_pl, read_csv_grid
@@ -67,8 +65,6 @@ from .synth import (
     DatasetSpec,
     EmpiricalReport,
     PreferenceSample,
-    TemplateBank,
-    default_bank,
     empirical_check,
     generate,
     read_jsonl,

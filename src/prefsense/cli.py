@@ -33,15 +33,14 @@ from .sensitivity import (
     bt_region_slice,
     general_partial,
     pl_partials,
+    pl_region,
     pl_region_area,
-    pl_region_uv,
-    pl_region_vu,
     sensitivity_witness,
 )
 from .synth import DatasetSpec, empirical_check, generate, read_jsonl, sweep, write_jsonl, write_manifest
 from .verification import run_all
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main"]
 
 
 class _UsageError(PrefsenseError):
@@ -215,9 +214,9 @@ def _region_bt(args):
 def _region_pl(args):
     ctx = PLSensitivityContext.from_alpha_beta(args.alpha, args.beta)
     if args.p_uv is not None:
-        bounds = pl_region_uv(args.threshold, ctx, args.p_uv)
+        bounds = pl_region(args.threshold, ctx, args.p_uv, "uv")
     else:
-        bounds = pl_region_vu(args.threshold, ctx, args.p_vu)
+        bounds = pl_region(args.threshold, ctx, args.p_vu, "vu")
     payload = {**asdict(bounds), "center": None if bounds.empty else bounds.center}
     if bounds.empty:
         return payload, [f"[{bounds.which}] interval: empty (fixed coordinate beyond beta/(4 alpha M))"]
@@ -228,7 +227,7 @@ def _region_pl(args):
 
 
 def _area_bt(args):
-    closed = bt_region_area(args.threshold).closed_form
+    closed = bt_region_area(args.threshold)
     oracle = mc_area_bt(args.threshold, args.n_samples, args.seed)
     diff = abs(closed - oracle.value)
     payload = {
@@ -250,7 +249,7 @@ def _area_bt(args):
 
 def _area_pl(args):
     ctx = PLSensitivityContext.from_alpha_beta(args.alpha, args.beta)
-    closed = pl_region_area(args.threshold, ctx, args.which).closed_form
+    closed = pl_region_area(args.threshold, ctx, args.which)
     oracle = quad_area_pl(args.threshold, args.alpha, args.beta, args.which, args.grid_n)
     diff = abs(closed - oracle)
     payload = {

@@ -77,9 +77,6 @@ class ScoredOptionSet:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
 
 @dataclass(frozen=True)
 class KTuplePreference:

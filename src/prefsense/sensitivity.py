@@ -49,7 +49,6 @@ __all__ = [
     "BTRegionSlice",
     "PLSensitivityContext",
     "PLRegionBounds",
-    "AreaResult",
     "AreaComparison",
     "Witness",
     "bt_partial",
@@ -59,8 +58,7 @@ __all__ = [
     "bt_region_area",
     "pl_context",
     "pl_partials",
-    "pl_region_uv",
-    "pl_region_vu",
+    "pl_region",
     "pl_region_area",
     "compare_bt_pl_areas",
     "sensitivity_witness",
@@ -181,15 +179,7 @@ def bt_region_slice(threshold: float, p_kj: float) -> BTRegionSlice:
     return BTRegionSlice(threshold, p_kj, "empty", boundary, None)
 
 
-@dataclass(frozen=True)
-class AreaResult:
-    """A closed-form region area and the formula family that produced it."""
-
-    closed_form: float
-    method: str
-
-
-def bt_region_area(threshold: float) -> AreaResult:
+def bt_region_area(threshold: float) -> float:
     """Exact area of the Bradley-Terry sensitive region for threshold > 1.
 
     Strictly decreasing in the threshold, with limit ln(2)/2 as the
@@ -197,10 +187,9 @@ def bt_region_area(threshold: float) -> AreaResult:
     """
     threshold = require_threshold(threshold)
     root = math.sqrt(threshold)
-    area = 0.5 * math.log((threshold - 1.0) / (threshold + 1.0)) + (
+    return 0.5 * math.log((threshold - 1.0) / (threshold + 1.0)) + (
         1.0 / (2.0 * root)
     ) * math.log((root + 1.0) / (root - 1.0))
-    return AreaResult(closed_form=area, method="bt_closed_form")
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +212,6 @@ class PLSensitivityContext:
     v: int
     alpha: float
     beta: float
-    ratios: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self):
         k, u, v = (require_int(getattr(self, n), n) for n in ("k", "u", "v"))
@@ -259,14 +247,7 @@ def pl_context(
         if stage == u:
             continue
         beta /= 1.0 + float(np.sum(ratios[stage, stage + 1 :]))
-    return PLSensitivityContext(
-        k=k,
-        u=u,
-        v=v,
-        alpha=alpha,
-        beta=beta,
-        ratios=tuple(tuple(float(x) for x in row) for row in ratios),
-    )
+    return PLSensitivityContext(k=k, u=u, v=v, alpha=alpha, beta=beta)
 
 
 def pl_partial_terms(p_uv, p_vu, alpha, beta, which: str):
@@ -322,14 +303,21 @@ class PLRegionBounds:
         return lo < value < hi
 
 
-def _pl_region(
+def pl_region(
     threshold: float,
     ctx: PLSensitivityContext,
     fixed: float,
     which: str,
 ) -> PLRegionBounds:
+    """Sensitive interval of the free swap probability at a fixed one.
+
+    which="uv" fixes p_uv and bounds p_vu (forward derivative); which="vu"
+    fixes p_vu and bounds p_uv (reverse derivative).
+    """
     threshold = require_threshold(threshold)
     fixed = require_probability(fixed, "fixed coordinate")
+    if which not in ("uv", "vu"):
+        raise DomainError(f"which must be 'uv' or 'vu', got {which!r}")
     scale = threshold if which == "uv" else ctx.alpha**2 * threshold
     disc = ctx.beta * (ctx.beta - 4.0 * ctx.alpha * threshold * fixed)
     if disc <= 0.0:
@@ -339,17 +327,7 @@ def _pl_region(
     return PLRegionBounds(threshold, which, fixed, center, half, (center - half, center + half))
 
 
-def pl_region_uv(threshold: float, ctx: PLSensitivityContext, p_uv: float) -> PLRegionBounds:
-    """Sensitive interval of p_vu at fixed p_uv (forward derivative)."""
-    return _pl_region(threshold, ctx, p_uv, "uv")
-
-
-def pl_region_vu(threshold: float, ctx: PLSensitivityContext, p_vu: float) -> PLRegionBounds:
-    """Sensitive interval of p_uv at fixed p_vu (reverse derivative)."""
-    return _pl_region(threshold, ctx, p_vu, "vu")
-
-
-def pl_region_area(threshold: float, ctx: PLSensitivityContext, which: str = "uv") -> AreaResult:
+def pl_region_area(threshold: float, ctx: PLSensitivityContext, which: str = "uv") -> float:
     """Exact sensitive-region area for a K-tuple swap pair.
 
     beta^2 / (6 alpha M^2) for the forward coordinate and
@@ -360,11 +338,9 @@ def pl_region_area(threshold: float, ctx: PLSensitivityContext, which: str = "uv
     """
     threshold = require_threshold(threshold)
     if which == "uv":
-        area = ctx.beta**2 / (6.0 * ctx.alpha * threshold**2)
-        return AreaResult(closed_form=area, method="pl_closed_form_uv")
+        return ctx.beta**2 / (6.0 * ctx.alpha * threshold**2)
     if which == "vu":
-        area = ctx.beta**2 / (6.0 * ctx.alpha**3 * threshold**2)
-        return AreaResult(closed_form=area, method="pl_closed_form_vu")
+        return ctx.beta**2 / (6.0 * ctx.alpha**3 * threshold**2)
     raise DomainError(f"which must be 'uv' or 'vu', got {which!r}")
 
 
@@ -387,8 +363,8 @@ def compare_bt_pl_areas(threshold: float, ctx: PLSensitivityContext) -> AreaComp
     threshold = require_threshold(threshold)
     if ctx.k <= 2:
         raise DomainError("comparison requires a K-tuple context with K > 2")
-    bt = bt_region_area(threshold).closed_form
-    pl = pl_region_area(threshold, ctx, "uv").closed_form
+    bt = bt_region_area(threshold)
+    pl = pl_region_area(threshold, ctx, "uv")
     return AreaComparison(bt_area=bt, pl_area=pl, holds=bt > pl)
 
 

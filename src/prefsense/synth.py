@@ -8,13 +8,14 @@ pair; whatever a fitted model predicts for it comes entirely from
 composition through the middle option.
 
 Each emitted sample is a question plus a chosen and a rejected answer,
-rendered from fixed template banks. Generation is driven by a single
-sequential seeded stream, with one draw per decision in a pinned order
-(pair, question template, answer template, display order, winner), so a
-dataset is reproducible byte for byte from its spec.
+rendered from the fixed QUESTION_TEMPLATES and ANSWER_TEMPLATES tuples.
+Generation is driven by a single sequential seeded stream, with one draw
+per decision in a pinned order (pair, question template, answer
+template, display order, winner), so a dataset is reproducible byte for
+byte from its spec.
 
-A bank of n_q questions and n_a answers can only ever render
-2 * n_q * 2 * n_a * 2 distinct samples (4,800 for the default bank), so
+The n_q question and n_a answer templates can only ever render
+2 * n_q * 2 * n_a * 2 distinct samples (4,800 for the 20 and 30 here), so
 generation renders the question table (pair x template x display order)
 and the answer table (pair x template x winner) once per call, turns
 each sample's draws into table indices with numpy, and builds each
@@ -26,8 +27,8 @@ resulting instance.
 Checking goes the other way, from rendered text back to outcomes:
 tally_outcomes reads the winner and loser off each distinct
 (chosen, rejected) text pair once, and both empirical_check and the
-fitter's count aggregation build on it. It never sees the draws, so it
-stays an independent check of the generator.
+fitter's count aggregation build on it. It never sees the draws or the
+templates, so it stays an independent check of the generator.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
@@ -49,12 +51,10 @@ __all__ = [
     "MAX_SAMPLES",
     "QUESTION_TEMPLATES",
     "ANSWER_TEMPLATES",
-    "TemplateBank",
     "DatasetSpec",
     "PreferenceSample",
     "PairStats",
     "EmpiricalReport",
-    "default_bank",
     "generate",
     "sweep",
     "empirical_check",
@@ -69,10 +69,11 @@ __all__ = [
 # generate keeps 8 bytes per sample (its list slot; samples share
 # instances) and its JSONL file takes about 200 bytes per sample. JSONL
 # I/O caches each distinct line: read_jsonl keeps 8 bytes per sample plus
-# about 3 MB for the at most 4,800 distinct lines of a default-bank
-# dataset, and write_jsonl about 1 MB. A file whose lines are all distinct
-# is the worst case, where both caches grow with n: read_jsonl then peaks
-# at about 700 bytes per sample (7 GB at this cap), write_jsonl at about 300.
+# about 3 MB for the at most 4,800 distinct lines generate renders from
+# the two template tuples, and write_jsonl about 1 MB. A file whose lines
+# are all distinct is the worst case, where both caches grow with n:
+# read_jsonl then peaks at about 700 bytes per sample (7 GB at this cap),
+# write_jsonl at about 300.
 MAX_SAMPLES = 10**7
 
 # generate draws the (n, 5) matrix in blocks of this many rows. The stream
@@ -138,32 +139,6 @@ ANSWER_TEMPLATES = (
 
 
 @dataclass(frozen=True)
-class TemplateBank:
-    """Question and answer templates with <A>/<B> placeholders.
-
-    Questions must mention both slots exactly once; answers must mention
-    the preferred slot <A> at least once (a few omit <B> entirely).
-    """
-
-    questions: tuple[str, ...]
-    answers: tuple[str, ...]
-
-    def __post_init__(self):
-        for q in self.questions:
-            if q.count("<A>") != 1 or q.count("<B>") != 1:
-                raise ValidationError(f"question template needs <A> and <B> exactly once: {q!r}")
-        for a in self.answers:
-            if a.count("<A>") < 1:
-                raise ValidationError(f"answer template needs at least one <A>: {a!r}")
-        if not self.questions or not self.answers:
-            raise ValidationError("template bank must not be empty")
-
-
-def default_bank() -> TemplateBank:
-    return TemplateBank(questions=QUESTION_TEMPLATES, answers=ANSWER_TEMPLATES)
-
-
-@dataclass(frozen=True)
 class DatasetSpec:
     """Parameters of one synthesized dataset.
 
@@ -202,7 +177,7 @@ class PreferenceSample:
     rejected: str
 
 
-def generate(spec: DatasetSpec, bank: TemplateBank | None = None) -> list[PreferenceSample]:
+def generate(spec: DatasetSpec) -> list[PreferenceSample]:
     """Generate the dataset described by a spec.
 
     Per sample, five stream draws in fixed order decide: which of the two
@@ -211,17 +186,16 @@ def generate(spec: DatasetSpec, bank: TemplateBank | None = None) -> list[Prefer
     question, and the Bernoulli winner. The (first, third) pair is never
     emitted. Equal samples are the same (frozen) object.
     """
-    bank = bank or default_bank()
     o1, o2, o3 = spec.permutation
     pairs = ((o1, o2), (o2, o3))
     # questions[pair][template][display]: display 1 shows the pair's second option first.
-    questions = [[(_fill(t, a, b), _fill(t, b, a)) for t in bank.questions] for a, b in pairs]
+    questions = [[(_fill(t, a, b), _fill(t, b, a)) for t in QUESTION_TEMPLATES] for a, b in pairs]
     # answers[pair][template][outcome]: (chosen, rejected); outcome 1 means the second option wins.
     answers = [
-        [((_fill(t, a, b), _fill(t, b, a)), (_fill(t, b, a), _fill(t, a, b))) for t in bank.answers]
+        [((_fill(t, a, b), _fill(t, b, a)), (_fill(t, b, a), _fill(t, a, b))) for t in ANSWER_TEMPLATES]
         for a, b in pairs
     ]
-    shape = (2, len(bank.questions), 2, len(bank.answers), 2)
+    shape = (2, len(QUESTION_TEMPLATES), 2, len(ANSWER_TEMPLATES), 2)
     rng = make_rng(spec.seed)
     made: dict[int, PreferenceSample] = {}
     samples: list[PreferenceSample] = []
@@ -356,41 +330,48 @@ def tally_outcomes(
 ) -> Counter[tuple[str, str]]:
     """Count (winner, loser) outcomes read from the samples' answer texts.
 
-    Answer templates always place the preferred slot first, so the
-    winner is the earliest label in the chosen answer and the loser the
-    earliest label in the rejected answer; longer labels win position
-    ties so a label that prefixes another cannot shadow it. Each
-    distinct (chosen, rejected) text pair is parsed once.
+    The chosen and rejected answers are one template with the two options
+    swapped, so each outcome is read where the two texts first differ
+    (see _outcome); template words that contain a label, or are one, are
+    never read. Each distinct (chosen, rejected) text pair is read once.
+    Raises ValidationError for a pair that does not name two distinct labels.
     """
     labels = [str(label) for label in labels]
     if len(labels) < 2 or len(set(labels)) != len(labels):
         raise ValidationError(f"need at least 2 distinct labels, got {labels}")
-    longest_first = sorted(labels, key=len, reverse=True)
+    # An alternation tries its branches in order: longer labels first.
+    label = re.compile("|".join(map(re.escape, sorted(labels, key=len, reverse=True))))
     tally: Counter[tuple[str, str]] = Counter()
     for (chosen, rejected), count in Counter(map(_answers, samples)).items():
-        winner = _first_label(chosen, longest_first)
-        loser = _first_label(rejected, longest_first)
-        if winner is None or loser is None or winner == loser:
+        outcome = _outcome(chosen, rejected, label)
+        if outcome is None:
             raise ValidationError(
                 f"answers do not name two distinct known options: {chosen!r} / {rejected!r}"
             )
-        tally[winner, loser] += count
+        tally[outcome] += count
     return tally
 
 
 _answers = attrgetter("chosen", "rejected")
 
 
-def _first_label(text: str, longest_first: Sequence[str]) -> str | None:
-    """Earliest label in text; scanning longest first gives ties to the longer label."""
-    best = None
-    best_pos = len(text) + 1
-    for label in longest_first:
-        pos = text.find(label)
-        if pos != -1 and pos < best_pos:
-            best = label
-            best_pos = pos
-    return best
+def _outcome(chosen: str, rejected: str, label: re.Pattern) -> tuple[str, str] | None:
+    """(winner, loser) read where the two answers first differ, or None.
+
+    The answers agree up to the first slot. A label in chosen before it
+    (inside a template word, or a template word itself) reads the same
+    label in rejected; the first one that reads a different label, at a
+    point the two texts still agree up to, gives the winner (in chosen)
+    and the loser (in rejected).
+    """
+    for winner in label.finditer(chosen):
+        start = winner.start()
+        if chosen[:start] != rejected[:start]:
+            return None
+        loser = label.match(rejected, start)
+        if loser and loser[0] != winner[0]:
+            return winner[0], loser[0]
+    return None
 
 
 # ---------------------------------------------------------------------------

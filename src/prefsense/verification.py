@@ -25,6 +25,7 @@ from .models import (
     bt_prob,
     compose_pairwise,
     pl_prob_from_ratios,
+    ratio_matrix,
 )
 from .oracles import finite_diff, make_rng, mc_area_bt, mode_count, quad_area_pl
 from .raster import raster_bt, raster_pl
@@ -37,9 +38,8 @@ from .sensitivity import (
     general_partial,
     pl_context,
     pl_partials,
+    pl_region,
     pl_region_area,
-    pl_region_uv,
-    pl_region_vu,
     sensitivity_witness,
 )
 from .synth import DatasetSpec, empirical_check, generate, sweep
@@ -167,7 +167,7 @@ def check_bt_area_monte_carlo(quick: bool = False) -> CheckResult:
     def body(f: _Gates) -> str:
         rels = []
         for m in thresholds:
-            closed = bt_region_area(m).closed_form
+            closed = bt_region_area(m)
             est = mc_area_bt(m, n, MC_AREA_SEED)
             rel = abs(est.value - closed) / closed
             rels.append(f"M={m:g}: closed {closed:.6f}, mc {est.value:.6f}, rel {rel:.4f}")
@@ -186,7 +186,7 @@ def check_pl_area_exponent(quick: bool = False) -> CheckResult:
                 ctx = PLSensitivityContext.from_alpha_beta(alpha, beta)
                 for m in (2.0, 5.0):
                     quad = quad_area_pl(m, alpha, beta, "uv", 100_000)
-                    good = pl_region_area(m, ctx).closed_form
+                    good = pl_region_area(m, ctx)
                     bad = beta**2 / (6.0 * alpha * m)
                     f.at_most("|quad - 1/M^2 form|", abs(quad - good), tol, (alpha, beta, m))
                     f.above("|quad - 1/M form|", abs(quad - bad), 10 * tol, (alpha, beta, m))
@@ -201,19 +201,18 @@ def check_pl_area_exponent(quick: bool = False) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _pl_ratio_fn(ctx: PLSensitivityContext):
+def _pl_ratio_fn(ratios: np.ndarray, u: int, v: int):
     """Ranking probability as a function of the (u, v) swap pair only.
 
     Rebuilds the ratio matrix with the pair's ratio (and its reciprocal)
     replaced by p_vu / p_uv, leaving every other pair at its contextual
     value; this is the function the analytic partials differentiate.
     """
-    base = np.array(ctx.ratios, dtype=float)
 
     def fn(p_uv: float, p_vu: float) -> float:
-        r = base.copy()
-        r[ctx.u, ctx.v] = p_vu / p_uv
-        r[ctx.v, ctx.u] = p_uv / p_vu
+        r = ratios.copy()
+        r[u, v] = p_vu / p_uv
+        r[v, u] = p_uv / p_vu
         return pl_prob_from_ratios(r)
 
     return fn
@@ -227,8 +226,9 @@ def check_derivative_oracles(quick: bool = False) -> CheckResult:
         rng = make_rng(VERIFY_SEED)
         options = ScoredOptionSet(("a", "b", "c", "d"), (0.8, 0.1, -0.4, -1.2))
         omega = KTuplePreference((0, 1, 2, 3))
-        ctx = pl_context(options, omega, 1, 2)
-        ratio_fn = _pl_ratio_fn(ctx)
+        u, v = 1, 2
+        ctx = pl_context(options, omega, u, v)
+        ratio_fn = _pl_ratio_fn(ratio_matrix(options, omega), u, v)
         # Each gate's name is its key in the summary of worst relative errors.
         for _ in range(n_points):
             a, b = at = tuple(0.01 + 0.98 * rng.random(2))
@@ -275,8 +275,7 @@ def _bt_inside(rng, threshold) -> tuple[float, float]:
 
 def _pl_inside(rng, threshold, ctx, which) -> tuple[float, float]:
     fixed = ctx.beta / (4.0 * ctx.alpha * threshold) * _open_unit(rng)
-    region = pl_region_uv if which == "uv" else pl_region_vu
-    lo, hi = region(threshold, ctx, fixed).interval
+    lo, hi = pl_region(threshold, ctx, fixed, which).interval
     free = lo + (hi - lo) * _open_unit(rng)
     return (fixed, free) if which == "uv" else (free, fixed)  # (p_uv, p_vu)
 
@@ -306,8 +305,8 @@ def check_region_coherence(quick: bool = False) -> CheckResult:
                 f.above("|pl d_vu| inside region", abs(pl_partials(x, y, ctx)[1]), m, (x, y))
                 checked_in += 3
             bt_in = lambda x, y: bt_region_slice(m, y).contains(x)
-            uv_in = lambda x, y: pl_region_uv(m, ctx, x).contains(y)
-            vu_in = lambda x, y: pl_region_vu(m, ctx, y).contains(x)
+            uv_in = lambda x, y: pl_region(m, ctx, x, "uv").contains(y)
+            vu_in = lambda x, y: pl_region(m, ctx, y, "vu").contains(x)
             n_out = 0
             while n_out < n_points // len(thresholds):
                 p, q = rng.random(2)
@@ -359,15 +358,15 @@ def check_raster_boundaries(quick: bool = False) -> CheckResult:
                 f.at_most("bt raster row: transition to boundary", dist, one_cell, (q, t))
         ctx = PLSensitivityContext.from_alpha_beta(FIGURE_ALPHA, FIGURE_BETA)
         # Each PL field is checked along the axis of its fixed coordinate.
-        for which, region, axis, name in (
-            ("d_uv", pl_region_uv, 0, "pl uv raster column: transition to boundary"),
-            ("d_vu", pl_region_vu, 1, "pl vu raster row: transition to boundary"),
+        for which, axis, name in (
+            ("uv", 0, "pl uv raster column: transition to boundary"),
+            ("vu", 1, "pl vu raster row: transition to boundary"),
         ):
-            grid = raster_pl(which, FIGURE_ALPHA, FIGURE_BETA, FIGURE_THRESHOLDS, resolution)
+            grid = raster_pl(f"d_{which}", FIGURE_ALPHA, FIGURE_BETA, FIGURE_THRESHOLDS, resolution)
             for level, t in enumerate(FIGURE_THRESHOLDS, start=1):
                 exceeded = grid.classes >= level
                 for i, fixed in enumerate(centers):
-                    interval = region(t, ctx, fixed).interval
+                    interval = pl_region(t, ctx, fixed, which).interval
                     dist = _transition_distance(
                         centers, interval, exceeded.take(i, axis=axis), interval or ()
                     )
@@ -389,7 +388,7 @@ def check_area_comparison(quick: bool = False) -> CheckResult:
     def body(f: _Gates) -> str:
         count = 0
         for m in (1.01, 1.1, 2.0, 5.0, 10.0, 100.0):
-            f.above("pairwise area", bt_region_area(m).closed_form, 1.0 / (6.0 * m**2), (m,))
+            f.above("pairwise area", bt_region_area(m), 1.0 / (6.0 * m**2), (m,))
             for alpha in (1.001, 1.5, 3.0):
                 for beta in (0.999, 0.5, 0.1):
                     ctx = PLSensitivityContext.from_alpha_beta(alpha, beta)

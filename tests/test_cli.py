@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from prefsense import PLSensitivityContext, cli, general_partial, get_link, pl_region_vu, synth
+from prefsense import PLSensitivityContext, cli, general_partial, get_link, pl_region, synth
 from prefsense.verification import CheckResult
 
 
@@ -107,7 +107,7 @@ class TestGradRegionArea:
         )
         assert code == 0
         payload = json.loads(out)
-        bounds = pl_region_vu(2.0, PLSensitivityContext.from_alpha_beta(1.01, 0.99), 0.05)
+        bounds = pl_region(2.0, PLSensitivityContext.from_alpha_beta(1.01, 0.99), 0.05, "vu")
         assert payload["which"] == "vu"
         assert payload["interval"] == list(bounds.interval)
 
@@ -207,6 +207,16 @@ class TestData:
         assert payload["converged"]
         assert payload["predictions"]["dog>bird"] == pytest.approx(0.9, abs=0.03)
         assert json.loads(fit_out.read_text())["scores"] == payload["scores"]
+
+    def test_gen_data_labels_inside_template_words(self, capsys, tmp_path):
+        # "a" occurs inside "gravitate"; outcomes are read where the two answers differ.
+        code, out, err = run(
+            capsys, "gen-data", "--permutation", "a,b,c", "--p12", "0.9",
+            "--p23", "0.2", "--n", "200", "--seed", "3", "--out", str(tmp_path / "d.jsonl"),
+        )
+        assert code == 0, err
+        assert "pair a > b: 112 samples" in out
+        assert "pair b > c: 88 samples" in out
 
     def test_gen_data_rejects_endpoint(self, capsys, tmp_path):
         code, _, err = run(

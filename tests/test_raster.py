@@ -18,7 +18,7 @@ from prefsense import (
     bt_region_slice,
     export,
     pl_partials,
-    pl_region_uv,
+    pl_region,
     quad_area_pl,
     raster_bt,
     raster_pl,
@@ -373,7 +373,7 @@ class TestRegionAgreement:
         for level, t in enumerate(THRESHOLDS, start=1):
             exceeded = grid.classes >= level
             for ix in range(0, resolution, 7):
-                bounds = pl_region_uv(t, ctx, centers[ix])
+                bounds = pl_region(t, ctx, centers[ix], "uv")
                 if bounds.empty:
                     analytic = np.zeros(resolution, dtype=bool)
                     curve = []
@@ -497,6 +497,15 @@ class TestSVGExport:
         export(grid, "svg", a)
         export(grid, "svg", b)
         assert a.read_bytes() == b.read_bytes()
+
+    # raster_bt and raster_pl refuse an empty threshold list, but a grid
+    # built by hand may have none: the figure is then the class-0 layer.
+    def test_grid_without_thresholds(self, tmp_path):
+        grid = dataclasses.replace(tiny_grid(), thresholds=())
+        path = tmp_path / "grid.svg"
+        export(grid, "svg", path)
+        ids = [el.get("id") for el in ET.fromstring(path.read_text()).iter() if el.get("id")]
+        assert ids == ["class-0"]
 
     def test_unreachable_threshold_gives_empty_layer(self, tmp_path):
         grid = raster_pl("d_uv", 1.01, 0.99, (1.01, 2.0, 1e9), 64)

@@ -31,9 +31,8 @@ from prefsense import (
     pl_context,
     pl_partials,
     pl_prob_from_ratios,
+    pl_region,
     pl_region_area,
-    pl_region_uv,
-    pl_region_vu,
     quad_area_pl,
     ratio_matrix,
     sensitivity_witness,
@@ -182,21 +181,21 @@ class TestBTRegion:
 
 class TestBTArea:
     def test_value_at_two(self):
-        assert bt_region_area(2.0).closed_form == pytest.approx(0.0739190958061754, abs=1e-12)
+        assert bt_region_area(2.0) == pytest.approx(0.0739190958061754, abs=1e-12)
 
     def test_limit_toward_one(self):
-        assert bt_region_area(1.0 + 1e-6).closed_form == pytest.approx(
+        assert bt_region_area(1.0 + 1e-6) == pytest.approx(
             0.5 * math.log(2.0), abs=1e-5
         )
 
     def test_monotone_decreasing(self):
-        values = [bt_region_area(m).closed_form for m in (1.1, 1.5, 2, 5, 10, 50)]
+        values = [bt_region_area(m) for m in (1.1, 1.5, 2, 5, 10, 50)]
         assert all(a > b for a, b in zip(values, values[1:]))
         assert all(v > 0 for v in values)
 
     def test_against_monte_carlo(self):
         for m in (1.5, 2.0, 5.0):
-            closed = bt_region_area(m).closed_form
+            closed = bt_region_area(m)
             est = mc_area_bt(m, 200_000, seed=8)
             assert abs(est.value - closed) / closed <= 0.03
 
@@ -297,7 +296,7 @@ class TestPLPartials:
         omega = KTuplePreference((0, 1, 2, 3))
         for u, v in ((0, 1), (0, 3), (1, 2), (2, 3)):
             ctx = pl_context(options, omega, u, v)
-            base = np.array(ctx.ratios)
+            base = ratio_matrix(options, omega)
 
             def ranking_prob(p_uv, p_vu):
                 r = base.copy()
@@ -332,31 +331,36 @@ class TestPLRegions:
     def test_empty_beyond_cap(self):
         ctx = PLSensitivityContext.from_alpha_beta(1.01, 0.99)
         cap = ctx.beta / (4 * ctx.alpha * 2.0)
-        assert pl_region_uv(2.0, ctx, cap + 1e-9).empty
-        assert pl_region_uv(2.0, ctx, cap * 0.5).empty is False
-        assert pl_region_vu(2.0, ctx, cap + 1e-9).empty
+        assert pl_region(2.0, ctx, cap + 1e-9, "uv").empty
+        assert pl_region(2.0, ctx, cap * 0.5, "uv").empty is False
+        assert pl_region(2.0, ctx, cap + 1e-9, "vu").empty
 
     def test_interval_formulas(self):
         ctx = PLSensitivityContext.from_alpha_beta(1.01, 0.99)
         m, x = 2.0, 0.05
-        bounds = pl_region_uv(m, ctx, x)
+        bounds = pl_region(m, ctx, x, "uv")
         center = (ctx.beta - 2 * ctx.alpha * m * x) / (2 * m)
         half = math.sqrt(ctx.beta * (ctx.beta - 4 * ctx.alpha * m * x)) / (2 * m)
         assert bounds.center == pytest.approx(center, rel=1e-12)
         assert bounds.half_width == pytest.approx(half, rel=1e-12)
-        bounds_vu = pl_region_vu(m, ctx, x)
+        bounds_vu = pl_region(m, ctx, x, "vu")
         assert bounds_vu.center == pytest.approx(center / ctx.alpha**2, rel=1e-12)
         assert bounds_vu.half_width == pytest.approx(half / ctx.alpha**2, rel=1e-12)
 
     def test_directions_coincide_at_unit_alpha(self):
         ctx = PLSensitivityContext.from_alpha_beta(1.0, 0.9)
-        uv = pl_region_uv(3.0, ctx, 0.02)
-        vu = pl_region_vu(3.0, ctx, 0.02)
+        uv = pl_region(3.0, ctx, 0.02, "uv")
+        vu = pl_region(3.0, ctx, 0.02, "vu")
         assert uv.interval == pytest.approx(vu.interval, rel=1e-12)
+
+    def test_rejects_unknown_direction(self):
+        ctx = PLSensitivityContext.from_alpha_beta(1.01, 0.99)
+        with pytest.raises(DomainError, match="which must be 'uv' or 'vu', got 'xy'"):
+            pl_region(2.0, ctx, 0.05, "xy")
 
     def test_limit_of_full_interval(self):
         ctx = PLSensitivityContext.from_alpha_beta(1.0, 1.0, k=2)
-        bounds = pl_region_uv(2.0, ctx, 1e-12)
+        bounds = pl_region(2.0, ctx, 1e-12, "uv")
         assert bounds.interval[1] == pytest.approx(1.0 / 2.0, abs=1e-5)
 
     def test_membership_matches_derivative(self):
@@ -365,13 +369,13 @@ class TestPLRegions:
         for m in (1.01, 2.0, 5.0):
             for _ in range(200):
                 x, y = rng.uniform(1e-4, 1 - 1e-4, size=2)
-                bounds = pl_region_uv(m, ctx, x)
+                bounds = pl_region(m, ctx, x, "uv")
                 d_uv, d_vu = pl_partials(x, y, ctx)
                 if bounds.contains(y):
                     assert d_uv > m
                 elif bounds.empty or min(abs(y - bounds.interval[0]), abs(y - bounds.interval[1])) > 1e-9:
                     assert d_uv <= m
-                rbounds = pl_region_vu(m, ctx, y)
+                rbounds = pl_region(m, ctx, y, "vu")
                 if rbounds.contains(x):
                     assert abs(d_vu) > m
 
@@ -383,7 +387,7 @@ class TestPLRegions:
             m = 1.0 + rng.random() * 10 + 1e-6
             ctx = PLSensitivityContext.from_alpha_beta(alpha, beta)
             x = rng.uniform(1e-9, 1 - 1e-9)
-            bounds = pl_region_uv(m, ctx, x)
+            bounds = pl_region(m, ctx, x, "uv")
             if not bounds.empty:
                 lo, hi = bounds.interval
                 assert 0.0 <= lo < hi <= 1.0
@@ -392,34 +396,34 @@ class TestPLRegions:
 class TestPLArea:
     def test_figure_context_value(self):
         ctx = PLSensitivityContext.from_alpha_beta(1.01, 0.99)
-        assert pl_region_area(2.0, ctx, "uv").closed_form == pytest.approx(
+        assert pl_region_area(2.0, ctx, "uv") == pytest.approx(
             0.99**2 / (6 * 1.01 * 4), rel=1e-12
         )
 
     def test_degenerate_value(self):
         ctx = PLSensitivityContext.from_alpha_beta(1.0, 1.0, k=2)
         for m in (1.5, 2.0, 7.0):
-            assert pl_region_area(m, ctx, "uv").closed_form == pytest.approx(
+            assert pl_region_area(m, ctx, "uv") == pytest.approx(
                 1.0 / (6 * m * m), rel=1e-12
             )
 
     def test_direction_scaling(self):
         ctx = PLSensitivityContext.from_alpha_beta(1.7, 0.6)
-        uv = pl_region_area(3.0, ctx, "uv").closed_form
-        vu = pl_region_area(3.0, ctx, "vu").closed_form
+        uv = pl_region_area(3.0, ctx, "uv")
+        vu = pl_region_area(3.0, ctx, "vu")
         assert uv / vu == pytest.approx(1.7**2, rel=1e-12)
 
     def test_against_quadrature(self):
         for alpha, beta, m in ((1.01, 0.99, 2.0), (1.5, 0.5, 5.0), (2.5, 0.3, 1.5)):
             ctx = PLSensitivityContext.from_alpha_beta(alpha, beta)
             for which in ("uv", "vu"):
-                closed = pl_region_area(m, ctx, which).closed_form
+                closed = pl_region_area(m, ctx, which)
                 quad = quad_area_pl(m, alpha, beta, which, 100_000)
                 assert closed == pytest.approx(quad, abs=1e-4)
 
     def test_monotone_in_threshold(self):
         ctx = PLSensitivityContext.from_alpha_beta(1.01, 0.99)
-        values = [pl_region_area(m, ctx).closed_form for m in (1.1, 1.5, 2, 5, 10, 50)]
+        values = [pl_region_area(m, ctx) for m in (1.1, 1.5, 2, 5, 10, 50)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_guards(self):
@@ -447,7 +451,7 @@ class TestAreaComparison:
     def test_holds_across_grid(self):
         for m in (1.01, 1.1, 2.0, 5.0, 10.0, 100.0):
             lower_bound = 1.0 / (6.0 * m * m)
-            assert bt_region_area(m).closed_form > lower_bound
+            assert bt_region_area(m) > lower_bound
             for alpha in (1.001, 1.5, 3.0):
                 for beta in (0.999, 0.5, 0.1):
                     ctx = PLSensitivityContext.from_alpha_beta(alpha, beta)

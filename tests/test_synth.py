@@ -13,9 +13,7 @@ from prefsense import (
     DatasetSpec,
     DomainError,
     PreferenceSample,
-    TemplateBank,
     ValidationError,
-    default_bank,
     empirical_check,
     generate,
     make_rng,
@@ -25,7 +23,7 @@ from prefsense import (
     write_manifest,
 )
 from prefsense import synth
-from prefsense.synth import _BLOCK, MAX_SAMPLES, tally_outcomes
+from prefsense.synth import _BLOCK, ANSWER_TEMPLATES, MAX_SAMPLES, QUESTION_TEMPLATES, tally_outcomes
 
 PERM = ("dog", "bird", "cat")
 
@@ -39,17 +37,16 @@ def spec(p12=0.99, p23=0.01, n=2000, seed=3):
     return DatasetSpec(PERM, p12, p23, n, seed)
 
 
-def reference_generate(spec, bank=None):
+def reference_generate(spec):
     """One sample at a time, straight from the draws: the oracle for generate."""
-    bank = bank or default_bank()
     o1, o2, o3 = spec.permutation
     pairs = ((o1, o2, spec.p12), (o2, o3, spec.p23))
-    n_q, n_a = len(bank.questions), len(bank.answers)
+    n_q, n_a = len(QUESTION_TEMPLATES), len(ANSWER_TEMPLATES)
     samples = []
     for u_pair, u_q, u_a, u_disp, u_win in make_rng(spec.seed).random((spec.n_samples, 5)):
         first, second, p_win = pairs[0 if u_pair < 0.5 else 1]
-        question = bank.questions[min(int(u_q * n_q), n_q - 1)]
-        answer = bank.answers[min(int(u_a * n_a), n_a - 1)]
+        question = QUESTION_TEMPLATES[min(int(u_q * n_q), n_q - 1)]
+        answer = ANSWER_TEMPLATES[min(int(u_a * n_a), n_a - 1)]
         shown = (first, second) if u_disp < 0.5 else (second, first)
         winner, loser = (first, second) if u_win < p_win else (second, first)
         samples.append(
@@ -86,26 +83,20 @@ def reference_tally(samples, labels):
     return Counter((first_label(s.chosen), first_label(s.rejected)) for s in samples)
 
 
-class TestTemplateBank:
-    def test_bank_sizes(self):
-        bank = default_bank()
-        assert len(bank.questions) == 20
-        assert len(bank.answers) == 30
+class TestTemplates:
+    def test_template_counts(self):
+        assert len(QUESTION_TEMPLATES) == 20
+        assert len(ANSWER_TEMPLATES) == 30
 
     def test_slot_discipline(self):
-        bank = default_bank()
-        for q in bank.questions:
-            assert q.count("<A>") == 1 and q.count("<B>") == 1
-        for a in bank.answers:
-            assert a.count("<A>") >= 1
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            TemplateBank(questions=("no slots here?",), answers=("I prefer <A>.",))
-        with pytest.raises(ValidationError):
-            TemplateBank(questions=("pick <A> or <B>?",), answers=("no slot.",))
-        with pytest.raises(ValidationError):
-            TemplateBank(questions=(), answers=("I prefer <A>.",))
+        # Questions show both options once; answers name the preferred
+        # slot <A> at least once (a few omit <B> or repeat <A>).
+        for q in QUESTION_TEMPLATES:
+            assert q.count("<A>") == 1 and q.count("<B>") == 1, q
+        for a in ANSWER_TEMPLATES:
+            assert a.count("<A>") >= 1, a
+        assert any("<B>" not in a for a in ANSWER_TEMPLATES)
+        assert any(a.count("<A>") > 1 for a in ANSWER_TEMPLATES)
 
 
 class TestDatasetSpec:
@@ -244,16 +235,6 @@ class TestGenerateMatchesReference:
             s = DatasetSpec(PERM, 0.5, 0.5, 1, seed)
             assert generate(s) == reference_generate(s)
 
-    def test_custom_bank(self):
-        # Answers that omit <B> or repeat <A> render differently from the
-        # default bank's; a single question exercises the clamp at n_q - 1.
-        bank = TemplateBank(
-            questions=("<B> or <A>?",),
-            answers=("I just prefer <A>.", "<A>, <A> and again <A> over <B>.", "<A> wins."),
-        )
-        s = DatasetSpec(PERM, 0.8, 0.3, 3000, 4)
-        assert generate(s, bank) == reference_generate(s, bank)
-
     def test_prefix_labels(self):
         s = DatasetSpec(("cat", "catfish", "dog"), 0.7, 0.4, 3000, 2)
         samples = generate(s)
@@ -275,11 +256,26 @@ class TestTallyOutcomes:
         write_jsonl(samples, path)
         assert tally_outcomes(read_jsonl(path), PERM) == reference_tally(samples, PERM)
 
+    # "a" is inside "gravitate", "I" and "me" are template words, and
+    # "do" prefixes "dog" and "dove". The draws do not depend on the names,
+    # so each tally is the dog,bird,cat tally relabelled.
+    @pytest.mark.parametrize("perm", [("a", "b", "c"), ("I", "me", "you"), ("dog", "dove", "do")])
+    def test_labels_inside_template_words(self, perm):
+        base = tally_outcomes(generate(spec(p12=0.6, p23=0.3, n=3000)), PERM)
+        tally = tally_outcomes(generate(DatasetSpec(perm, 0.6, 0.3, 3000, 3)), perm)
+        rename = dict(zip(perm, PERM))
+        assert Counter({(rename[w], rename[l]): n for (w, l), n in tally.items()}) == base
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValidationError):
             tally_outcomes([PreferenceSample("q", "I prefer dog.", "I prefer dog.")], PERM)
         with pytest.raises(ValidationError):
             tally_outcomes([], ("dog", "dog"))
+        # Unknown labels, including ones that occur only in template words.
+        samples = generate(spec(p12=0.6, p23=0.3, n=200))
+        for labels in (("dog", "bird"), ("a", "e", "I")):
+            with pytest.raises(ValidationError):
+                tally_outcomes(samples, labels)
 
 
 class TestEmpiricalCheck:
