@@ -205,18 +205,24 @@ def pl_prob_from_ratios(ratios: np.ndarray) -> float:
     return _warn_if_saturated(prob)
 
 
-def logit_normal_density(x: float, sigma2: float) -> float:
+def logit_normal_density(x, sigma2: float):
     """Density at x of the logistic transform of N(0, 2 * sigma2).
 
     This is the distribution of a Bradley-Terry pair probability when the
     two scores are independent N(0, sigma2) draws. Unimodal at 0.5 for
     sigma2 <= 1; for sigma2 > 1 it is bimodal, with modes migrating toward
-    0 and 1 as sigma2 grows.
+    0 and 1 as sigma2 grows. x may be a float, giving a float, or an array
+    of points strictly inside (0, 1), giving an array of densities.
     """
-    x = require_probability(x, "x")
+    xs = require_real_array(x, "x")
+    inside = (xs > 0.0) & (xs < 1.0)
+    if not inside.all():
+        raise DomainError(f"x must lie strictly inside (0, 1), got {float(xs[~inside][0])!r}")
     sigma2 = require_finite(sigma2, "sigma2")
     if sigma2 <= 0.0:
         raise DomainError(f"sigma2 must be positive, got {sigma2!r}")
     var = 2.0 * sigma2
-    t = math.log(x / (1.0 - x))
-    return math.exp(-t * t / (2.0 * var)) / math.sqrt(2.0 * math.pi * var) / (x * (1.0 - x))
+    t = np.log(xs / (1.0 - xs))
+    with np.errstate(over="ignore"):
+        dens = np.exp(-t * t / (2.0 * var)) / math.sqrt(2.0 * math.pi * var) / (xs * (1.0 - xs))
+    return float(dens) if dens.ndim == 0 else dens

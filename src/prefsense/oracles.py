@@ -31,6 +31,8 @@ from .models import ScoredOptionSet, logit_normal_density
 
 __all__ = [
     "DEFAULT_SEED",
+    "MAX_MC_SAMPLES",
+    "MAX_GRID_N",
     "MonteCarloEstimate",
     "make_rng",
     "finite_diff",
@@ -43,6 +45,19 @@ __all__ = [
 DEFAULT_SEED = 0
 
 BOUNDARY_MARGIN = 1e-9  # perturbed evaluation points stay this far inside (0, 1)
+
+# mc_area_bt draws its points in blocks of this many rows, so it peaks at
+# about 4 MiB whatever n is. Philox gives the same doubles in (b, 2)
+# blocks as in one (n, 2) draw, so the estimate does not depend on the
+# block size.
+_BLOCK = 2**16
+
+# Upper caps, refused before the first draw or allocation. mc_area_bt
+# takes about 50 ns per sample, so its cap bounds time: about a minute.
+# quad_area_pl and mode_count hold about 33 bytes per grid point, so
+# their cap bounds memory: about 330 MB.
+MAX_MC_SAMPLES = 10**9
+MAX_GRID_N = 10**7
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -106,14 +121,16 @@ def mc_area_bt(threshold: float, n: int, seed: int = DEFAULT_SEED) -> MonteCarlo
     """
     threshold = require_threshold(threshold)
     n = require_int(n, "n")
-    if n < 10_000:
-        raise DomainError(f"n must be at least 10^4 for a usable estimate, got {n}")
+    if not 10_000 <= n <= MAX_MC_SAMPLES:
+        raise DomainError(f"n must lie in [10^4, {MAX_MC_SAMPLES}], got {n}")
     rng = make_rng(seed)
-    pts = rng.random((n, 2))
-    p, q = pts[:, 0], pts[:, 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        deriv = q * (1.0 - q) / (p + q - 2.0 * p * q - 1.0) ** 2
-    hits = int(np.count_nonzero(np.abs(deriv) > threshold))
+    hits = 0
+    for start in range(0, n, _BLOCK):
+        pts = rng.random((min(_BLOCK, n - start), 2))
+        p, q = pts[:, 0], pts[:, 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            deriv = q * (1.0 - q) / (p + q - 2.0 * p * q - 1.0) ** 2
+        hits += int(np.count_nonzero(np.abs(deriv) > threshold))
     frac = hits / n
     return MonteCarloEstimate(
         value=frac,
@@ -121,6 +138,13 @@ def mc_area_bt(threshold: float, n: int, seed: int = DEFAULT_SEED) -> MonteCarlo
         n_samples=n,
         seed=int(seed),
     )
+
+
+def _require_grid_n(grid_n) -> int:
+    grid_n = require_int(grid_n, "grid_n")
+    if not 10_000 <= grid_n <= MAX_GRID_N:
+        raise DomainError(f"grid_n must lie in [10^4, {MAX_GRID_N}], got {grid_n}")
+    return grid_n
 
 
 def quad_area_pl(
@@ -139,9 +163,7 @@ def quad_area_pl(
     """
     threshold = require_threshold(threshold)
     alpha, beta = require_alpha_beta(alpha, beta)
-    grid_n = require_int(grid_n, "grid_n")
-    if grid_n < 10_000:
-        raise DomainError(f"grid_n must be at least 10^4, got {grid_n}")
+    grid_n = _require_grid_n(grid_n)
     if which not in ("uv", "vu"):
         raise DomainError(f"which must be 'uv' or 'vu', got {which!r}")
     upper = beta / (4.0 * alpha * threshold)
@@ -183,11 +205,9 @@ def mode_count(sigma2: float, grid_n: int = 10_000) -> int:
     merged first, so a flat-topped peak counts once and the symmetric
     two-point tie straddling 0.5 is not missed.
     """
-    grid_n = require_int(grid_n, "grid_n")
-    if grid_n < 10_000:
-        raise DomainError(f"grid_n must be at least 10^4, got {grid_n}")
+    grid_n = _require_grid_n(grid_n)
     grid = np.linspace(0.0, 1.0, grid_n + 2)[1:-1]
-    dens = np.array([logit_normal_density(float(x), sigma2) for x in grid])
+    dens = logit_normal_density(grid, sigma2)
     # Collapse plateaus to single representatives.
     keep = np.ones(len(dens), dtype=bool)
     keep[1:] = dens[1:] != dens[:-1]

@@ -337,10 +337,13 @@ def pl_region_area(threshold: float, ctx: PLSensitivityContext, which: str = "uv
     for every threshold of 2 or more.
     """
     threshold = require_threshold(threshold)
+    # threshold * threshold rounds like threshold**2 but gives inf, and so
+    # an area of 0.0, where ** raises OverflowError (threshold above 1.3e154).
+    m2 = threshold * threshold
     if which == "uv":
-        return ctx.beta**2 / (6.0 * ctx.alpha * threshold**2)
+        return ctx.beta**2 / (6.0 * ctx.alpha * m2)
     if which == "vu":
-        return ctx.beta**2 / (6.0 * ctx.alpha**3 * threshold**2)
+        return ctx.beta**2 / (6.0 * ctx.alpha**3 * m2)
     raise DomainError(f"which must be 'uv' or 'vu', got {which!r}")
 
 

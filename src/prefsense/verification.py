@@ -338,8 +338,11 @@ def _transition_distance(centers, interval, exceeded, curve_points) -> float:
         lo, hi = interval
         analytic = (centers > lo) & (centers < hi)
     mismatched = centers[analytic != exceeded]
-    nearest = (min((abs(x - c) for c in curve_points), default=math.inf) for x in mismatched)
-    return max(nearest, default=0.0)
+    if not len(mismatched):
+        return 0.0
+    if not len(curve_points):
+        return math.inf
+    return float(np.abs(mismatched[:, None] - np.asarray(curve_points)[None, :]).min(1).max())
 
 
 def check_raster_boundaries(quick: bool = False) -> CheckResult:
@@ -347,6 +350,7 @@ def check_raster_boundaries(quick: bool = False) -> CheckResult:
 
     def body(f: _Gates) -> str:
         one_cell = 1.0 / resolution * 1.0001
+        # Each grid is dropped before the next is built: one is alive at a time.
         bt_grid = raster_bt("d_pik", FIGURE_THRESHOLDS, resolution)
         centers = bt_grid.cell_centers()
         for level, t in enumerate(FIGURE_THRESHOLDS, start=1):
@@ -356,6 +360,7 @@ def check_raster_boundaries(quick: bool = False) -> CheckResult:
                 curve = [region.boundary]
                 dist = _transition_distance(centers, region.interval, exceeded[:, iy], curve)
                 f.at_most("bt raster row: transition to boundary", dist, one_cell, (q, t))
+        del bt_grid
         ctx = PLSensitivityContext.from_alpha_beta(FIGURE_ALPHA, FIGURE_BETA)
         # Each PL field is checked along the axis of its fixed coordinate.
         for which, axis, name in (
@@ -371,6 +376,7 @@ def check_raster_boundaries(quick: bool = False) -> CheckResult:
                         centers, interval, exceeded.take(i, axis=axis), interval or ()
                     )
                     f.at_most(name, dist, one_cell, (fixed, t))
+            del grid
         return (
             f"resolution {resolution}, thresholds {FIGURE_THRESHOLDS}: all class "
             "transitions within one cell of the analytic curves"

@@ -128,6 +128,27 @@ class TestGradRegionArea:
         assert "0.0739191" in out
         assert "discrepancy" in out
 
+    @pytest.mark.parametrize(
+        "argv,text",
+        [
+            ("area bt --M 2 --n-samples 1000000000001", "n must lie in [10^4, 1000000000]"),
+            ("area pl --M 2 --alpha 1.01 --beta 0.99 --grid-n 10000001", "grid_n must lie in [10^4, 10000000]"),
+        ],
+    )
+    def test_area_oracle_size_cap(self, capsys, argv, text):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 1
+        assert out == ""
+        assert_one_error_line(err, text)
+
+    def test_area_pl_huge_threshold(self, capsys):
+        argv = ["area", "pl", "--M", "1e200", "--alpha", "1.01", "--beta", "0.99"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert "closed form (uv): 0\n" in out
+        code, out, _ = run(capsys, *argv[:2], "--M", "1e150", *argv[4:])
+        assert "closed form (uv): 1.61733e-301" in out
+
     def test_area_pl_json(self, capsys):
         code, out, _ = run(
             capsys, "area", "pl", "--M", "2", "--alpha", "1.01", "--beta", "0.99", "--json"

@@ -382,3 +382,21 @@ class TestLogitNormalDensity:
             logit_normal_density(0.5, 0.0)
         with pytest.raises(DomainError):
             logit_normal_density(0.5, -1.0)
+
+    def test_array_equals_scalar_calls(self):
+        xs = make_rng(33).uniform(1e-6, 1.0 - 1e-6, size=(4, 50))
+        dens = logit_normal_density(xs, 1.1)
+        assert dens.shape == xs.shape
+        assert dens.tolist() == [[logit_normal_density(x, 1.1) for x in row] for row in xs.tolist()]
+        assert type(logit_normal_density(np.float64(0.3), 1.1)) is float
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 1.5, math.nan, math.inf])
+    def test_array_outside_unit_interval(self, bad):
+        xs = np.array([0.2, bad, 0.7])
+        with pytest.raises(DomainError, match="x must lie strictly inside"):
+            logit_normal_density(xs, 1.0)
+
+    @pytest.mark.parametrize("sigma2", [math.nan, math.inf, 0.0, -1.0])
+    def test_array_bad_sigma2(self, sigma2):
+        with pytest.raises(DomainError, match="sigma2"):
+            logit_normal_density(np.array([0.2, 0.7]), sigma2)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from prefsense import (
     bt_compose,
     brute_force_pl,
     finite_diff,
+    logit_normal_density,
     make_rng,
     mc_area_bt,
     mode_count,
@@ -22,6 +24,7 @@ from prefsense import (
     pl_ratio,
     quad_area_pl,
 )
+from prefsense.oracles import MAX_GRID_N, MAX_MC_SAMPLES
 
 
 class TestMakeRng:
@@ -116,6 +119,45 @@ class TestMCAreaBT:
         with pytest.raises(DomainError):
             mc_area_bt(2.0, 100)
 
+    def test_cap_refused_before_any_draw(self, monkeypatch):
+        def no_draws(seed):
+            raise AssertionError("drew before refusing")
+
+        monkeypatch.setattr("prefsense.oracles.make_rng", no_draws)
+        with pytest.raises(DomainError, match=f"n must lie in \\[10\\^4, {MAX_MC_SAMPLES}\\]"):
+            mc_area_bt(2.0, MAX_MC_SAMPLES + 1)
+        with pytest.raises(DomainError):
+            mc_area_bt(2.0, 10**12)
+
+    @pytest.mark.parametrize("n", [10_000, 65_537, 200_001])
+    @pytest.mark.parametrize("seed", [0, 8, 12345])
+    def test_blocks_equal_one_shot_draw(self, n, seed):
+        # The estimator as one (n, 2) draw, written out here rather than
+        # imported, so it stays a fixed reference for the blocked draws.
+        for threshold in (1.5, 10.0):
+            pts = make_rng(seed).random((n, 2))
+            p, q = pts[:, 0], pts[:, 1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                deriv = q * (1.0 - q) / (p + q - 2.0 * p * q - 1.0) ** 2
+            frac = int(np.count_nonzero(np.abs(deriv) > threshold)) / n
+            est = mc_area_bt(threshold, n, seed)
+            assert est.value == frac
+            assert est.std_error == math.sqrt(frac * (1.0 - frac) / n)
+
+    def test_peak_memory_does_not_grow_with_n(self):
+        # One block of 2^16 rows holds 1 MiB of points; its temporaries a
+        # few MiB more. A one-shot draw at 10^7 would take about 390 MiB.
+        peaks = []
+        for n in (10**6, 10**7):
+            tracemalloc.start()
+            try:
+                mc_area_bt(2.0, n, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 8 * 2**20
+        assert peaks[1] < peaks[0] + 2**20
+
     @pytest.mark.parametrize("threshold", [math.nan, math.inf])
     def test_non_finite_threshold(self, threshold):
         with pytest.raises(DomainError):
@@ -175,6 +217,13 @@ class TestQuadAreaPL:
         with pytest.raises(DomainError, match="grid_n must be an integer"):
             quad_area_pl(2.0, 1.1, 0.5, grid_n=grid_n)
 
+    def test_grid_cap(self):
+        with pytest.raises(DomainError, match=f"grid_n must lie in \\[10\\^4, {MAX_GRID_N}\\]"):
+            quad_area_pl(2.0, 1.01, 0.99, "uv", MAX_GRID_N + 1)
+
+    def test_huge_threshold_area_underflows_to_zero(self):
+        assert quad_area_pl(1e200, 1.01, 0.99) == 0.0
+
 
 class TestBruteForce:
     def test_pair_equal_scores(self):
@@ -229,6 +278,26 @@ class TestBruteForce:
             brute_force_pl(options, 2.5)
 
 
+def _scalar_density(x, sigma2):
+    """The logit-normal density one point at a time, with math's functions."""
+    var = 2.0 * sigma2
+    t = math.log(x / (1.0 - x))
+    return math.exp(-t * t / (2.0 * var)) / math.sqrt(2.0 * math.pi * var) / (x * (1.0 - x))
+
+
+def _scalar_mode_count(sigma2, grid_n=10_000):
+    """mode_count's scan over a density evaluated by a scalar loop."""
+    grid = np.linspace(0.0, 1.0, grid_n + 2)[1:-1]
+    dens = np.array([_scalar_density(float(x), sigma2) for x in grid])
+    keep = np.ones(len(dens), dtype=bool)
+    keep[1:] = dens[1:] != dens[:-1]
+    vals = dens[keep]
+    if len(vals) < 3:
+        return 0
+    inner = vals[1:-1]
+    return int(np.count_nonzero((inner > vals[:-2]) & (inner > vals[2:])))
+
+
 class TestModeCount:
     @pytest.mark.parametrize(
         "sigma2,expected",
@@ -237,9 +306,29 @@ class TestModeCount:
     def test_mode_structure(self, sigma2, expected):
         assert mode_count(sigma2, 10_000) == expected
 
+    @pytest.mark.parametrize("sigma2", [0.5, 0.9, 0.999, 1.001, 1.1, 2.0, 5.0])
+    def test_equals_scalar_loop(self, sigma2):
+        assert mode_count(sigma2, 10_000) == _scalar_mode_count(sigma2)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sigma2", [1e-300, 1e-310])
+    def test_density_underflow_has_no_mode(self, sigma2):
+        # The density is 0.0 at every grid point, without an overflow
+        # warning: one plateau, no interior maximum.
+        grid = np.linspace(0.0, 1.0, 10_002)[1:-1]
+        assert not np.any(logit_normal_density(grid, sigma2))
+        assert mode_count(sigma2) == 0
+
+    @pytest.mark.parametrize("sigma2", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_bad_sigma2(self, sigma2):
+        with pytest.raises(DomainError, match="sigma2"):
+            mode_count(sigma2)
+
     def test_grid_guard(self):
         with pytest.raises(DomainError):
             mode_count(1.1, 100)
+        with pytest.raises(DomainError, match=f"grid_n must lie in \\[10\\^4, {MAX_GRID_N}\\]"):
+            mode_count(1.1, MAX_GRID_N + 1)
 
     @pytest.mark.parametrize("grid_n", ["x", 1e4], ids=["x", "1e4"])
     def test_non_integer_grid(self, grid_n):

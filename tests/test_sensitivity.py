@@ -433,6 +433,13 @@ class TestPLArea:
         with pytest.raises(DomainError):
             pl_region_area(2.0, ctx, "elsewhere")
 
+    def test_huge_threshold_underflows_to_zero(self):
+        # M * M overflows to inf above about 1.3e154, so the area is 0.0.
+        ctx = PLSensitivityContext.from_alpha_beta(1.01, 0.99)
+        assert pl_region_area(1e150, ctx) == 0.99**2 / (6.0 * 1.01 * 1e150**2)
+        assert pl_region_area(1e200, ctx, "uv") == 0.0
+        assert pl_region_area(1e200, ctx, "vu") == 0.0
+
 
 class TestAreaComparison:
     def test_example_values(self):
@@ -456,6 +463,10 @@ class TestAreaComparison:
                 for beta in (0.999, 0.5, 0.1):
                     ctx = PLSensitivityContext.from_alpha_beta(alpha, beta)
                     assert compare_bt_pl_areas(m, ctx).holds
+
+    def test_huge_threshold(self):
+        cmp = compare_bt_pl_areas(1e200, PLSensitivityContext.from_alpha_beta(1.01, 0.99))
+        assert cmp.pl_area == 0.0
 
     def test_requires_tuple_context(self):
         ctx = PLSensitivityContext.from_alpha_beta(1.0, 1.0, k=2)

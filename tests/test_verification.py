@@ -1,9 +1,13 @@
 """The verify suite's own behaviour: failing gates and the pinned details."""
 
+import dataclasses
+import gc
 import json
 import math
+import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from prefsense import verification
@@ -55,6 +59,53 @@ def test_wrong_pl_area_fails_the_exponent_check(monkeypatch):
     result = verification.check_pl_area_exponent(True)
     assert not result.passed
     assert "|quad - 1/M^2 form| at (1.01, 0.99, 2)" in result.details
+
+
+def test_transition_distance_cases():
+    centers = (np.arange(8) + 0.5) / 8
+    inside = (centers > 0.3) & (centers < 0.6)
+    assert verification._transition_distance(centers, (0.3, 0.6), inside, [0.3, 0.6]) == 0.0
+    assert verification._transition_distance(centers, None, np.zeros(8, dtype=bool), ()) == 0.0
+    assert verification._transition_distance(centers, None, inside, ()) == math.inf
+    # Cells 0.3125 .. 0.6875 read as exceeded; 0.6875 disagrees, nearest curve point 0.6.
+    wide = (centers > 0.3) & (centers < 0.7)
+    assert verification._transition_distance(centers, (0.3, 0.6), wide, [0.3, 0.6]) == 0.6875 - 0.6
+    everywhere = np.ones(8, dtype=bool)
+    want = max(min(abs(x - c) for c in (0.3, 0.6)) for x in centers[~inside])
+    assert verification._transition_distance(centers, (0.3, 0.6), everywhere, [0.3, 0.6]) == want
+
+
+def test_wrong_raster_fails_raster_boundaries(monkeypatch):
+    right = verification.raster_bt
+
+    def blank(*args):
+        grid = right(*args)
+        return dataclasses.replace(grid, classes=np.zeros_like(grid.classes))
+
+    monkeypatch.setattr(verification, "raster_bt", blank)
+    result = verification.check_raster_boundaries(True)
+    assert not result.passed
+    assert "bt raster row: transition to boundary at (" in result.details
+    assert "pl " not in result.details
+
+
+def test_raster_boundaries_keeps_one_grid_alive(monkeypatch):
+    built = []
+
+    def tracked(build):
+        def wrapper(*args):
+            gc.collect()
+            assert all(ref() is None for ref in built), "an earlier grid is still alive"
+            grid = build(*args)
+            built.append(weakref.ref(grid))
+            return grid
+
+        return wrapper
+
+    monkeypatch.setattr(verification, "raster_bt", tracked(verification.raster_bt))
+    monkeypatch.setattr(verification, "raster_pl", tracked(verification.raster_pl))
+    assert verification.check_raster_boundaries(True).passed
+    assert len(built) == 3
 
 
 def test_quick_details_match_the_pinned_strings():
