@@ -138,8 +138,19 @@ def require_finite(x: Any, name: str) -> float:
     return v
 
 
-def require_probability(p: Any, name: str) -> float:
-    """Validate p strictly inside (0, 1). Never clamps."""
+def require_probability(p: Any, name: str):
+    """Validate p strictly inside (0, 1). Never clamps.
+
+    A numpy array with at least one dimension is checked entry by entry
+    and returned as a float64 array; anything else gives a float.
+    """
+    if isinstance(p, np.ndarray) and p.ndim:
+        arr = require_real_array(p, name)
+        outside = ~((arr > 0.0) & (arr < 1.0))
+        if outside.any():
+            # The first offending entry raises the scalar call's error.
+            require_probability(float(arr[outside][0]), name)
+        return arr
     v = require_finite(p, name)
     if not 0.0 < v < 1.0:
         raise DomainError(f"{name} must lie strictly inside (0, 1), got {v!r}")

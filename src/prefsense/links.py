@@ -20,6 +20,8 @@ import os
 import sys
 import warnings
 
+import numpy as np
+
 from .errors import DomainError, SaturationWarning, require_finite, require_probability
 
 __all__ = ["LinkFunction", "LogisticLink", "ProbitLink", "LOGISTIC", "PROBIT", "get_link"]
@@ -29,7 +31,13 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
-def _warn_if_saturated(p: float) -> float:
+def _warn_if_saturated(p):
+    """Return p, a float or an array, warning once if any value is exactly 0 or 1."""
+    if isinstance(p, np.ndarray):
+        saturated = p[(p <= 0.0) | (p >= 1.0)]
+        if saturated.size:
+            _warn_if_saturated(float(saturated[0]))
+        return p
     if p <= 0.0 or p >= 1.0:
         # Point the warning at the first caller outside the package, however
         # deep the call that saturated (stacklevel 1 is this frame).

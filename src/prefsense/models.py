@@ -122,8 +122,11 @@ def compose_pairwise(link: LinkFunction, p_ik: float, p_kj: float) -> float:
     return link.evaluate(link.inverse(p_ik) + link.inverse(p_kj))
 
 
-def bt_compose(p_ik: float, p_kj: float) -> float:
-    """Closed-form Bradley-Terry composition of two pair probabilities."""
+def bt_compose(p_ik, p_kj):
+    """Closed-form Bradley-Terry composition of two pair probabilities.
+
+    Floats give a float; numpy arrays, broadcast together, give an array.
+    """
     p_ik = require_probability(p_ik, "p_ik")
     p_kj = require_probability(p_kj, "p_kj")
     odds = (1.0 - p_ik) * (1.0 - p_kj) / (p_ik * p_kj)
@@ -175,34 +178,37 @@ def ratio_matrix(options: ScoredOptionSet, omega: KTuplePreference) -> np.ndarra
     return np.exp(s[None, :] - s[:, None])
 
 
-def pl_prob_from_ratios(ratios: np.ndarray) -> float:
-    """Ranking probability from a suffix-swap ratio matrix.
+def pl_prob_from_ratios(ratios):
+    """Ranking probability from a suffix-swap ratio matrix, or from a stack of them.
 
-    The matrix must be elementwise positive with ratios[a, b] * ratios[b, a]
-    = 1 (tolerance 1e-9); the diagonal is ignored. When the matrix comes
-    from a score vector this reproduces pl_prob, but the formula is also
-    the differentiation vehicle for sensitivity analysis, where one pair's
-    ratio is perturbed away from any score-consistent value.
+    Each K x K matrix must be elementwise positive with ratios[a, b] *
+    ratios[b, a] = 1 (tolerance 1e-9); the diagonal is ignored. When the
+    matrix comes from a score vector this reproduces pl_prob, but the
+    formula is also the differentiation vehicle for sensitivity analysis,
+    where one pair's ratio is perturbed away from any score-consistent
+    value. One matrix gives a float; a (..., K, K) stack gives an array of
+    shape (...), each entry equal to the call on its own matrix.
     """
     r = require_real_array(ratios, "ratios")
-    if r.ndim != 2 or r.shape[0] != r.shape[1] or r.shape[0] < 2:
+    if r.ndim < 2 or r.shape[-1] != r.shape[-2] or r.shape[-1] < 2:
         raise ValidationError(f"ratio matrix must be square with K >= 2, got shape {r.shape}")
-    k = r.shape[0]
+    k = r.shape[-1]
     off = ~np.eye(k, dtype=bool)
-    if not np.all(np.isfinite(r[off])) or np.any(r[off] <= 0.0):
+    if not np.all(np.isfinite(r[..., off])) or np.any(r[..., off] <= 0.0):
         raise ValidationError("off-diagonal ratios must be finite and positive")
-    recip = r * r.T
+    recip = r * np.swapaxes(r, -1, -2)
     bad = off & (np.abs(recip - 1.0) > RECIPROCAL_TOL)
     if np.any(bad):
-        a, b = map(int, np.argwhere(bad)[0])
+        *at, a, b = map(int, np.argwhere(bad)[0])
+        entry = lambda x, y: "ratios[" + ",".join(map(str, (*at, x, y))) + "]"
         raise ValidationError(
-            f"ratios[{a},{b}] * ratios[{b},{a}] = {recip[a, b]!r}, expected 1 "
+            f"{entry(a, b)} * {entry(b, a)} = {recip[(*at, a, b)]!r}, expected 1 "
             f"within {RECIPROCAL_TOL}"
         )
-    prob = 1.0
+    prob = np.ones(r.shape[:-2])
     for u in range(k - 1):
-        prob /= 1.0 + float(np.sum(r[u, u + 1 :]))
-    return _warn_if_saturated(prob)
+        prob /= 1.0 + np.sum(r[..., u, u + 1 :], axis=-1)
+    return _warn_if_saturated(float(prob) if prob.ndim == 0 else prob)
 
 
 def logit_normal_density(x, sigma2: float):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -24,6 +24,8 @@ from .errors import (
     require_alpha_beta,
     require_finite,
     require_int,
+    require_items,
+    require_real_array,
     require_seed,
     require_threshold,
 )
@@ -80,18 +82,24 @@ class MonteCarloEstimate:
 
 
 def finite_diff(
-    fn: Callable[..., float],
-    at: Sequence[float],
+    fn: Callable[..., Any],
+    at: Sequence[Any],
     slot: int = 0,
     h: float = 1e-6,
-) -> float:
+):
     """Central difference of fn in one probability slot of the point `at`.
 
     The step is shrunk if needed so both evaluation points stay at least
     BOUNDARY_MARGIN inside (0, 1); if no positive step fits, the point is
     too close to the boundary and a DomainError is raised.
+
+    The coordinates may be floats, giving a float, or numpy arrays that
+    broadcast together, giving an array of central differences, each
+    equal to the call at its own point. fn is then called once with all
+    the stepped-up points and once with all the stepped-down ones, and
+    must return one value per point.
     """
-    point = [require_finite(v, "point coordinate") for v in at]
+    point = np.broadcast_arrays(*map(_coordinate, require_items(at, "point")))
     slot = require_int(slot, "slot")
     if not 0 <= slot < len(point):
         raise DomainError(f"slot {slot} out of range for point of length {len(point)}")
@@ -99,16 +107,32 @@ def finite_diff(
     h = require_finite(h, "h")
     if h <= 0.0:
         raise DomainError(f"step h must be positive, got {h!r}")
-    h_eff = min(h, x - BOUNDARY_MARGIN, 1.0 - x - BOUNDARY_MARGIN)
-    if h_eff <= 0.0:
+    h_eff = np.minimum(np.minimum(h, x - BOUNDARY_MARGIN), 1.0 - x - BOUNDARY_MARGIN)
+    stuck = h_eff <= 0.0
+    if stuck.any():
         raise DomainError(
-            f"cannot perturb slot {slot} at {x!r}: both points must stay inside (0, 1)"
+            f"cannot perturb slot {slot} at {float(x[stuck][0])!r}: "
+            "both points must stay inside (0, 1)"
         )
-    hi = list(point)
-    lo = list(point)
+    # c[()] is a 0-d coordinate's float64 scalar, and an array coordinate itself.
+    hi = [c[()] for c in point]
+    lo = list(hi)
     hi[slot] = x + h_eff
     lo[slot] = x - h_eff
-    return (fn(*hi) - fn(*lo)) / (2.0 * h_eff)
+    up, down = (np.asarray(fn(*args), dtype=float) for args in (hi, lo))
+    diff = (up - down) / (2.0 * h_eff)
+    return float(diff) if diff.ndim == 0 else diff
+
+
+def _coordinate(value) -> np.ndarray:
+    """A finite float or array of finite floats, as an array."""
+    if np.ndim(value) == 0:
+        return np.asarray(require_finite(value, "point coordinate"))
+    arr = require_real_array(value, "point coordinate")
+    bad = arr[~np.isfinite(arr)]
+    if bad.size:
+        raise DomainError(f"point coordinate must be finite, got {float(bad[0])!r}")
+    return arr
 
 
 def mc_area_bt(threshold: float, n: int, seed: int = DEFAULT_SEED) -> MonteCarloEstimate:
@@ -200,14 +224,16 @@ def brute_force_pl(options: ScoredOptionSet, k: int) -> dict[tuple[int, ...], fl
 def mode_count(sigma2: float, grid_n: int = 10_000) -> int:
     """Number of local maxima of the pair-probability density on a grid.
 
-    Scans grid_n uniformly spaced interior points. A maximum must be
+    Scans grid_n uniformly spaced interior points, between the density's
+    limit 0 at both ends, so a mode that lies between an end and the
+    nearest grid point counts at that grid point. A maximum must be
     strictly above both neighbours; runs of exactly equal values are
     merged first, so a flat-topped peak counts once and the symmetric
     two-point tie straddling 0.5 is not missed.
     """
     grid_n = _require_grid_n(grid_n)
     grid = np.linspace(0.0, 1.0, grid_n + 2)[1:-1]
-    dens = logit_normal_density(grid, sigma2)
+    dens = np.concatenate(([0.0], logit_normal_density(grid, sigma2), [0.0]))
     # Collapse plateaus to single representatives.
     keep = np.ones(len(dens), dtype=bool)
     keep[1:] = dens[1:] != dens[:-1]

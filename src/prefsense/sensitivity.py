@@ -129,7 +129,8 @@ class BTRegionSlice:
     case is "case1" (p_kj below 1/(1+threshold), sensitive for p_ik above
     the boundary), "case2" (p_kj above threshold/(1+threshold), sensitive
     below the boundary), or "empty". The boundary value is reported for
-    every slice, including empty ones, for continuity of plotting.
+    every slice, including empty ones, for continuity of plotting; an
+    empty slice's raw boundary lies outside [0, 1] and is clamped to it.
     """
 
     threshold: float
@@ -176,7 +177,7 @@ def bt_region_slice(threshold: float, p_kj: float) -> BTRegionSlice:
         return BTRegionSlice(threshold, p_kj, "case1", boundary, (boundary, 1.0))
     if p_kj > threshold / (1.0 + threshold):
         return BTRegionSlice(threshold, p_kj, "case2", boundary, (0.0, boundary))
-    return BTRegionSlice(threshold, p_kj, "empty", boundary, None)
+    return BTRegionSlice(threshold, p_kj, "empty", min(max(boundary, 0.0), 1.0), None)
 
 
 def bt_region_area(threshold: float) -> float:

@@ -16,10 +16,10 @@ byte from its spec.
 
 The n_q question and n_a answer templates can only ever render
 2 * n_q * 2 * n_a * 2 distinct samples (4,800 for the 20 and 30 here), so
-generation renders the question table (pair x template x display order)
-and the answer table (pair x template x winner) once per call, turns
-each sample's draws into table indices with numpy, and builds each
-distinct sample once; the returned list shares those frozen instances.
+generation builds every such sample once per permutation, as a table kept
+for the few most recent permutations, and turns each sample's draws into
+table indices with numpy; the returned lists share those frozen
+instances, also between calls.
 JSONL files work the same way: write_jsonl renders each distinct sample's
 line once, and read_jsonl parses each distinct line once and shares the
 resulting instance.
@@ -34,6 +34,7 @@ templates, so it stays an independent check of the generator.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import re
@@ -67,7 +68,8 @@ __all__ = [
 # Largest dataset a spec admits or read_jsonl reads, refused before anything
 # is allocated.
 # generate keeps 8 bytes per sample (its list slot; samples share
-# instances) and its JSONL file takes about 200 bytes per sample. JSONL
+# instances) beside at most _TABLES sample tables of about 0.5 MB each, and
+# its JSONL file takes about 200 bytes per sample. JSONL
 # I/O caches each distinct line: read_jsonl keeps 8 bytes per sample plus
 # about 3 MB for the at most 4,800 distinct lines generate renders from
 # the two template tuples, and write_jsonl about 1 MB. A file whose lines
@@ -80,6 +82,9 @@ MAX_SAMPLES = 10**7
 # is the same as one (n, 5) draw; blocks keep the scratch arrays small
 # (40 bytes per row for the draws) whatever n is.
 _BLOCK = 8192
+
+# generate keeps the sample tables of this many recent permutations.
+_TABLES = 4
 
 QUESTION_TEMPLATES = (
     "If you had to choose between <A> and <B>, which would you prefer?",
@@ -184,45 +189,51 @@ def generate(spec: DatasetSpec) -> list[PreferenceSample]:
     admissible pairs, the question template, the answer template (shared
     by chosen and rejected, with slots swapped), the display order in the
     question, and the Bernoulli winner. The (first, third) pair is never
-    emitted. Equal samples are the same (frozen) object.
+    emitted. Equal samples are the same (frozen) object, also across calls.
     """
-    o1, o2, o3 = spec.permutation
-    pairs = ((o1, o2), (o2, o3))
-    # questions[pair][template][display]: display 1 shows the pair's second option first.
-    questions = [[(_fill(t, a, b), _fill(t, b, a)) for t in QUESTION_TEMPLATES] for a, b in pairs]
-    # answers[pair][template][outcome]: (chosen, rejected); outcome 1 means the second option wins.
-    answers = [
-        [((_fill(t, a, b), _fill(t, b, a)), (_fill(t, b, a), _fill(t, a, b))) for t in ANSWER_TEMPLATES]
-        for a, b in pairs
-    ]
-    shape = (2, len(QUESTION_TEMPLATES), 2, len(ANSWER_TEMPLATES), 2)
+    table = _sample_table(spec.permutation)
     rng = make_rng(spec.seed)
-    made: dict[int, PreferenceSample] = {}
     samples: list[PreferenceSample] = []
     for start in range(0, spec.n_samples, _BLOCK):
         draws = rng.random((min(_BLOCK, spec.n_samples - start), 5))
-        keys = _cell_keys(draws, spec, shape).tolist()
-        new = np.array(list(set(keys).difference(made)), dtype=np.int64)
-        cells = zip(new.tolist(), *(i.tolist() for i in np.unravel_index(new, shape)))
-        for key, p, q, d, a, w in cells:
-            made[key] = PreferenceSample(questions[p][q][d], *answers[p][a][w])
-        samples += map(made.__getitem__, keys)
+        samples += table[_cell_keys(draws, spec)].tolist()
     return samples
 
 
-def _cell_keys(draws: np.ndarray, spec: DatasetSpec, shape: tuple[int, ...]) -> np.ndarray:
+# Cells in C order: pair, question template, display order, answer template, outcome.
+_SHAPE = (2, len(QUESTION_TEMPLATES), 2, len(ANSWER_TEMPLATES), 2)
+
+
+@functools.lru_cache(maxsize=_TABLES)
+def _sample_table(permutation: tuple[str, str, str]) -> np.ndarray:
+    """Every sample a permutation admits, as a read-only flat object array over _SHAPE."""
+    o1, o2, o3 = permutation
+    cells = []
+    for a, b in ((o1, o2), (o2, o3)):
+        # Display 1 shows the pair's second option first; outcome 1 means it wins.
+        questions = [_fill(t, *shown) for t in QUESTION_TEMPLATES for shown in ((a, b), (b, a))]
+        answers = [(_fill(t, a, b), _fill(t, b, a)) for t in ANSWER_TEMPLATES]
+        outcomes = [pair for ab, ba in answers for pair in ((ab, ba), (ba, ab))]
+        cells += [PreferenceSample(q, *outcome) for q in questions for outcome in outcomes]
+    table = np.empty(len(cells), dtype=object)
+    table[:] = cells
+    table.flags.writeable = False
+    return table
+
+
+def _cell_keys(draws: np.ndarray, spec: DatasetSpec) -> np.ndarray:
     """Flat index of each row's (pair, question, display, answer, outcome) cell."""
     u_pair, u_q, u_a, u_disp, u_win = draws.T
     pair = u_pair >= 0.5
     return np.ravel_multi_index(
         (
             pair,
-            _template_index(u_q, shape[1]),
+            _template_index(u_q, _SHAPE[1]),
             u_disp >= 0.5,
-            _template_index(u_a, shape[3]),
+            _template_index(u_a, _SHAPE[3]),
             u_win >= np.where(pair, spec.p23, spec.p12),
         ),
-        shape,
+        _SHAPE,
     )
 
 

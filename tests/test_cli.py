@@ -77,6 +77,13 @@ class TestGradRegionArea:
         assert payload["d_p_uv"] == pytest.approx(d_uv, rel=1e-12)
         assert payload["d_p_vu"] == pytest.approx(-d_uv / 2, rel=1e-12)
 
+    def test_grad_pl_singular(self, capsys):
+        # (alpha p_uv + p_vu)^2 underflows to 0 at these probabilities.
+        argv = ("grad", "pl", "--p-uv", "1e-200", "--p-vu", "1e-200", "--alpha", "1.01", "--beta", "0.99")
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert_one_error_line(err, "ranking derivative undefined at (1e-200, 1e-200)")
+
     def test_grad_requires_point(self, capsys):
         code, _, err = run(capsys, "grad", "bt")
         assert code == 1
@@ -91,6 +98,13 @@ class TestGradRegionArea:
         code, out, _ = run(capsys, "region", "bt", "--M", "20", "--p-kj", "0.5")
         assert code == 0
         assert "empty" in out
+
+    # The raw boundary of these empty slices is 1.02083 and -0.0208333.
+    @pytest.mark.parametrize("p_kj, boundary", [("0.02", "1"), ("0.98", "0")])
+    def test_region_bt_empty_boundary_within_unit_interval(self, capsys, p_kj, boundary):
+        code, out, _ = run(capsys, "region", "bt", "--M", "1e200", "--p-kj", p_kj)
+        assert code == 0
+        assert out.splitlines()[:2] == ["case: empty", f"boundary p_ik: {boundary}"]
 
     def test_region_pl(self, capsys):
         code, out, _ = run(

@@ -197,6 +197,22 @@ class TestComposition:
         with pytest.warns(SaturationWarning):
             bt_compose(1 - 1e-16, 1 - 1e-16)
 
+    def test_arrays_equal_scalar_calls(self):
+        rng = make_rng(35)
+        a, b = rng.uniform(1e-6, 1.0 - 1e-6, size=(2, 3, 40))
+        composed = bt_compose(a, b)
+        assert composed.shape == a.shape
+        assert composed.tolist() == [
+            [bt_compose(x, y) for x, y in zip(row_a, row_b)] for row_a, row_b in zip(a.tolist(), b.tolist())
+        ]
+        assert bt_compose(a, 0.3).tolist() == [[bt_compose(x, 0.3) for x in row] for row in a.tolist()]
+        assert type(bt_compose(np.float64(0.4), 0.3)) is float
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, math.nan, math.inf])
+    def test_array_domain_errors(self, bad):
+        with pytest.raises(DomainError, match="p_kj must"):
+            bt_compose(np.array([0.2, 0.3]), np.array([0.4, bad]))
+
 
 _NEAR_ONE = 1 - 1e-16
 _EXTREME = ScoredOptionSet(["a", "b", "c"], [800.0, 0.0, -800.0])
@@ -209,13 +225,14 @@ _EXTREME = ScoredOptionSet(["a", "b", "c"], [800.0, 0.0, -800.0])
         lambda: compose_pairwise(LOGISTIC, _NEAR_ONE, _NEAR_ONE),
         lambda: compose_pairwise(PROBIT, _NEAR_ONE, _NEAR_ONE),
         lambda: bt_compose(_NEAR_ONE, _NEAR_ONE),
+        lambda: bt_compose(np.array([0.5, _NEAR_ONE]), np.array([0.5, _NEAR_ONE])),
         lambda: pl_prob(KTuplePreference((0, 1, 2)), _EXTREME),
         lambda: LOGISTIC.evaluate(40.0),
         lambda: PROBIT.evaluate(40.0),
         lambda: predict(FitResult((0.0, 40.0), 0.0, 1, True), 1, 0),
     ],
     ids=[
-        "bt_prob", "compose_logistic", "compose_probit", "bt_compose", "pl_prob",
+        "bt_prob", "compose_logistic", "compose_probit", "bt_compose", "bt_compose_array", "pl_prob",
         "logistic_evaluate", "probit_evaluate", "fitting_predict",
     ],
 )
@@ -332,8 +349,28 @@ class TestPLFromRatios:
 
     def test_rejects_inconsistent_reciprocals(self):
         m = np.array([[1.0, 2.0], [0.499, 1.0]])
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"ratios\[0,1\] \* ratios\[1,0\]"):
             pl_prob_from_ratios(m)
+
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_stack_equals_per_matrix_calls(self, k):
+        # Up to K = 10, so a stage sums up to 9 ratios: numpy's pairwise sum
+        # takes its unrolled path from 8 on, in a stack as in one matrix.
+        rng = make_rng(40 + k)
+        scores = rng.uniform(-3, 3, size=(3, 5, k))
+        stack = np.exp(scores[..., None, :] - scores[..., :, None])
+        probs = pl_prob_from_ratios(stack)
+        assert probs.shape == (3, 5)
+        assert probs.tolist() == [[pl_prob_from_ratios(m) for m in row] for row in stack]
+        assert type(pl_prob_from_ratios(stack[0, 0])) is float
+
+    def test_stack_names_the_inconsistent_matrix(self):
+        stack = np.ones((4, 3, 3))
+        stack[2, 0, 1] = 2.0
+        with pytest.raises(ValidationError, match=r"ratios\[2,0,1\] \* ratios\[2,1,0\] = "):
+            pl_prob_from_ratios(stack)
+        with pytest.raises(ValidationError, match="finite and positive"):
+            pl_prob_from_ratios(-stack)
 
     def test_rejects_nonpositive(self):
         m = np.array([[1.0, -2.0], [-0.5, 1.0]])
@@ -343,6 +380,11 @@ class TestPLFromRatios:
     def test_rejects_non_square(self):
         with pytest.raises(ValidationError):
             pl_prob_from_ratios(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("shape", [(4, 2, 3), (1, 1), (3,)])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(ValidationError, match="square with K >= 2"):
+            pl_prob_from_ratios(np.ones(shape))
 
     @pytest.mark.parametrize("ratios", [[[1, "x"], [1, 1]], [[1, 2j], [1, 1]]], ids=["string", "complex"])
     def test_rejects_non_real(self, ratios):

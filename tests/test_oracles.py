@@ -89,6 +89,35 @@ class TestFiniteDiff:
             with pytest.raises(DomainError):
                 finite_diff(lambda x: x * x, (0.5,), h=h)
 
+    def test_arrays_equal_scalar_calls(self):
+        # Points near both ends shrink the step; the rest use h.
+        rng = make_rng(12)
+        a = np.concatenate([[1e-7, 1.0 - 1e-7, 0.5], rng.random(300)])
+        b = rng.random(len(a))
+        calls = []
+
+        def compose(x, y):
+            calls.append(np.shape(x))
+            return bt_compose(x, y)
+
+        for slot in (0, 1):
+            calls.clear()
+            fd = finite_diff(compose, (a, b), slot=slot)
+            assert calls == [a.shape, a.shape]
+            want = [finite_diff(bt_compose, (x, y), slot=slot) for x, y in zip(a.tolist(), b.tolist())]
+            assert fd.tolist() == want
+        # A float coordinate broadcasts against an array one.
+        assert finite_diff(bt_compose, (a, 0.3)).tolist() == [
+            finite_diff(bt_compose, (x, 0.3)) for x in a.tolist()
+        ]
+        assert type(finite_diff(bt_compose, (0.4, 0.3))) is float
+
+    def test_array_point_too_close_to_the_boundary(self):
+        with pytest.raises(DomainError, match="cannot perturb slot 0 at 5e-10"):
+            finite_diff(lambda x: x, (np.array([0.5, 5e-10, 0.2]),))
+        with pytest.raises(DomainError, match="point coordinate must be finite"):
+            finite_diff(lambda x: x, (np.array([0.5, math.nan]),))
+
 
 class TestMCAreaBT:
     def test_deterministic(self):
@@ -286,9 +315,10 @@ def _scalar_density(x, sigma2):
 
 
 def _scalar_mode_count(sigma2, grid_n=10_000):
-    """mode_count's scan over a density evaluated by a scalar loop."""
+    """mode_count's scan over a density evaluated by a scalar loop, with
+    the density's limit 0 at both ends."""
     grid = np.linspace(0.0, 1.0, grid_n + 2)[1:-1]
-    dens = np.array([_scalar_density(float(x), sigma2) for x in grid])
+    dens = np.array([0.0] + [_scalar_density(float(x), sigma2) for x in grid] + [0.0])
     keep = np.ones(len(dens), dtype=bool)
     keep[1:] = dens[1:] != dens[:-1]
     vals = dens[keep]
@@ -309,6 +339,15 @@ class TestModeCount:
     @pytest.mark.parametrize("sigma2", [0.5, 0.9, 0.999, 1.001, 1.1, 2.0, 5.0])
     def test_equals_scalar_loop(self, sigma2):
         assert mode_count(sigma2, 10_000) == _scalar_mode_count(sigma2)
+
+    def test_modes_beyond_the_end_points(self):
+        # At sigma2 = 5 the modes lie at about 4.5e-5 and 1 - 4.5e-5, closer
+        # to the ends than the first and last grid points (1/10001): the
+        # density falls from both of those points towards the middle.
+        grid = np.linspace(0.0, 1.0, 10_002)[1:-1]
+        dens = logit_normal_density(grid, 5.0)
+        assert dens[0] > dens[1] and dens[-1] > dens[-2]
+        assert mode_count(5.0) == 2
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("sigma2", [1e-300, 1e-310])

@@ -126,6 +126,22 @@ class TestBTRegion:
         assert bt_region_slice(20.0, 0.5).interval is None
         assert bt_region_slice(2.0, 0.4).case == "empty"
 
+    def test_empty_slice_boundary_within_unit_interval(self):
+        # The raw boundary of an empty slice lies above 1 below p_kj = 0.5
+        # and below 0 above it; the reported one is clamped to [0, 1].
+        for m, q, want in ((1e200, 0.02, 1.0), (1e200, 0.98, 0.0), (2.0, 0.4, 1.0), (2.0, 0.6, 0.0)):
+            region = bt_region_slice(m, q)
+            assert region.case == "empty"
+            assert not 0.0 <= bt_boundary(m, q) <= 1.0
+            assert region.boundary == want
+        assert bt_region_slice(20.0, 0.5).boundary == bt_boundary(20.0, 0.5)
+        for m in (1.01, 2.0, 20.0, 1e200):
+            for q in make_rng(45).random(200).tolist():
+                region = bt_region_slice(m, q)
+                assert 0.0 <= region.boundary <= 1.0
+                if region.case != "empty":
+                    assert region.boundary == bt_boundary(m, q)
+
     def test_case2_slice(self):
         region = bt_region_slice(2.0, 0.9)
         assert region.case == "case2"
@@ -248,6 +264,13 @@ class TestPLContext:
             pl_context(options, omega, 0, 3)
         with pytest.raises(DomainError, match="u must be an integer"):
             pl_context(options, omega, 0.5, 1)
+
+    def test_context_validation(self):
+        with pytest.raises(DomainError, match="K must be at least 2, got 1"):
+            PLSensitivityContext(k=1, u=0, v=1, alpha=1.1, beta=0.5)
+        for u, v in ((1, 1), (2, 1)):
+            with pytest.raises(DomainError, match="need 0 <= u < v < K"):
+                PLSensitivityContext(k=3, u=u, v=v, alpha=1.1, beta=0.5)
 
     def test_synthetic_context_validation(self):
         with pytest.raises(DomainError):

@@ -230,6 +230,11 @@ class TestGenerateMatchesReference:
         s = DatasetSpec(PERM, 0.6, 0.3, 2 * _BLOCK + 17, 8)
         assert generate(s) == reference_generate(s)
 
+    @pytest.mark.parametrize("p12,p23", [(0.0, 1.0), (1.0, 0.4)])
+    def test_spans_draw_blocks_at_endpoints(self, p12, p23):
+        s = DatasetSpec(PERM, p12, p23, 2 * _BLOCK + 17, 9)
+        assert generate(s) == reference_generate(s)
+
     def test_single_sample(self):
         for seed in range(20):
             s = DatasetSpec(PERM, 0.5, 0.5, 1, seed)
@@ -240,6 +245,26 @@ class TestGenerateMatchesReference:
         samples = generate(s)
         assert samples == reference_generate(s)
         assert tally_outcomes(samples, s.permutation) == reference_tally(samples, s.permutation)
+
+    def test_equal_samples_are_one_instance_across_calls(self):
+        first = generate(spec(p12=0.6, p23=0.3, n=3000, seed=1))
+        second = generate(spec(p12=0.6, p23=0.3, n=3000, seed=2))
+        by_text = {s: s for s in second}
+        shared = [s for s in first if s in by_text]
+        assert len(shared) > 1000
+        assert all(by_text[s] is s for s in shared)
+        # Distinct cells have distinct text, so sharing cannot hide a change.
+        assert len({id(s) for s in first + second}) == len(set(first + second))
+
+    def test_sample_tables_are_bounded(self):
+        maxsize = synth._sample_table.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 8
+        for i in range(maxsize + 3):
+            generate(DatasetSpec((f"x{i}", "y", "z"), 0.5, 0.5, 10, 0))
+        assert synth._sample_table.cache_info().currsize == maxsize
+        table = synth._sample_table(PERM)
+        assert len(table) == 2 * len(QUESTION_TEMPLATES) * 2 * len(ANSWER_TEMPLATES) * 2
+        assert not table.flags.writeable
 
     def test_golden_digest(self, tmp_path):
         path = tmp_path / "golden.jsonl"
@@ -290,6 +315,15 @@ class TestEmpiricalCheck:
         s = spec(p12=0.99, n=10_000)
         report = empirical_check(generate(s), s)
         assert abs(report.pairs[0].z_score) <= 3.0
+
+    def test_pair_without_samples(self):
+        # One sample compares one of the two pairs; the other has no counts.
+        for seed in range(4):
+            s = spec(p12=0.5, p23=0.5, n=1, seed=seed)
+            counted, empty = sorted(empirical_check(generate(s), s).pairs, key=lambda ps: -ps.count)
+            assert counted.count == 1
+            assert (empty.count, empty.first_wins, empty.z_score) == (0, 0, 0.0)
+            assert math.isnan(empty.empirical_p) and math.isnan(empty.std_error)
 
     def test_unknown_options_rejected(self):
         bad = [PreferenceSample("q", "I prefer fish.", "I prefer rocks.")]

@@ -10,7 +10,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prefsense import verification
+from prefsense import (
+    LOGISTIC,
+    PROBIT,
+    KTuplePreference,
+    ScoredOptionSet,
+    bt_compose,
+    bt_partial,
+    compose_pairwise,
+    general_partial,
+    make_rng,
+    pl_context,
+    pl_partials,
+    pl_prob_from_ratios,
+    ratio_matrix,
+    verification,
+)
 
 EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
 
@@ -37,16 +52,64 @@ def test_wrong_derivative_fails_both_gate_kinds(monkeypatch, wrong):
 def test_wrong_partial_fails_derivative_oracles_at_the_point(monkeypatch):
     points = []
 
-    def wrong_partial(p, q):
-        points.append((p, q))
-        return 0.0
+    def wrong_terms(p, q):
+        points.extend(zip(p.tolist(), q.tolist()))
+        return np.zeros_like(p), np.ones_like(p)
 
-    monkeypatch.setattr(verification, "bt_partial", wrong_partial)
+    monkeypatch.setattr(verification, "bt_partial_terms", wrong_terms)
     result = verification.check_derivative_oracles(True)
     assert not result.passed
     a, b = points[0]
     # rel = |0 - fd| / |fd| = 1 at every point, against the 1e-5 bound.
     assert f"bt at ({a:.6g}, {b:.6g}): 1, want <= 1e-05" in result.details
+
+
+def _scalar_central_difference(fn, at, slot):
+    """One point at a time, in Python floats: the step finite_diff takes."""
+    x = at[slot]
+    h = min(1e-6, x - 1e-9, 1.0 - x - 1e-9)
+    hi, lo = list(at), list(at)
+    hi[slot], lo[slot] = x + h, x - h
+    return (fn(*hi) - fn(*lo)) / (2.0 * h)
+
+
+def test_derivative_errors_equal_a_scalar_loop():
+    # The quick run's 200 points, one scalar call per point and derivative.
+    options = ScoredOptionSet(("a", "b", "c", "d"), (0.8, 0.1, -0.4, -1.2))
+    omega = KTuplePreference((0, 1, 2, 3))
+    ctx = pl_context(options, omega, 1, 2)
+    ratios = ratio_matrix(options, omega)
+    a, b = (0.01 + 0.98 * make_rng(verification.VERIFY_SEED).random((200, 2))).T
+    got = verification._derivative_errors(a, b, ctx, verification._pl_ratio_fn(ratios, 1, 2))
+
+    def ratio_prob(p_uv, p_vu):
+        r = ratios.copy()
+        r[1, 2], r[2, 1] = p_vu / p_uv, p_uv / p_vu
+        return pl_prob_from_ratios(r)
+
+    want = {name: [] for name in ("bt", "logistic", "probit", "pl_uv", "pl_vu")}
+    rel = lambda exact, fd: abs(exact - fd) / abs(fd)
+    for at in zip(a.tolist(), b.tolist()):
+        want["bt"].append(rel(bt_partial(*at), _scalar_central_difference(bt_compose, at, 0)))
+        for name, link in (("logistic", LOGISTIC), ("probit", PROBIT)):
+            compose = lambda x, y: compose_pairwise(link, x, y)
+            want[name].append(rel(general_partial(link, *at), _scalar_central_difference(compose, at, 0)))
+        d_uv, d_vu = pl_partials(*at, ctx)
+        want["pl_uv"].append(rel(d_uv, _scalar_central_difference(ratio_prob, at, 0)))
+        want["pl_vu"].append(rel(d_vu, _scalar_central_difference(ratio_prob, at, 1)))
+    assert {name: errors.tolist() for name, errors in got.items()} == want
+
+
+def test_holds_gate_failure_names_the_point():
+    gates = verification._Gates()
+    gates.holds("sample count", True, (0.5,))
+    assert gates.failures == []
+    gates.holds("sample count", False, (0.25, "dog"))
+    gates.holds("sweep has 21 specs", False)
+    assert gates.failures == [
+        "sample count at (0.25, dog): does not hold",
+        "sweep has 21 specs: does not hold",
+    ]
 
 
 def test_wrong_pl_area_fails_the_exponent_check(monkeypatch):
