@@ -29,7 +29,6 @@ from .models import (
     logit_normal_density,
     pl_prob,
     pl_prob_from_ratios,
-    pl_ratio,
     ratio_matrix,
 )
 from .oracles import (

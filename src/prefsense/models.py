@@ -41,7 +41,6 @@ __all__ = [
     "compose_pairwise",
     "bt_compose",
     "pl_prob",
-    "pl_ratio",
     "ratio_matrix",
     "pl_prob_from_ratios",
     "logit_normal_density",
@@ -133,45 +132,37 @@ def bt_compose(p_ik, p_kj):
     return _warn_if_saturated(1.0 / (1.0 + odds))
 
 
+def _stage_denominators(r):
+    """Plackett-Luce stage denominators of a (..., K, K) ratio stack.
+
+    Stage u's factor is 1 / (1 + sum_{t>u} r[..., u, t]); the list holds
+    those denominators for u = 0 .. K-2, in stage order.
+    """
+    return [1.0 + np.sum(r[..., u, u + 1 :], axis=-1) for u in range(r.shape[-1] - 1)]
+
+
 def pl_prob(omega: KTuplePreference, options: ScoredOptionSet) -> float:
     """Plackett-Luce probability of a K-tuple ranking.
 
-    Evaluated stage by stage in score-difference form, subtracting the
-    stage maximum so no exponential overflows. For K = 2 this reduces to
-    bt_prob of the two scores.
+    The product over stages u of 1 / (1 + sum_{t>u} r[u, t]), with r the
+    ranking's ratio_matrix. A ratio that overflows to inf gives its stage
+    a factor of 0, which is the limit. For K = 2 this reduces to bt_prob
+    of the two scores.
     """
-    omega.validate_for(options)
-    scores = options.scores
+    with np.errstate(over="ignore"):
+        r = ratio_matrix(options, omega)
     prob = 1.0
-    remaining = list(omega.indices)
-    for stage in range(len(remaining) - 1):
-        stage_scores = [scores[i] for i in remaining[stage:]]
-        top = max(stage_scores)
-        denom = sum(math.exp(s - top) for s in stage_scores)
-        prob *= math.exp(stage_scores[0] - top) / denom
+    for denom in _stage_denominators(r):
+        prob /= float(denom)
     return _warn_if_saturated(prob)
-
-
-def pl_ratio(options: ScoredOptionSet, u: int, v: int) -> float:
-    """Suffix-swap probability ratio for options u and v.
-
-    For any two rankings that share a prefix and end (..., u, v) versus
-    (..., v, u), the ratio of the swapped to the original probability is
-    exp(-(s_u - s_v)), independent of K and of the prefix.
-    """
-    u, v, n = require_int(u, "u"), require_int(v, "v"), len(options)
-    if not (0 <= u < n and 0 <= v < n):
-        raise DomainError(f"indices ({u}, {v}) out of range for {n} options")
-    if u == v:
-        raise DomainError("ratio requires two distinct options")
-    return math.exp(-(options.scores[u] - options.scores[v]))
 
 
 def ratio_matrix(options: ScoredOptionSet, omega: KTuplePreference) -> np.ndarray:
     """K x K matrix of suffix-swap ratios between the entries of a ranking.
 
-    Entry [a, b] is pl_ratio evaluated at tuple positions a and b, i.e.
-    exp(s_omega[b] - s_omega[a]); the diagonal is 1.
+    Entry [a, b] is exp(s_omega[b] - s_omega[a]): a ranking ending
+    (..., b, a) over the same ranking ending (..., a, b), for any K and
+    prefix. The diagonal is 1.
     """
     omega.validate_for(options)
     s = np.array([options.scores[i] for i in omega.indices], dtype=float)
@@ -206,8 +197,8 @@ def pl_prob_from_ratios(ratios):
             f"within {RECIPROCAL_TOL}"
         )
     prob = np.ones(r.shape[:-2])
-    for u in range(k - 1):
-        prob /= 1.0 + np.sum(r[..., u, u + 1 :], axis=-1)
+    for denom in _stage_denominators(r):
+        prob /= denom
     return _warn_if_saturated(float(prob) if prob.ndim == 0 else prob)
 
 
@@ -220,10 +211,7 @@ def logit_normal_density(x, sigma2: float):
     0 and 1 as sigma2 grows. x may be a float, giving a float, or an array
     of points strictly inside (0, 1), giving an array of densities.
     """
-    xs = require_real_array(x, "x")
-    inside = (xs > 0.0) & (xs < 1.0)
-    if not inside.all():
-        raise DomainError(f"x must lie strictly inside (0, 1), got {float(xs[~inside][0])!r}")
+    xs = require_probability(require_real_array(x, "x"), "x")
     sigma2 = require_finite(sigma2, "sigma2")
     if sigma2 <= 0.0:
         raise DomainError(f"sigma2 must be positive, got {sigma2!r}")

@@ -30,8 +30,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import (
     DomainError,
     SingularityError,
@@ -43,7 +41,7 @@ from .errors import (
     require_threshold,
 )
 from .links import LinkFunction
-from .models import KTuplePreference, ScoredOptionSet, ratio_matrix
+from .models import KTuplePreference, ScoredOptionSet, _stage_denominators, ratio_matrix
 
 __all__ = [
     "BTRegionSlice",
@@ -82,19 +80,22 @@ def bt_partial_terms(p_ik, p_kj):
 def bt_partial(p_ik: float, p_kj: float) -> float:
     """Derivative of the composed Bradley-Terry probability w.r.t. p_ik.
 
-    Always positive in the open square. The denominator vanishes only in
-    the corner limits (p_ik, p_kj) -> (1, 0) or (0, 1); hitting it exactly
-    raises a SingularityError carrying the point, so callers can tell
-    "undefined" apart from "huge but finite".
+    Finite and positive in the open square; the denominator vanishes only
+    in the corner limits (p_ik, p_kj) -> (1, 0) or (0, 1).
     """
     p_ik = require_probability(p_ik, "p_ik")
     p_kj = require_probability(p_kj, "p_kj")
     numer, denom = bt_partial_terms(p_ik, p_kj)
-    if denom == 0.0:
-        raise SingularityError(
-            f"composition derivative undefined at ({p_ik!r}, {p_kj!r})",
-            point=(p_ik, p_kj),
-        )
+    # denom is never 0. It is base^2, where base is exactly
+    # -((1-p)(1-q) + pq) < 0 but is computed as fl(p + q - 2pq) - 1. A float
+    # other than 1 differs from 1 by at least 2^-53, and subtracting 1 from
+    # a float near 1 is exact (Sterbenz), so |base| is 0 or at least 2^-53
+    # and denom >= 2^-106. base = 0 needs p + q - 2pq to round to 1, so
+    # fl(p + q) >= 1. There the exact gap to 1, (1-p)(1-q) + pq, exceeds
+    # 2^-54 (half the spacing below 1) plus the rounding errors of p + q and
+    # 2pq (2^-53 + 2^-52 pq), except at p = 1 - 2^-53 with q in
+    # [2^-54, 2^-54 + 2^-105], or mirrored, where the sum rounds to
+    # 1 - 2^-53 (pinned by a test).
     return numer / denom
 
 
@@ -244,10 +245,9 @@ def pl_context(
     ratios = ratio_matrix(options, omega)
     alpha = 1.0 + float(sum(ratios[u, t] for t in range(u + 1, k) if t != v))
     beta = 1.0
-    for stage in range(k - 1):
-        if stage == u:
-            continue
-        beta /= 1.0 + float(np.sum(ratios[stage, stage + 1 :]))
+    for stage, denom in enumerate(_stage_denominators(ratios)):
+        if stage != u:
+            beta /= float(denom)
     return PLSensitivityContext(k=k, u=u, v=v, alpha=alpha, beta=beta)
 
 

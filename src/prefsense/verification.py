@@ -204,7 +204,7 @@ def check_pl_area_exponent(quick: bool = False) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _pl_ratio_fn(ratios: np.ndarray, u: int, v: int):
+def _swap_ratio_fn(ratios: np.ndarray, u: int, v: int):
     """Ranking probability as a function of the (u, v) swap pair only.
 
     Rebuilds the ratio matrix with the pair's ratio (and its reciprocal)
@@ -253,7 +253,7 @@ def check_derivative_oracles(quick: bool = False) -> CheckResult:
         omega = KTuplePreference((0, 1, 2, 3))
         u, v = 1, 2
         ctx = pl_context(options, omega, u, v)
-        ratio_fn = _pl_ratio_fn(ratio_matrix(options, omega), u, v)
+        ratio_fn = _swap_ratio_fn(ratio_matrix(options, omega), u, v)
         # One (n, 2) draw is the same stream as n draws of 2.
         a, b = (0.01 + 0.98 * rng.random((n_points, 2))).T
         errors = _derivative_errors(a, b, ctx, ratio_fn)

@@ -125,6 +125,15 @@ class TestGradRegionArea:
         assert payload["which"] == "vu"
         assert payload["interval"] == list(bounds.interval)
 
+    def test_region_pl_empty(self, capsys):
+        argv = ["region", "pl", "--M", "2", "--p-uv", "0.5"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == "[uv] interval: empty (fixed coordinate beyond beta/(4 alpha M))\n"
+        code, out, _ = run(capsys, *argv, "--json")
+        payload = json.loads(out)
+        assert (payload["center"], payload["interval"]) == (None, None)
+
     def test_region_pl_requires_point(self, capsys):
         code, _, err = run(capsys, "region", "pl", "--M", "2")
         assert code == 1
@@ -214,6 +223,13 @@ class TestRaster:
             "--resolution", "64", "--thresholds", "2,5",
         )
         assert code == 0
+
+    def test_bad_threshold_list(self, capsys, tmp_path):
+        out_file = tmp_path / "grid.csv"
+        code, out, err = run(capsys, "raster", "bt", "--thresholds", "2,x", "--out", str(out_file))
+        assert (code, out) == (1, "")
+        assert_one_error_line(err, "expected a comma-separated list of numbers, got '2,x'")
+        assert not out_file.exists()
 
     def test_bad_resolution(self, capsys, tmp_path):
         for resolution in ("8", "4097"):

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 from scipy.stats import norm
 
 from prefsense import (
     LOGISTIC,
     PROBIT,
     DomainError,
+    ProbitLink,
     SaturationWarning,
     get_link,
     make_rng,
@@ -142,6 +144,18 @@ class TestProbit:
     def test_saturation_warns(self):
         with pytest.warns(SaturationWarning):
             assert PROBIT.evaluate(9.0) == 1.0
+
+    def test_subnormal_tail_falls_back_to_bisection(self, monkeypatch):
+        # Newton does not settle at this subnormal p, so inverse bisects.
+        calls = []
+        bisect = ProbitLink._bisect
+        monkeypatch.setattr(
+            ProbitLink, "_bisect", staticmethod(lambda p: calls.append(p) or bisect(p))
+        )
+        p = 2.52927466e-316
+        x = PROBIT.inverse(p)
+        assert calls == [p]
+        assert x == pytest.approx(ndtri(p), rel=1e-9)
 
 
 class TestRegistry:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from prefsense import (
     make_rng,
     pl_prob,
     pl_prob_from_ratios,
-    pl_ratio,
     predict,
     ratio_matrix,
 )
@@ -288,30 +288,53 @@ class TestPLProb:
         with pytest.raises(DomainError):
             pl_prob(KTuplePreference((0, 3)), options)
 
+    def test_overflowing_ratio_gives_zero(self):
+        # exp(800) overflows to inf, so the first stage's factor is 0.
+        options = ScoredOptionSet(["a", "b"], [0.0, 800.0])
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            assert pl_prob(KTuplePreference((0, 1)), options) == 0.0
+        assert [w.category for w in record] == [SaturationWarning]
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 9])
+    def test_equals_the_ratio_product(self, k):
+        # One stage kernel: the score form and the ratio form agree exactly.
+        rng = make_rng(50 + k)
+        options = ScoredOptionSet([f"o{i}" for i in range(k)], rng.uniform(-30, 30, size=k))
+        for _ in range(20):
+            omega = KTuplePreference(tuple(rng.permutation(k)))
+            assert pl_prob(omega, options) == pl_prob_from_ratios(ratio_matrix(options, omega))
+
 
 class TestPLRatio:
+    """The suffix-swap ratio, read from ratio_matrix."""
+
     def test_equal_scores(self):
         options = ScoredOptionSet(["a", "b"], [1.5, 1.5])
-        assert pl_ratio(options, 0, 1) == pytest.approx(1.0, abs=1e-15)
+        assert ratio_matrix(options, KTuplePreference((0, 1)))[0, 1] == pytest.approx(
+            1.0, abs=1e-15
+        )
 
     def test_log_two_gap(self):
         options = ScoredOptionSet(["a", "b"], [math.log(2), 0.0])
-        assert pl_ratio(options, 0, 1) == pytest.approx(0.5, abs=1e-14)
+        assert ratio_matrix(options, KTuplePreference((0, 1)))[0, 1] == pytest.approx(
+            0.5, abs=1e-14
+        )
 
     def test_reciprocal(self):
         rng = make_rng(26)
         options = ScoredOptionSet(["a", "b", "c"], rng.uniform(-5, 5, size=3))
+        r = ratio_matrix(options, KTuplePreference((0, 1, 2)))
         for u, v in itertools.permutations(range(3), 2):
-            assert pl_ratio(options, u, v) * pl_ratio(options, v, u) == pytest.approx(
-                1.0, abs=1e-12
-            )
+            assert r[u, v] * r[v, u] == pytest.approx(1.0, abs=1e-12)
 
     def test_same_index_rejected(self):
+        # A ratio is taken between two distinct entries of a ranking.
         options = ScoredOptionSet(["a", "b"], [0.0, 1.0])
-        with pytest.raises(DomainError):
-            pl_ratio(options, 1, 1)
-        with pytest.raises(DomainError, match="u must be an integer"):
-            pl_ratio(options, 0.5, 1)
+        with pytest.raises(ValidationError, match="distinct"):
+            ratio_matrix(options, KTuplePreference((1, 1)))
+        with pytest.raises(DomainError, match="ranking index must be an integer"):
+            ratio_matrix(options, KTuplePreference((0.5, 1)))
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_swap_ratio_matches_probability_ratio(self, k):
@@ -322,9 +345,10 @@ class TestPLRatio:
         options = ScoredOptionSet([f"o{i}" for i in range(k)], rng.uniform(-2, 2, size=k))
         prefix = tuple(range(k - 2))
         u, v = k - 2, k - 1
-        p_uv = pl_prob(KTuplePreference(prefix + (u, v)), options)
+        omega = KTuplePreference(prefix + (u, v))
+        p_uv = pl_prob(omega, options)
         p_vu = pl_prob(KTuplePreference(prefix + (v, u)), options)
-        assert p_vu / p_uv == pytest.approx(pl_ratio(options, u, v), abs=1e-12)
+        assert p_vu / p_uv == pytest.approx(ratio_matrix(options, omega)[u, v], abs=1e-12)
 
 
 class TestPLFromRatios:
@@ -432,11 +456,24 @@ class TestLogitNormalDensity:
         assert dens.tolist() == [[logit_normal_density(x, 1.1) for x in row] for row in xs.tolist()]
         assert type(logit_normal_density(np.float64(0.3), 1.1)) is float
 
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 1.5, math.nan, math.inf])
-    def test_array_outside_unit_interval(self, bad):
+    @pytest.mark.parametrize(
+        "bad,text",
+        [
+            (0.0, "x must lie strictly inside"),
+            (1.0, "x must lie strictly inside"),
+            (-0.5, "x must lie strictly inside"),
+            (1.5, "x must lie strictly inside"),
+            (math.nan, "x must be finite, got nan"),
+            (math.inf, "x must be finite, got inf"),
+        ],
+        ids=["0.0", "1.0", "-0.5", "1.5", "nan", "inf"],
+    )
+    def test_array_outside_unit_interval(self, bad, text):
         xs = np.array([0.2, bad, 0.7])
-        with pytest.raises(DomainError, match="x must lie strictly inside"):
+        with pytest.raises(DomainError, match=text):
             logit_normal_density(xs, 1.0)
+        with pytest.raises(DomainError, match=text):
+            logit_normal_density(bad, 1.0)
 
     @pytest.mark.parametrize("sigma2", [math.nan, math.inf, 0.0, -1.0])
     def test_array_bad_sigma2(self, sigma2):

@@ -21,8 +21,8 @@ from prefsense import (
     mc_area_bt,
     mode_count,
     pl_prob,
-    pl_ratio,
     quad_area_pl,
+    ratio_matrix,
 )
 from prefsense.oracles import MAX_GRID_N, MAX_MC_SAMPLES
 
@@ -294,7 +294,7 @@ class TestBruteForce:
                 u, v = perm[-2], perm[-1]
                 swapped = perm[:-2] + (v, u)
                 assert table[swapped] / table[perm] == pytest.approx(
-                    pl_ratio(options, u, v), rel=1e-12
+                    ratio_matrix(options, KTuplePreference(perm))[-2, -1], rel=1e-12
                 )
 
     def test_size_guard(self):

@@ -37,8 +37,10 @@ from prefsense import (
     ratio_matrix,
     sensitivity_witness,
 )
+from prefsense.sensitivity import bt_partial_terms
 
 interior = st.floats(min_value=0.01, max_value=0.99)
+open_unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
 
 
 class TestBTPartial:
@@ -71,6 +73,24 @@ class TestBTPartial:
             value = bt_partial(p, q)
             assert math.isfinite(value)
             assert value > 0.0
+
+    @pytest.mark.parametrize(
+        "q", [2.0**-54, 2.0**-54 + 2.0**-106, 2.0**-54 + 2.0**-105, 5e-324],
+        ids=["2^-54", "2^-54+1ulp", "2^-54+2ulp", "min_subnormal"],
+    )
+    def test_denominator_at_the_corners(self, q):
+        # Where bt_partial's rounding argument is tight: p + q - 2pq rounds
+        # to 1 - 2^-53, not 1, so the denominator is (2^-53)^2 = 1.2326e-32.
+        p = 1.0 - 2.0**-53
+        for a, b in ((p, q), (q, p)):
+            assert bt_partial_terms(a, b)[1] == 2.0**-106
+            value = bt_partial(a, b)
+            assert math.isfinite(value) and value > 0.0
+
+    @given(open_unit, open_unit)
+    @settings(max_examples=300)
+    def test_denominator_positive_for_every_float_pair(self, a, b):
+        assert bt_partial_terms(a, b)[1] >= 2.0**-106
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

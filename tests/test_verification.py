@@ -80,7 +80,7 @@ def test_derivative_errors_equal_a_scalar_loop():
     ctx = pl_context(options, omega, 1, 2)
     ratios = ratio_matrix(options, omega)
     a, b = (0.01 + 0.98 * make_rng(verification.VERIFY_SEED).random((200, 2))).T
-    got = verification._derivative_errors(a, b, ctx, verification._pl_ratio_fn(ratios, 1, 2))
+    got = verification._derivative_errors(a, b, ctx, verification._swap_ratio_fn(ratios, 1, 2))
 
     def ratio_prob(p_uv, p_vu):
         r = ratios.copy()
