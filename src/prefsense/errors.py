@@ -23,6 +23,7 @@ __all__ = [
     "EnumerationSizeError",
     "SaturationWarning",
     "require_int",
+    "require_instance",
     "require_items",
     "require_real_array",
     "require_seed",
@@ -98,6 +99,13 @@ def require_int(x: Any, name: str) -> int:
         return operator.index(x)
     except TypeError as exc:
         raise DomainError(f"{name} must be an integer, got {x!r}") from exc
+
+
+def require_instance(x: Any, cls: type, name: str) -> Any:
+    """Refuse an argument that is not an instance of cls."""
+    if not isinstance(x, cls):
+        raise ValidationError(f"{name} must be a {cls.__name__}, got {x!r}")
+    return x
 
 
 def require_items(x: Any, name: str) -> tuple:

@@ -73,10 +73,14 @@ def make_rng(seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class MonteCarloEstimate:
-    """A hit-or-miss estimate with its binomial standard error."""
+    """A hit-or-miss estimate with its binomial standard error.
 
-    value: float
-    std_error: float
+    value and std_error are arrays when the estimate covers several
+    thresholds.
+    """
+
+    value: float | np.ndarray
+    std_error: float | np.ndarray
     n_samples: int
     seed: int
 
@@ -135,33 +139,41 @@ def _coordinate(value) -> np.ndarray:
     return arr
 
 
-def mc_area_bt(threshold: float, n: int, seed: int = DEFAULT_SEED) -> MonteCarloEstimate:
+def mc_area_bt(threshold, n: int, seed: int = DEFAULT_SEED) -> MonteCarloEstimate:
     """Hit-or-miss area of the Bradley-Terry sensitive region.
 
     Samples (p_ik, p_kj) uniformly over the unit square and counts points
     where the composition derivative magnitude exceeds the threshold. The
     derivative is evaluated through its raw arithmetic form, independent
     of the region formulas being verified.
+
+    A float threshold gives a float value and standard error. A 1-D
+    sequence of thresholds gives arrays of them, one per threshold, each
+    equal to the float call's: every threshold is counted against the
+    same n points, drawn once.
     """
-    threshold = require_threshold(threshold)
+    if np.ndim(threshold) > 1:
+        raise DomainError(f"thresholds must be a float or a 1-D sequence, got {threshold!r}")
+    thresholds = np.array([require_threshold(t) for t in np.ravel(threshold)])
+    if not thresholds.size:
+        raise DomainError("at least one threshold is required")
     n = require_int(n, "n")
     if not 10_000 <= n <= MAX_MC_SAMPLES:
         raise DomainError(f"n must lie in [10^4, {MAX_MC_SAMPLES}], got {n}")
     rng = make_rng(seed)
-    hits = 0
+    hits = np.zeros(thresholds.size, dtype=np.int64)
     for start in range(0, n, _BLOCK):
         pts = rng.random((min(_BLOCK, n - start), 2))
         p, q = pts[:, 0], pts[:, 1]
         with np.errstate(divide="ignore", invalid="ignore"):
-            deriv = q * (1.0 - q) / (p + q - 2.0 * p * q - 1.0) ** 2
-        hits += int(np.count_nonzero(np.abs(deriv) > threshold))
+            magnitude = np.abs(q * (1.0 - q) / (p + q - 2.0 * p * q - 1.0) ** 2)
+        for i, t in enumerate(thresholds):
+            hits[i] += np.count_nonzero(magnitude > t)
     frac = hits / n
-    return MonteCarloEstimate(
-        value=frac,
-        std_error=math.sqrt(frac * (1.0 - frac) / n),
-        n_samples=n,
-        seed=int(seed),
-    )
+    std_error = np.sqrt(frac * (1.0 - frac) / n)
+    if np.ndim(threshold) == 0:
+        frac, std_error = float(frac[0]), float(std_error[0])
+    return MonteCarloEstimate(value=frac, std_error=std_error, n_samples=n, seed=int(seed))
 
 
 def _require_grid_n(grid_n) -> int:

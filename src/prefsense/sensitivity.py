@@ -30,12 +30,15 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import (
     DomainError,
     SingularityError,
     WitnessNotFoundError,
     require_alpha_beta,
     require_finite,
+    require_instance,
     require_int,
     require_probability,
     require_threshold,
@@ -147,9 +150,36 @@ class BTRegionSlice:
         return lo < p_ik < hi
 
 
-def _bt_boundary_raw(threshold: float, p_kj: float) -> float:
+def _bt_boundary_raw(threshold, p_kj):
     inv = 1.0 / p_kj
-    return 1.0 - (math.sqrt((inv - 1.0) / threshold) - 1.0) / (inv - 2.0)
+    return 1.0 - (np.sqrt((inv - 1.0) / threshold) - 1.0) / (inv - 2.0)
+
+
+def _bt_boundary_terms(threshold, p_kj):
+    """bt_boundary for floats or arrays of p_kj, unvalidated."""
+    p_kj = np.asarray(p_kj, dtype=float)
+    with np.errstate(all="ignore"):
+        boundary = _bt_boundary_raw(threshold, p_kj)
+        near = np.abs(1.0 / p_kj - 2.0) < 1e-6
+        if near.any():
+            lo = _bt_boundary_raw(threshold, p_kj - 1e-7)
+            hi = _bt_boundary_raw(threshold, p_kj + 1e-7)
+            boundary = np.where(near, 0.5 * (lo + hi), boundary)
+    return boundary
+
+
+def bt_region_terms(threshold, p_kj):
+    """(lo, hi, boundary) of the sensitive p_ik interval at p_kj, for floats or arrays.
+
+    Unvalidated. lo and hi are NaN where the slice is empty, and an empty
+    slice's boundary is clamped to [0, 1].
+    """
+    boundary = _bt_boundary_terms(threshold, p_kj)
+    case1 = p_kj < 1.0 / (1.0 + threshold)
+    case2 = p_kj > threshold / (1.0 + threshold)
+    lo = np.where(case1, boundary, np.where(case2, 0.0, np.nan))
+    hi = np.where(case1, 1.0, np.where(case2, boundary, np.nan))
+    return lo, hi, np.where(case1 | case2, boundary, np.clip(boundary, 0.0, 1.0))
 
 
 def bt_boundary(threshold: float, p_kj: float) -> float:
@@ -162,23 +192,18 @@ def bt_boundary(threshold: float, p_kj: float) -> float:
     """
     threshold = require_threshold(threshold)
     p_kj = require_probability(p_kj, "p_kj")
-    if abs(1.0 / p_kj - 2.0) < 1e-6:
-        lo = _bt_boundary_raw(threshold, p_kj - 1e-7)
-        hi = _bt_boundary_raw(threshold, p_kj + 1e-7)
-        return 0.5 * (lo + hi)
-    return _bt_boundary_raw(threshold, p_kj)
+    return float(_bt_boundary_terms(threshold, p_kj))
 
 
 def bt_region_slice(threshold: float, p_kj: float) -> BTRegionSlice:
     """Classify a p_kj slice and return its sensitive p_ik interval."""
     threshold = require_threshold(threshold)
     p_kj = require_probability(p_kj, "p_kj")
-    boundary = bt_boundary(threshold, p_kj)
-    if p_kj < 1.0 / (1.0 + threshold):
-        return BTRegionSlice(threshold, p_kj, "case1", boundary, (boundary, 1.0))
-    if p_kj > threshold / (1.0 + threshold):
-        return BTRegionSlice(threshold, p_kj, "case2", boundary, (0.0, boundary))
-    return BTRegionSlice(threshold, p_kj, "empty", min(max(boundary, 0.0), 1.0), None)
+    lo, hi, boundary = map(float, bt_region_terms(threshold, p_kj))
+    if math.isnan(hi):
+        return BTRegionSlice(threshold, p_kj, "empty", boundary, None)
+    case = "case1" if p_kj < 1.0 / (1.0 + threshold) else "case2"
+    return BTRegionSlice(threshold, p_kj, case, boundary, (lo, hi))
 
 
 def bt_region_area(threshold: float) -> float:
@@ -237,12 +262,27 @@ def pl_context(
     u: int,
     v: int,
 ) -> PLSensitivityContext:
-    """Build the (alpha, beta) context for positions u < v of a ranking."""
+    """Build the (alpha, beta) context for positions u < v of a ranking.
+
+    Raises DomainError when a later-ranked option outscores an earlier one
+    by more than about 709, where its ratio overflows float64.
+    """
     omega.validate_for(options)
     k, u, v = len(omega), require_int(u, "u"), require_int(v, "v")
     if not 0 <= u < v < k:
         raise DomainError(f"need 0 <= u < v < K={k}, got u={u}, v={v}")
-    ratios = ratio_matrix(options, omega)
+    # Only the entries above the diagonal are read, so an overflow below it
+    # (an earlier-ranked option far ahead) is harmless.
+    with np.errstate(over="ignore"):
+        ratios = ratio_matrix(options, omega)
+    overflow = np.argwhere(np.triu(np.isinf(ratios)))
+    if len(overflow):
+        a, b = overflow[0].tolist()
+        gap = options.scores[omega.indices[b]] - options.scores[omega.indices[a]]
+        raise DomainError(
+            f"the scores at ranking positions {a} and {b} differ by {gap:g}; "
+            f"their ratio exp({gap:g}) overflows float64"
+        )
     alpha = 1.0 + float(sum(ratios[u, t] for t in range(u + 1, k) if t != v))
     beta = 1.0
     for stage, denom in enumerate(_stage_denominators(ratios)):
@@ -266,6 +306,7 @@ def pl_partials(p_uv: float, p_vu: float, ctx: PLSensitivityContext) -> tuple[fl
     Returns (d/d p_uv, d/d p_vu); the first is positive and the second
     negative, with magnitudes in the ratio p_vu : p_uv.
     """
+    require_instance(ctx, PLSensitivityContext, "ctx")
     p_uv = require_probability(p_uv, "p_uv")
     p_vu = require_probability(p_vu, "p_vu")
     numer_uv, denom = pl_partial_terms(p_uv, p_vu, ctx.alpha, ctx.beta, "uv")
@@ -304,6 +345,24 @@ class PLRegionBounds:
         return lo < value < hi
 
 
+def pl_region_terms(threshold, alpha, beta, fixed, which: str):
+    """(lo, hi, center, half_width) of the sensitive free coordinate, for floats or arrays.
+
+    Unvalidated; fixed is p_uv for which="uv" and p_vu for "vu". Where the
+    interval is empty (disc <= 0), lo, hi and center are NaN and
+    half_width is 0.
+    """
+    fixed = np.asarray(fixed, dtype=float)
+    scale = threshold if which == "uv" else alpha**2 * threshold
+    disc = beta * (beta - 4.0 * alpha * threshold * fixed)
+    empty = disc <= 0.0
+    # Empty entries are overwritten, whatever their arithmetic gave.
+    with np.errstate(all="ignore"):
+        center = np.where(empty, np.nan, (beta - 2.0 * alpha * threshold * fixed) / (2.0 * scale))
+        half = np.where(empty, 0.0, np.sqrt(np.maximum(disc, 0.0)) / (2.0 * scale))
+    return center - half, center + half, center, half
+
+
 def pl_region(
     threshold: float,
     ctx: PLSensitivityContext,
@@ -316,16 +375,13 @@ def pl_region(
     fixes p_vu and bounds p_uv (reverse derivative).
     """
     threshold = require_threshold(threshold)
+    require_instance(ctx, PLSensitivityContext, "ctx")
     fixed = require_probability(fixed, "fixed coordinate")
     if which not in ("uv", "vu"):
         raise DomainError(f"which must be 'uv' or 'vu', got {which!r}")
-    scale = threshold if which == "uv" else ctx.alpha**2 * threshold
-    disc = ctx.beta * (ctx.beta - 4.0 * ctx.alpha * threshold * fixed)
-    if disc <= 0.0:
-        return PLRegionBounds(threshold, which, fixed, math.nan, 0.0, None)
-    center = (ctx.beta - 2.0 * ctx.alpha * threshold * fixed) / (2.0 * scale)
-    half = math.sqrt(disc) / (2.0 * scale)
-    return PLRegionBounds(threshold, which, fixed, center, half, (center - half, center + half))
+    lo, hi, center, half = map(float, pl_region_terms(threshold, ctx.alpha, ctx.beta, fixed, which))
+    interval = None if math.isnan(lo) else (lo, hi)
+    return PLRegionBounds(threshold, which, fixed, center, half, interval)
 
 
 def pl_region_area(threshold: float, ctx: PLSensitivityContext, which: str = "uv") -> float:
@@ -338,6 +394,7 @@ def pl_region_area(threshold: float, ctx: PLSensitivityContext, which: str = "uv
     for every threshold of 2 or more.
     """
     threshold = require_threshold(threshold)
+    require_instance(ctx, PLSensitivityContext, "ctx")
     # threshold * threshold rounds like threshold**2 but gives inf, and so
     # an area of 0.0, where ** raises OverflowError (threshold above 1.3e154).
     m2 = threshold * threshold
@@ -365,6 +422,7 @@ def compare_bt_pl_areas(threshold: float, ctx: PLSensitivityContext) -> AreaComp
     hold for every admissible (alpha, beta).
     """
     threshold = require_threshold(threshold)
+    require_instance(ctx, PLSensitivityContext, "ctx")
     if ctx.k <= 2:
         raise DomainError("comparison requires a K-tuple context with K > 2")
     bt = bt_region_area(threshold)

@@ -36,13 +36,13 @@ from .sensitivity import (
     bt_partial_terms,
     bt_region_area,
     bt_region_slice,
+    bt_region_terms,
     compare_bt_pl_areas,
     general_partial,
     pl_context,
     pl_partial_terms,
-    pl_partials,
-    pl_region,
     pl_region_area,
+    pl_region_terms,
     sensitivity_witness,
 )
 from .synth import DatasetSpec, empirical_check, generate, sweep
@@ -169,11 +169,12 @@ def check_bt_area_monte_carlo(quick: bool = False) -> CheckResult:
 
     def body(f: _Gates) -> str:
         rels = []
-        for m in thresholds:
+        # One draw of n points serves every threshold.
+        estimates = mc_area_bt(thresholds, n, MC_AREA_SEED).value.tolist()
+        for m, value in zip(thresholds, estimates):
             closed = bt_region_area(m)
-            est = mc_area_bt(m, n, MC_AREA_SEED)
-            rel = abs(est.value - closed) / closed
-            rels.append(f"M={m:g}: closed {closed:.6f}, mc {est.value:.6f}, rel {rel:.4f}")
+            rel = abs(value - closed) / closed
+            rels.append(f"M={m:g}: closed {closed:.6f}, mc {value:.6f}, rel {rel:.4f}")
             f.at_most("Monte Carlo relative area error", rel, 0.02, (m,))
         return "; ".join(rels)
 
@@ -276,70 +277,103 @@ def check_derivative_oracles(quick: bool = False) -> CheckResult:
 
 _MARGIN = 1e-3
 
+# Pairs drawn at a time while looking for outside points. The stream is
+# rewound to just after the pair that completes the quota, so the block
+# size does not change which points are checked.
+_OUTSIDE_BLOCK = 1024
 
-def _open_unit(rng) -> float:
-    """A uniform draw kept 1e-6 away from both ends of (0, 1)."""
-    return 1e-6 + (1 - 2e-6) * rng.random()
+
+def _open_unit(u):
+    """Uniform draws kept 1e-6 away from both ends of (0, 1)."""
+    return 1e-6 + (1 - 2e-6) * u
 
 
-def _bt_inside(rng, threshold) -> tuple[float, float]:
-    # Alternate the two region lobes; sample strictly inside.
+def _inside_points(r, threshold, ctx):
+    """(p, q) points strictly inside the BT, PL uv and PL vu regions.
+
+    Row i of r holds point i's 7 uniform draws, in this order: the BT
+    lobe, q and p, then the fixed and free coordinates of uv and of vu.
+    The BT points alternate the two lobes; PL points are (p_uv, p_vu).
+    """
     edge = threshold / (1.0 + threshold)
-    if rng.random() < 0.5:
-        q = _open_unit(rng) / (1.0 + threshold)
-    else:
-        q = edge + (1.0 - edge) * _open_unit(rng)
-    lo, hi = bt_region_slice(threshold, q).interval
-    return lo + (hi - lo) * _open_unit(rng), q
+    u = _open_unit(r[:, 1])
+    q = np.where(r[:, 0] < 0.5, u / (1.0 + threshold), edge + (1.0 - edge) * u)
+    lo, hi, _ = bt_region_terms(threshold, q)
+    points = [(lo + (hi - lo) * _open_unit(r[:, 2]), q)]
+    for which, col in (("uv", 3), ("vu", 5)):
+        fixed = ctx.beta / (4.0 * ctx.alpha * threshold) * _open_unit(r[:, col])
+        lo, hi, _, _ = pl_region_terms(threshold, ctx.alpha, ctx.beta, fixed, which)
+        free = lo + (hi - lo) * _open_unit(r[:, col + 1])
+        points.append((fixed, free) if which == "uv" else (free, fixed))
+    return points
 
 
-def _pl_inside(rng, threshold, ctx, which) -> tuple[float, float]:
-    fixed = ctx.beta / (4.0 * ctx.alpha * threshold) * _open_unit(rng)
-    lo, hi = pl_region(threshold, ctx, fixed, which).interval
-    free = lo + (hi - lo) * _open_unit(rng)
-    return (fixed, free) if which == "uv" else (free, fixed)  # (p_uv, p_vu)
-
-
-def _outside_with_margin(inside, p, q) -> bool:
-    """True if (p, q) and its four neighbours at _MARGIN all fail `inside`."""
+def _outside_masks(p, q, threshold, ctx):
+    """(3, n) masks of the pairs that lie, with their four neighbours at
+    _MARGIN, outside the BT, PL uv and PL vu regions (rows in that order)."""
     probes = ((p, q), (p - _MARGIN, q), (p + _MARGIN, q), (p, q - _MARGIN), (p, q + _MARGIN))
-    clamp = lambda v: min(max(v, 1e-9), 1 - 1e-9)
-    return not any(inside(clamp(x), clamp(y)) for x, y in probes)
+    within = lambda lo, hi, x: (lo < x) & (x < hi)
+    bt = uv = vu = np.zeros(len(p), dtype=bool)
+    for x, y in probes:
+        x, y = np.clip(x, 1e-9, 1 - 1e-9), np.clip(y, 1e-9, 1 - 1e-9)
+        bt = bt | within(*bt_region_terms(threshold, y)[:2], x)
+        uv = uv | within(*pl_region_terms(threshold, ctx.alpha, ctx.beta, x, "uv")[:2], y)
+        vu = vu | within(*pl_region_terms(threshold, ctx.alpha, ctx.beta, y, "vu")[:2], x)
+    return ~np.stack((bt, uv, vu))
+
+
+def _magnitudes(p, q, ctx):
+    """|d p_ij / d p_ik|, |d p / d p_uv| and |d p / d p_vu| at the points
+    (p, q), read as (p_ik, p_kj) and as (p_uv, p_vu)."""
+    numer, denom = bt_partial_terms(p, q)
+    numer_uv, pl_denom = pl_partial_terms(p, q, ctx.alpha, ctx.beta, "uv")
+    numer_vu, _ = pl_partial_terms(p, q, ctx.alpha, ctx.beta, "vu")
+    return numer / denom, numer_uv / pl_denom, numer_vu / pl_denom
+
+
+# Gate names of the three regions, in the order of _inside_points and _outside_masks.
+_REGIONS = ("bt_partial", "pl d_uv", "|pl d_vu|")
 
 
 def check_region_coherence(quick: bool = False) -> CheckResult:
     n_points = 200 if quick else 1000
     thresholds = (1.01, 2.0, 3.0, 5.0, 10.0)
+    quota = n_points // len(thresholds)
 
     def body(f: _Gates) -> str:
         rng = make_rng(VERIFY_SEED)
         ctx = PLSensitivityContext.from_alpha_beta(FIGURE_ALPHA, FIGURE_BETA)
         checked_in = checked_out = 0
         for m in thresholds:
-            for _ in range(n_points // len(thresholds)):
-                p, q = _bt_inside(rng, m)
-                f.above("bt_partial inside region", bt_partial(p, q), m, (p, q))
-                x, y = _pl_inside(rng, m, ctx, "uv")
-                f.above("pl d_uv inside region", pl_partials(x, y, ctx)[0], m, (x, y))
-                x, y = _pl_inside(rng, m, ctx, "vu")
-                f.above("|pl d_vu| inside region", abs(pl_partials(x, y, ctx)[1]), m, (x, y))
+            # One (n, 7) draw is the same stream as n rows of 7 single draws.
+            inside = [
+                zip(zip(x.tolist(), y.tolist()), _magnitudes(x, y, ctx)[k].tolist())
+                for k, (x, y) in enumerate(_inside_points(rng.random((quota, 7)), m, ctx))
+            ]
+            for row in zip(*inside):
+                for name, (at, value) in zip(_REGIONS, row):
+                    f.above(f"{name} inside region", value, m, at)
                 checked_in += 3
-            bt_in = lambda x, y: bt_region_slice(m, y).contains(x)
-            uv_in = lambda x, y: pl_region(m, ctx, x, "uv").contains(y)
-            vu_in = lambda x, y: pl_region(m, ctx, y, "vu").contains(x)
             n_out = 0
-            while n_out < n_points // len(thresholds):
-                p, q = rng.random(2)
-                if not (0 < p < 1 and 0 < q < 1):
-                    continue
-                if _outside_with_margin(bt_in, p, q):
-                    f.at_most("bt_partial outside region", bt_partial(p, q), m, (p, q))
-                    n_out += 1
-                    checked_out += 1
-                if _outside_with_margin(uv_in, p, q):
-                    f.at_most("pl d_uv outside region", pl_partials(p, q, ctx)[0], m, (p, q))
-                if _outside_with_margin(vu_in, p, q):
-                    f.at_most("|pl d_vu| outside region", abs(pl_partials(p, q, ctx)[1]), m, (p, q))
+            while n_out < quota:
+                state = rng.bit_generator.state
+                p, q = rng.random((_OUTSIDE_BLOCK, 2)).T
+                # rng.random may return 0.0, which lies outside the open square.
+                outside = _outside_masks(p, q, m, ctx) & (p > 0) & (q > 0)
+                found = np.cumsum(outside[0])
+                if found[-1] >= quota - n_out:
+                    # Rewind, and redraw only the pairs up to the one that completes the quota.
+                    used = int(np.searchsorted(found, quota - n_out)) + 1
+                    rng.bit_generator.state = state
+                    p, q = rng.random((used, 2)).T
+                    outside = outside[:, :used]
+                values = zip(*(v.tolist() for v in _magnitudes(p, q, ctx)))
+                for at, out, value in zip(zip(p.tolist(), q.tolist()), outside.T.tolist(), values):
+                    for name, is_out, d in zip(_REGIONS, out, value):
+                        if is_out:
+                            f.at_most(f"{name} outside region", d, m, at)
+                    n_out += out[0]
+                    checked_out += out[0]
         return f"{checked_in} inside and {checked_out}+ outside points coherent"
 
     return _run("region_coherence", body)
@@ -350,19 +384,26 @@ def check_region_coherence(quick: bool = False) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _transition_distance(centers, interval, exceeded, curve_points) -> float:
-    """Farthest distance from a cell whose raster class disagrees with the
-    analytic interval to its nearest curve point (0 if none disagrees)."""
-    analytic = np.zeros(len(centers), dtype=bool)
-    if interval is not None:
-        lo, hi = interval
-        analytic = (centers > lo) & (centers < hi)
-    mismatched = centers[analytic != exceeded]
-    if not len(mismatched):
-        return 0.0
-    if not len(curve_points):
-        return math.inf
-    return float(np.abs(mismatched[:, None] - np.asarray(curve_points)[None, :]).min(1).max())
+def _transition_distances(centers, lo, hi, curves, exceeded) -> np.ndarray:
+    """Per row i of exceeded, the farthest distance from a cell whose
+    raster class disagrees with the analytic interval (lo[i], hi[i]) to
+    its nearest curve point curves[k][i].
+
+    Row i holds the cells at fixed coordinate centers[i], along the free
+    one. A row with no disagreeing cell gives 0; one whose curve points
+    are all NaN (no curve) gives inf. Distances are computed only at the
+    disagreeing cells.
+    """
+    analytic = (centers > lo[:, None]) & (centers < hi[:, None])
+    rows, cols = np.nonzero(analytic != exceeded)
+    cells = centers[cols]
+    near = np.abs(cells - curves[0][rows])
+    for curve in curves[1:]:
+        near = np.fmin(near, np.abs(cells - curve[rows]))
+    near[np.isnan(near)] = np.inf
+    dist = np.zeros(len(lo))
+    np.maximum.at(dist, rows, near)
+    return dist
 
 
 def check_raster_boundaries(quick: bool = False) -> CheckResult:
@@ -373,29 +414,27 @@ def check_raster_boundaries(quick: bool = False) -> CheckResult:
         # Each grid is dropped before the next is built: one is alive at a time.
         bt_grid = raster_bt("d_pik", FIGURE_THRESHOLDS, resolution)
         centers = bt_grid.cell_centers()
+        # Grids are indexed [ix, iy]; each check reads rows of fixed coordinate.
         for level, t in enumerate(FIGURE_THRESHOLDS, start=1):
-            exceeded = bt_grid.classes >= level
-            for iy, q in enumerate(centers):
-                region = bt_region_slice(t, q)
-                curve = [region.boundary]
-                dist = _transition_distance(centers, region.interval, exceeded[:, iy], curve)
-                f.at_most("bt raster row: transition to boundary", dist, one_cell, (q, t))
+            lo, hi, boundary = bt_region_terms(t, centers)
+            dist = _transition_distances(centers, lo, hi, (boundary,), (bt_grid.classes >= level).T)
+            for q, d in zip(centers.tolist(), dist.tolist()):
+                f.at_most("bt raster row: transition to boundary", d, one_cell, (q, t))
         del bt_grid
-        ctx = PLSensitivityContext.from_alpha_beta(FIGURE_ALPHA, FIGURE_BETA)
         # Each PL field is checked along the axis of its fixed coordinate.
-        for which, axis, name in (
-            ("uv", 0, "pl uv raster column: transition to boundary"),
-            ("vu", 1, "pl vu raster row: transition to boundary"),
+        for which, transpose, name in (
+            ("uv", False, "pl uv raster column: transition to boundary"),
+            ("vu", True, "pl vu raster row: transition to boundary"),
         ):
             grid = raster_pl(f"d_{which}", FIGURE_ALPHA, FIGURE_BETA, FIGURE_THRESHOLDS, resolution)
             for level, t in enumerate(FIGURE_THRESHOLDS, start=1):
+                lo, hi, _, _ = pl_region_terms(t, FIGURE_ALPHA, FIGURE_BETA, centers, which)
                 exceeded = grid.classes >= level
-                for i, fixed in enumerate(centers):
-                    interval = pl_region(t, ctx, fixed, which).interval
-                    dist = _transition_distance(
-                        centers, interval, exceeded.take(i, axis=axis), interval or ()
-                    )
-                    f.at_most(name, dist, one_cell, (fixed, t))
+                dist = _transition_distances(
+                    centers, lo, hi, (lo, hi), exceeded.T if transpose else exceeded
+                )
+                for fixed, d in zip(centers.tolist(), dist.tolist()):
+                    f.at_most(name, d, one_cell, (fixed, t))
             del grid
         return (
             f"resolution {resolution}, thresholds {FIGURE_THRESHOLDS}: all class "

@@ -211,6 +211,32 @@ class TestMCAreaBT:
         assert estimate == mc_area_bt(2.0, 10_000, seed=3)
 
 
+    # 70_001 is not a multiple of the block, so the last block is short.
+    @pytest.mark.parametrize("seed", [0, 8, 12345])
+    def test_thresholds_share_one_draw(self, seed):
+        thresholds = (1.5, 2.0, 5.0, 10.0)
+        est = mc_area_bt(np.array(thresholds), 70_001, seed)
+        assert (est.n_samples, est.seed) == (70_001, seed)
+        assert est.value.shape == est.std_error.shape == (4,)
+        for m, value, std_error in zip(thresholds, est.value.tolist(), est.std_error.tolist()):
+            one = mc_area_bt(m, 70_001, seed)
+            assert isinstance(one.value, float) and isinstance(one.std_error, float)
+            assert (value, std_error) == (one.value, one.std_error)
+        assert mc_area_bt(list(thresholds), 70_001, seed).value.tolist() == est.value.tolist()
+
+    def test_threshold_sequence_guards(self):
+        with pytest.raises(DomainError, match="1-D"):
+            mc_area_bt(np.full((2, 2), 2.0), 10_000)
+        with pytest.raises(DomainError, match="at least one threshold"):
+            mc_area_bt([], 10_000)
+        with pytest.raises(UnsupportedThresholdError):
+            mc_area_bt([2.0, 1.0], 10_000)
+        with pytest.raises(DomainError, match="threshold must be"):
+            mc_area_bt([2.0, "x"], 10_000)
+        with pytest.raises(DomainError, match="threshold must be finite"):
+            mc_area_bt(np.array([2.0, np.nan]), 10_000)
+
+
 class TestQuadAreaPL:
     def test_matches_closed_form(self):
         value = quad_area_pl(2.0, 1.01, 0.99, "uv", 100_000)

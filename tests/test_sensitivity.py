@@ -1,10 +1,11 @@
 """Sensitivity derivatives, regions, areas, and the two main results."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prefsense import (
@@ -16,6 +17,7 @@ from prefsense import (
     ScoredOptionSet,
     SingularityError,
     UnsupportedThresholdError,
+    ValidationError,
     WitnessNotFoundError,
     bt_boundary,
     bt_compose,
@@ -37,10 +39,13 @@ from prefsense import (
     ratio_matrix,
     sensitivity_witness,
 )
-from prefsense.sensitivity import bt_partial_terms
+from prefsense.sensitivity import bt_partial_terms, bt_region_terms, pl_region_terms
 
 interior = st.floats(min_value=0.01, max_value=0.99)
 open_unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+# Within 1e-6 of p_kj = 0.5 the BT boundary is a two-sided average.
+near_half = st.floats(min_value=0.5 - 1e-6, max_value=0.5 + 1e-6)
+above_one = st.floats(min_value=1.0, max_value=1e6, exclude_min=True)
 
 
 class TestBTPartial:
@@ -285,6 +290,23 @@ class TestPLContext:
         with pytest.raises(DomainError, match="u must be an integer"):
             pl_context(options, omega, 0.5, 1)
 
+    # exp(800) overflows float64; pl_prob of these rankings is 0.0.
+    @pytest.mark.parametrize("perm, u, v, positions", [((0, 1, 2), 0, 1, "0 and 2"), ((0, 2, 1), 1, 2, "0 and 1")])
+    def test_score_gap_beyond_float64(self, perm, u, v, positions):
+        options = ScoredOptionSet(["a", "b", "c"], [0.0, 0.0, 800.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"ranking positions {positions} differ by 800;"):
+                pl_context(options, KTuplePreference(perm), u, v)
+
+    def test_overflow_of_an_unread_ratio_is_harmless(self):
+        # r[1, 0] = exp(800) overflows, but only entries above the diagonal are read.
+        options = ScoredOptionSet(["a", "b", "c"], [800.0, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ctx = pl_context(options, KTuplePreference((0, 1, 2)), 0, 1)
+        assert (ctx.alpha, ctx.beta) == (1.0, 0.5)
+
     def test_context_validation(self):
         with pytest.raises(DomainError, match="K must be at least 2, got 1"):
             PLSensitivityContext(k=1, u=0, v=1, alpha=1.1, beta=0.5)
@@ -434,6 +456,72 @@ class TestPLRegions:
             if not bounds.empty:
                 lo, hi = bounds.interval
                 assert 0.0 <= lo < hi <= 1.0
+
+
+def _same(a: float, b: float) -> bool:
+    """Equal floats, with NaN equal to NaN."""
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+class TestRegionKernels:
+    """The array kernels give, entry by entry, what the scalar calls give."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        threshold=above_one,
+        p_kj=st.lists(st.one_of(open_unit, near_half), min_size=1, max_size=30),
+    )
+    @example(threshold=1e200, p_kj=[0.02, 0.98, 0.5])
+    @example(threshold=2.0, p_kj=[0.4, 0.6, 0.5 - 5e-7, 0.5 + 1e-6, 0.1, 0.9])
+    def test_bt_array_equals_scalar_calls(self, threshold, p_kj):
+        lo, hi, boundary = bt_region_terms(threshold, np.array(p_kj))
+        for q, got in zip(p_kj, zip(lo.tolist(), hi.tolist(), boundary.tolist())):
+            region = bt_region_slice(threshold, q)
+            raw = bt_boundary(threshold, q)
+            if region.interval is None:
+                assert math.isnan(got[0]) and math.isnan(got[1])
+                assert got[2] == region.boundary == min(max(raw, 0.0), 1.0)
+            else:
+                # Below about 5.6e-309, 1 / p_kj overflows and the boundary is NaN.
+                assert all(map(_same, got, (*region.interval, region.boundary)))
+                assert _same(got[2], raw)
+            assert all(map(_same, got, map(float, bt_region_terms(threshold, q))))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        threshold=above_one,
+        alpha=st.floats(min_value=1.0, max_value=4.0),
+        beta=st.floats(min_value=0.01, max_value=1.0),
+        # Multiples of the largest fixed value with a nonempty interval.
+        scale=st.lists(st.floats(min_value=1e-6, max_value=2.0), min_size=1, max_size=30),
+        which=st.sampled_from(["uv", "vu"]),
+    )
+    def test_pl_array_equals_scalar_calls(self, threshold, alpha, beta, scale, which):
+        ctx = PLSensitivityContext.from_alpha_beta(alpha, beta)
+        fixed = [beta / (4.0 * alpha * threshold) * f for f in scale]
+        terms = pl_region_terms(threshold, alpha, beta, np.array(fixed), which)
+        for x, got in zip(fixed, zip(*(t.tolist() for t in terms))):
+            bounds = pl_region(threshold, ctx, x, which)
+            want = (*(bounds.interval or (math.nan, math.nan)), bounds.center, bounds.half_width)
+            assert all(map(_same, got, want))
+            assert bounds.empty == (beta * (beta - 4.0 * alpha * threshold * x) <= 0.0)
+
+
+class TestContextType:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda ctx: pl_region(2.0, ctx, 0.05, "uv"),
+            lambda ctx: pl_partials(0.1, 0.2, ctx),
+            lambda ctx: pl_region_area(2.0, ctx),
+            lambda ctx: compare_bt_pl_areas(2.0, ctx),
+        ],
+        ids=["pl_region", "pl_partials", "pl_region_area", "compare_bt_pl_areas"],
+    )
+    @pytest.mark.parametrize("ctx", [1.5, None, (1.01, 0.99)], ids=["float", "None", "tuple"])
+    def test_wrong_type_refused(self, call, ctx):
+        with pytest.raises(ValidationError, match="ctx must be a PLSensitivityContext, got "):
+            call(ctx)
 
 
 class TestPLArea:

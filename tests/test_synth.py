@@ -291,6 +291,13 @@ class TestTallyOutcomes:
         rename = dict(zip(perm, PERM))
         assert Counter({(rename[w], rename[l]): n for (w, l), n in tally.items()}) == base
 
+    def test_equal_copies_tally_as_one_shared_instance(self):
+        shared = generate(spec(p12=0.6, p23=0.3, n=3000))
+        copies = [PreferenceSample(s.question, s.chosen, s.rejected) for s in shared]
+        assert len({id(s) for s in copies}) == len(copies) > len({id(s) for s in shared})
+        assert tally_outcomes(copies, PERM) == tally_outcomes(shared, PERM)
+        assert tally_outcomes(copies, PERM) == reference_tally(shared, PERM)
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValidationError):
             tally_outcomes([PreferenceSample("q", "I prefer dog.", "I prefer dog.")], PERM)

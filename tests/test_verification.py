@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import json
 import math
+import re
 import weakref
 from pathlib import Path
 
@@ -14,15 +15,18 @@ from prefsense import (
     LOGISTIC,
     PROBIT,
     KTuplePreference,
+    PLSensitivityContext,
     ScoredOptionSet,
     bt_compose,
     bt_partial,
+    bt_region_slice,
     compose_pairwise,
     general_partial,
     make_rng,
     pl_context,
     pl_partials,
     pl_prob_from_ratios,
+    pl_region,
     ratio_matrix,
     verification,
 )
@@ -127,15 +131,31 @@ def test_wrong_pl_area_fails_the_exponent_check(monkeypatch):
 def test_transition_distance_cases():
     centers = (np.arange(8) + 0.5) / 8
     inside = (centers > 0.3) & (centers < 0.6)
-    assert verification._transition_distance(centers, (0.3, 0.6), inside, [0.3, 0.6]) == 0.0
-    assert verification._transition_distance(centers, None, np.zeros(8, dtype=bool), ()) == 0.0
-    assert verification._transition_distance(centers, None, inside, ()) == math.inf
+    nan = math.nan
+
+    def distance(interval, exceeded, curve):
+        # One row at fixed coordinate centers[0]; NaN stands for no interval or curve.
+        lo, hi = np.array([interval[0]]), np.array([interval[1]])
+        curves = tuple(np.array([c]) for c in curve)
+        [dist] = verification._transition_distances(centers, lo, hi, curves, exceeded[None, :]).tolist()
+        return dist
+
+    assert distance((0.3, 0.6), inside, (0.3, 0.6)) == 0.0
+    assert distance((nan, nan), np.zeros(8, dtype=bool), (nan, nan)) == 0.0
+    assert distance((nan, nan), inside, (nan, nan)) == math.inf
     # Cells 0.3125 .. 0.6875 read as exceeded; 0.6875 disagrees, nearest curve point 0.6.
     wide = (centers > 0.3) & (centers < 0.7)
-    assert verification._transition_distance(centers, (0.3, 0.6), wide, [0.3, 0.6]) == 0.6875 - 0.6
+    assert distance((0.3, 0.6), wide, (0.3, 0.6)) == 0.6875 - 0.6
     everywhere = np.ones(8, dtype=bool)
     want = max(min(abs(x - c) for c in (0.3, 0.6)) for x in centers[~inside])
-    assert verification._transition_distance(centers, (0.3, 0.6), everywhere, [0.3, 0.6]) == want
+    assert distance((0.3, 0.6), everywhere, (0.3, 0.6)) == want
+    # An empty BT slice: no interval, one (clamped) boundary point.
+    assert distance((nan, nan), inside, (1.0,)) == 1.0 - 0.3125
+    # Rows are independent: each gets its own worst distance.
+    rows = np.stack([inside, wide, everywhere, np.zeros(8, dtype=bool)])
+    lo, hi = np.array([0.3, 0.3, 0.3, nan]), np.array([0.6, 0.6, 0.6, nan])
+    dist = verification._transition_distances(centers, lo, hi, (lo, hi), rows)
+    assert dist.tolist() == [0.0, 0.6875 - 0.6, want, 0.0]
 
 
 def test_wrong_raster_fails_raster_boundaries(monkeypatch):
@@ -169,6 +189,84 @@ def test_raster_boundaries_keeps_one_grid_alive(monkeypatch):
     monkeypatch.setattr(verification, "raster_pl", tracked(verification.raster_pl))
     assert verification.check_raster_boundaries(True).passed
     assert len(built) == 3
+
+
+def test_wrong_region_fails_region_coherence_at_the_point(monkeypatch):
+    right = verification.bt_region_terms
+    # The region of a lower threshold is too large: some of its points are not sensitive.
+    monkeypatch.setattr(verification, "bt_region_terms", lambda m, q: right(1.0 + (m - 1.0) / 2, q))
+    result = verification.check_region_coherence(True)
+    assert not result.passed
+    assert "pl " not in result.details
+    first = result.details.split("; ")[0]
+    match = re.fullmatch(r"bt_partial inside region at \((\S+), (\S+)\): (\S+), want > (\S+)", first)
+    assert match, first
+    p, q, value, bound = map(float, match.groups())
+    assert value <= bound
+    assert bt_partial(p, q) == pytest.approx(value, rel=1e-5)
+
+
+def _scalar_region_coherence_gates(quick):
+    """The region_coherence gates, one point and one scalar region call at a time."""
+    gates = []
+    n_points = 200 if quick else 1000
+    rng = make_rng(verification.VERIFY_SEED)
+    ctx = PLSensitivityContext.from_alpha_beta(verification.FIGURE_ALPHA, verification.FIGURE_BETA)
+    unit = lambda: 1e-6 + (1 - 2e-6) * rng.random()
+    clamp = lambda v: min(max(v, 1e-9), 1 - 1e-9)
+    for m in (1.01, 2.0, 3.0, 5.0, 10.0):
+        for _ in range(n_points // 5):
+            if rng.random() < 0.5:
+                q = unit() / (1.0 + m)
+            else:
+                q = m / (1.0 + m) + (1.0 - m / (1.0 + m)) * unit()
+            lo, hi = bt_region_slice(m, q).interval
+            p = lo + (hi - lo) * unit()
+            gates.append(("above", "bt_partial inside region", bt_partial(p, q), m, (p, q)))
+            for which in ("uv", "vu"):
+                fixed = ctx.beta / (4.0 * ctx.alpha * m) * unit()
+                lo, hi = pl_region(m, ctx, fixed, which).interval
+                free = lo + (hi - lo) * unit()
+                x, y = (fixed, free) if which == "uv" else (free, fixed)
+                d_uv, d_vu = pl_partials(x, y, ctx)
+                name = "pl d_uv" if which == "uv" else "|pl d_vu|"
+                gates.append(("above", f"{name} inside region", abs(d_uv if which == "uv" else d_vu), m, (x, y)))
+        inside = (
+            lambda x, y: bt_region_slice(m, y).contains(x),
+            lambda x, y: pl_region(m, ctx, x, "uv").contains(y),
+            lambda x, y: pl_region(m, ctx, y, "vu").contains(x),
+        )
+        n_out = 0
+        while n_out < n_points // 5:
+            p, q = rng.random(2).tolist()
+            if not (0 < p < 1 and 0 < q < 1):
+                continue
+            probes = ((p, q), (p - 1e-3, q), (p + 1e-3, q), (p, q - 1e-3), (p, q + 1e-3))
+            out = [not any(f(clamp(x), clamp(y)) for x, y in probes) for f in inside]
+            d_uv, d_vu = pl_partials(p, q, ctx)
+            for is_out, name, value in zip(
+                out,
+                ("bt_partial", "pl d_uv", "|pl d_vu|"),
+                (bt_partial(p, q), d_uv, abs(d_vu)),
+            ):
+                if is_out:
+                    gates.append(("at_most", f"{name} outside region", value, m, (p, q)))
+            n_out += out[0]
+    return gates
+
+
+def test_region_coherence_gates_equal_a_scalar_loop(monkeypatch):
+    gates = []
+    for kind in ("above", "at_most"):
+        right = getattr(verification._Gates, kind)
+
+        def record(self, name, value, bound, at=(), kind=kind, right=right):
+            gates.append((kind, name, value, bound, tuple(at)))
+            right(self, name, value, bound, at)
+
+        monkeypatch.setattr(verification._Gates, kind, record)
+    assert verification.check_region_coherence(True).passed
+    assert gates == _scalar_region_coherence_gates(True)
 
 
 def test_quick_details_match_the_pinned_strings():
