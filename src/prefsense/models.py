@@ -27,6 +27,7 @@ from .errors import (
     DomainError,
     ValidationError,
     require_finite,
+    require_instance,
     require_int,
     require_items,
     require_probability,
@@ -116,6 +117,7 @@ def compose_pairwise(link: LinkFunction, p_ik: float, p_kj: float) -> float:
     Symmetric in its two arguments; for the logistic link it agrees with
     bt_compose to floating-point accuracy.
     """
+    require_instance(link, LinkFunction, "link")
     p_ik = require_probability(p_ik, "p_ik")
     p_kj = require_probability(p_kj, "p_kj")
     return link.evaluate(link.inverse(p_ik) + link.inverse(p_kj))

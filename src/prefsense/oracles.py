@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .errors import (
     EnumerationSizeError,
     require_alpha_beta,
     require_finite,
+    require_instance,
     require_int,
     require_items,
     require_real_array,
@@ -103,6 +105,7 @@ def finite_diff(
     the stepped-up points and once with all the stepped-down ones, and
     must return one value per point.
     """
+    require_instance(fn, Callable, "fn")
     point = np.broadcast_arrays(*map(_coordinate, require_items(at, "point")))
     slot = require_int(slot, "slot")
     if not 0 <= slot < len(point):

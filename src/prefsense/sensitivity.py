@@ -109,6 +109,7 @@ def general_partial(link: LinkFunction, p_ik: float, p_kj: float) -> float:
     g'(g_inv(p_ik) + g_inv(p_kj)) / g'(g_inv(p_ik)). Reduces to bt_partial
     for the logistic link.
     """
+    require_instance(link, LinkFunction, "link")
     p_ik = require_probability(p_ik, "p_ik")
     p_kj = require_probability(p_kj, "p_kj")
     x_ik = link.inverse(p_ik)
@@ -152,7 +153,9 @@ class BTRegionSlice:
 
 def _bt_boundary_raw(threshold, p_kj):
     inv = 1.0 / p_kj
-    return 1.0 - (np.sqrt((inv - 1.0) / threshold) - 1.0) / (inv - 2.0)
+    # Below p_kj ~ 5.6e-309 inv overflows, and the boundary's float64 limit is 1.
+    boundary = 1.0 - (np.sqrt((inv - 1.0) / threshold) - 1.0) / (inv - 2.0)
+    return np.where(np.isinf(inv), 1.0, boundary)
 
 
 def _bt_boundary_terms(threshold, p_kj):
@@ -265,16 +268,25 @@ def pl_context(
     """Build the (alpha, beta) context for positions u < v of a ranking.
 
     Raises DomainError when a later-ranked option outscores an earlier one
-    by more than about 709, where its ratio overflows float64.
+    by more than about 709, where its ratio overflows float64, or when
+    alpha overflows or beta underflows.
     """
+    require_instance(options, ScoredOptionSet, "options")
+    require_instance(omega, KTuplePreference, "omega")
     omega.validate_for(options)
     k, u, v = len(omega), require_int(u, "u"), require_int(v, "v")
     if not 0 <= u < v < k:
         raise DomainError(f"need 0 <= u < v < K={k}, got u={u}, v={v}")
     # Only the entries above the diagonal are read, so an overflow below it
-    # (an earlier-ranked option far ahead) is harmless.
+    # (an earlier-ranked option far ahead) is harmless. One above it, or an
+    # alpha or beta out of range, is refused below.
     with np.errstate(over="ignore"):
         ratios = ratio_matrix(options, omega)
+        alpha = 1.0 + float(sum(ratios[u, t] for t in range(u + 1, k) if t != v))
+        beta = 1.0
+        for stage, denom in enumerate(_stage_denominators(ratios)):
+            if stage != u:
+                beta /= float(denom)
     overflow = np.argwhere(np.triu(np.isinf(ratios)))
     if len(overflow):
         a, b = overflow[0].tolist()
@@ -283,11 +295,12 @@ def pl_context(
             f"the scores at ranking positions {a} and {b} differ by {gap:g}; "
             f"their ratio exp({gap:g}) overflows float64"
         )
-    alpha = 1.0 + float(sum(ratios[u, t] for t in range(u + 1, k) if t != v))
-    beta = 1.0
-    for stage, denom in enumerate(_stage_denominators(ratios)):
-        if stage != u:
-            beta /= float(denom)
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not 0.0 < value < math.inf:
+            raise DomainError(
+                f"the scores are too far apart for ranking positions {u} and {v}: "
+                f"their {name} is {value:g} in float64, not finite and positive"
+            )
     return PLSensitivityContext(k=k, u=u, v=v, alpha=alpha, beta=beta)
 
 
@@ -464,6 +477,7 @@ def sensitivity_witness(
     machine-precision neighbourhoods of 1; running out means float64 is
     exhausted, not that no witness exists.
     """
+    require_instance(link, LinkFunction, "link")
     threshold = require_finite(threshold, "threshold")
     if threshold <= 0.0:
         raise DomainError(f"threshold must be positive, got {threshold!r}")

@@ -106,6 +106,30 @@ class TestGradRegionArea:
         assert code == 0
         assert out.splitlines()[:2] == ["case: empty", f"boundary p_ik: {boundary}"]
 
+    def test_region_bt_where_inverse_overflows(self, capsys):
+        # 1 / p_kj overflows below about 5.6e-309; the boundary's float64 limit is 1.
+        argv = ["region", "bt", "--M", "2", "--p-kj", "1e-310"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines() == [
+            "case: case1",
+            "boundary p_ik: 1",
+            "sensitive p_ik interval: (1, 1)",
+        ]
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        assert json.loads(out, parse_constant=refuse) == {
+            "threshold": 2.0,
+            "p_kj": 1e-310,
+            "case": "case1",
+            "boundary": 1.0,
+            "interval": [1.0, 1.0],
+        }
+
     def test_region_pl(self, capsys):
         code, out, _ = run(
             capsys, "region", "pl", "--M", "2", "--alpha", "1.01", "--beta", "0.99",

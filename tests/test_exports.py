@@ -1,7 +1,10 @@
 """Public names: every export resolves, so a stale one fails here."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 import types
 
 import pytest
@@ -28,3 +31,16 @@ def test_package_names_are_module_exports():
         if not n.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public - exported == set()
+
+
+def test_cli_import_needs_no_test_extra():
+    # pyproject's runtime dependency is numpy alone; scipy, hypothesis and
+    # pytest come only with the test extra.
+    code = (
+        "import sys, prefsense.cli; "
+        "print(sorted({m.partition('.')[0] for m in sys.modules} & {'scipy', 'hypothesis', 'pytest'}))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(prefsense.__file__))}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"

@@ -13,7 +13,6 @@ from prefsense import (
     LOGISTIC,
     PROBIT,
     DomainError,
-    ProbitLink,
     SaturationWarning,
     get_link,
     make_rng,
@@ -118,14 +117,14 @@ class TestProbit:
             assert PROBIT.evaluate(x) == pytest.approx(norm.cdf(x), rel=1e-13, abs=1e-300)
             assert PROBIT.derivative(x) == pytest.approx(norm.pdf(x), rel=1e-13)
         for p in rng.uniform(1e-12, 1 - 1e-12, size=200):
-            assert PROBIT.inverse(p) == pytest.approx(norm.ppf(p), rel=1e-10, abs=1e-10)
+            assert PROBIT.inverse(p) == pytest.approx(norm.ppf(p), rel=1e-14, abs=0.0)
 
     def test_known_quantiles(self):
         assert PROBIT.inverse(0.975) == pytest.approx(1.959964, abs=1e-6)
         assert PROBIT.derivative(0.0) == pytest.approx(0.3989422804, abs=1e-9)
 
     def test_inverse_agrees_with_bisection(self):
-        # Independent slow oracle for the Newton path.
+        # Independent slow oracle for the quantile.
         for p in (1e-9, 0.001, 0.2, 0.5, 0.9, 1 - 1e-7):
             lo, hi = -40.0, 40.0
             for _ in range(120):
@@ -145,17 +144,14 @@ class TestProbit:
         with pytest.warns(SaturationWarning):
             assert PROBIT.evaluate(9.0) == 1.0
 
-    def test_subnormal_tail_falls_back_to_bisection(self, monkeypatch):
-        # Newton does not settle at this subnormal p, so inverse bisects.
-        calls = []
-        bisect = ProbitLink._bisect
-        monkeypatch.setattr(
-            ProbitLink, "_bisect", staticmethod(lambda p: calls.append(p) or bisect(p))
-        )
-        p = 2.52927466e-316
-        x = PROBIT.inverse(p)
-        assert calls == [p]
-        assert x == pytest.approx(ndtri(p), rel=1e-9)
+    @pytest.mark.parametrize("p", [5e-324, 2.52927466e-316, 1e-300])
+    def test_subnormal_tail_against_ndtri(self, p):
+        assert PROBIT.inverse(p) == pytest.approx(ndtri(p), rel=1e-14, abs=0.0)
+
+    def test_inverse_exactly_odd(self):
+        # 1 - p is exact for p in [0.5, 1), so the pair is mirrored exactly.
+        for p in make_rng(17).uniform(0.5, 1.0, size=10_000).tolist() + [1 - 2**-53]:
+            assert PROBIT.inverse(p) == -PROBIT.inverse(1.0 - p)
 
 
 class TestRegistry:

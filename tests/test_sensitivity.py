@@ -167,6 +167,15 @@ class TestBTRegion:
                 if region.case != "empty":
                     assert region.boundary == bt_boundary(m, q)
 
+    @pytest.mark.parametrize("p_kj", [5e-324, 1e-310, 5.5e-309])
+    def test_boundary_where_inverse_overflows(self, p_kj):
+        # Below about 5.6e-309, 1 / p_kj overflows; the boundary's float64
+        # limit is 1, which it already reaches just above that.
+        region = bt_region_slice(2.0, p_kj)
+        assert (region.case, region.boundary, region.interval) == ("case1", 1.0, (1.0, 1.0))
+        assert not region.contains(1.0 - 2**-53)
+        assert bt_boundary(2.0, p_kj) == bt_boundary(2.0, 5.6e-309) == 1.0
+
     def test_case2_slice(self):
         region = bt_region_slice(2.0, 0.9)
         assert region.case == "case2"
@@ -298,6 +307,23 @@ class TestPLContext:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=f"ranking positions {positions} differ by 800;"):
                 pl_context(options, KTuplePreference(perm), u, v)
+
+    # No ratio overflows, but beta's stage factors underflow to 0, or the
+    # ratios competing at stage u sum past the largest float.
+    @pytest.mark.parametrize(
+        "scores, u, v, message",
+        [
+            ((0.0, 400.0, 0.0, 400.0, 0.0), 3, 4, "positions 3 and 4: their beta is 0 in"),
+            ((0.0, 0.0, 709.5, 709.5), 0, 1, "positions 0 and 1: their alpha is inf in"),
+        ],
+    )
+    def test_constants_beyond_float64(self, scores, u, v, message):
+        options = ScoredOptionSet([f"o{i}" for i in range(len(scores))], scores)
+        omega = KTuplePreference(tuple(range(len(scores))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                pl_context(options, omega, u, v)
 
     def test_overflow_of_an_unread_ratio_is_harmless(self):
         # r[1, 0] = exp(800) overflows, but only entries above the diagonal are read.
@@ -482,7 +508,6 @@ class TestRegionKernels:
                 assert math.isnan(got[0]) and math.isnan(got[1])
                 assert got[2] == region.boundary == min(max(raw, 0.0), 1.0)
             else:
-                # Below about 5.6e-309, 1 / p_kj overflows and the boundary is NaN.
                 assert all(map(_same, got, (*region.interval, region.boundary)))
                 assert _same(got[2], raw)
             assert all(map(_same, got, map(float, bt_region_terms(threshold, q))))
@@ -522,6 +547,37 @@ class TestContextType:
     def test_wrong_type_refused(self, call, ctx):
         with pytest.raises(ValidationError, match="ctx must be a PLSensitivityContext, got "):
             call(ctx)
+
+
+class TestArgumentType:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: compose_pairwise(1.5, 0.3, 0.4), "link must be a LinkFunction, got 1.5"),
+            (lambda: general_partial(1.5, 0.3, 0.4), "link must be a LinkFunction, got 1.5"),
+            (lambda: sensitivity_witness(1.5, 10.0), "link must be a LinkFunction, got 1.5"),
+            (
+                lambda: pl_context(1.5, KTuplePreference((0, 1)), 0, 1),
+                "options must be a ScoredOptionSet, got 1.5",
+            ),
+            (
+                lambda: pl_context(ScoredOptionSet(["a", "b"], [0.0, 0.0]), (0, 1), 0, 1),
+                r"omega must be a KTuplePreference, got \(0, 1\)",
+            ),
+            (lambda: finite_diff(1.5, (0.3,)), "fn must be a Callable, got 1.5"),
+        ],
+        ids=[
+            "compose_pairwise",
+            "general_partial",
+            "sensitivity_witness",
+            "pl_context-options",
+            "pl_context-omega",
+            "finite_diff",
+        ],
+    )
+    def test_wrong_type_refused(self, call, message):
+        with pytest.raises(ValidationError, match=message):
+            call()
 
 
 class TestPLArea:
