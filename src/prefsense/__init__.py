@@ -47,7 +47,6 @@ from .sensitivity import (
     PLRegionBounds,
     PLSensitivityContext,
     Witness,
-    bt_boundary,
     bt_partial,
     bt_region_area,
     bt_region_slice,

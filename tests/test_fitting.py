@@ -422,6 +422,16 @@ class TestFitPL:
             with pytest.raises(ValidationError, match="rankings hold"):
                 fit_pl([entry], 2)
 
+    def test_needs_two_options(self):
+        with pytest.raises(DomainError, match="need at least 2 options, got 1"):
+            fit_pl([(KTuplePreference((0, 1)), 1.0)], 1)
+
+    def test_zero_multiplicity_skipped(self):
+        a, b = KTuplePreference((0, 1)), KTuplePreference((1, 0))
+        fit = fit_pl([(a, 0.0), (b, 1.0), (a, 3.0)], 2)
+        assert fit == fit_pl([(b, 1.0), (a, 3.0)], 2)
+        assert fit.scores[1] == pytest.approx(-math.log(3.0), abs=1e-6)
+
     def test_list_entries_accepted(self):
         pairs = [(KTuplePreference((0, 1)), 3.0), (KTuplePreference((1, 0)), 1.0)]
         assert fit_pl([list(p) for p in pairs], 2) == fit_pl(pairs, 2)

@@ -159,6 +159,10 @@ class TestRegistry:
         assert get_link("logistic") is LOGISTIC
         assert get_link("PROBIT") is PROBIT
 
+    def test_repr(self):
+        assert repr(LOGISTIC) == "LogisticLink()"
+        assert repr(PROBIT) == "ProbitLink()"
+
     def test_unknown(self):
         with pytest.raises(DomainError):
             get_link("gumbel")

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from prefsense import (
     UnsupportedThresholdError,
     ValidationError,
     WitnessNotFoundError,
-    bt_boundary,
     bt_compose,
     bt_partial,
     bt_region_area,
@@ -43,9 +43,79 @@ from prefsense.sensitivity import bt_partial_terms, bt_region_terms, pl_region_t
 
 interior = st.floats(min_value=0.01, max_value=0.99)
 open_unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
-# Within 1e-6 of p_kj = 0.5 the BT boundary is a two-sided average.
+# p_kj = 0.5 is the pole of the BT boundary's closed form.
 near_half = st.floats(min_value=0.5 - 1e-6, max_value=0.5 + 1e-6)
 above_one = st.floats(min_value=1.0, max_value=1e6, exclude_min=True)
+
+U = 2.0**-53  # unit roundoff of float64
+
+
+def boundary_reference(threshold: float, p_kj: float) -> Decimal:
+    """The BT boundary 1 - (sqrt(a) - 1) / (1/p_kj - 2), a = (1 - p_kj)/(M p_kj), to 60 digits.
+
+    Unclamped; p_kj = 0.5 is its pole.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        m, p = Decimal(threshold), Decimal(p_kj)
+        return 1 - (((1 - p) / (m * p)).sqrt() - 1) / (1 / p - 2)
+
+
+def boundary_error_bound(threshold: float, p_kj: float) -> float:
+    """First-order bound on the rounding error of bt_region_terms' boundary.
+
+    The boundary is 1 - q with q = N / D, N = g - p (M - 1), D = M (sqrt(a) + 1) g
+    and g = 1 - 2p. Every operation rounds with relative error at most U:
+    a carries 3U, sqrt(a) + 1 carries 3.5U and D 6.5U. N is off by at most
+    U (|g| + 2 p (M - 1) + |N|), so q by 8.5U |q| + U (|g| + 2 p (M - 1)) / |D|,
+    and the last subtraction adds U |1 - q|.
+    """
+    g = 1.0 - 2.0 * p_kj
+    d = threshold * (math.sqrt((1.0 - p_kj) / (threshold * p_kj)) + 1.0) * g
+    q = (g - p_kj * (threshold - 1.0)) / d
+    return U * (abs(1.0 - q) + 8.5 * abs(q) + (abs(g) + 2.0 * p_kj * (threshold - 1.0)) / abs(d))
+
+
+def assert_boundary_accurate(threshold: float, p_kj: float, boundary: float) -> None:
+    """boundary is the exact one clamped to [0, 1], within its rounding bound."""
+    if p_kj == 0.5:
+        assert boundary == 1.0  # the pole, +inf, clamped
+        return
+    want = min(max(boundary_reference(threshold, p_kj), Decimal(0)), Decimal(1))
+    assert abs(Decimal(boundary) - want) <= Decimal(boundary_error_bound(threshold, p_kj))
+
+
+def area_reference(threshold: float) -> Decimal:
+    """The BT area's closed form, with digits to spare for its cancellation.
+
+    M - 1 and M + 1 take log10(M) more digits than M, and as the two terms
+    are about 1/M each and the area about 1/(3 M^2), as many cancel; near
+    M = 1, up to 16 do.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60 + 2 * int(math.log10(threshold))
+        m = Decimal(threshold)
+        r = m.sqrt()
+        return ((m - 1) / (m + 1)).ln() / 2 + ((r + 1) / (r - 1)).ln() / (2 * r)
+
+
+def area_error_bound(threshold: float) -> float:
+    """First-order bound on the rounding error of bt_region_area.
+
+    Below M = 8 the area is t1 + t2, t1 = log(d / (M + 1)) / 2 and
+    t2 = log((r + 1)^2 / d) / (2 r), with d = M - 1 and r = sqrt(M). With
+    log within 2U relative, t1's argument carries 3U, so t1 is off by
+    1.5U + 2U |t1|; t2's carries 7U, so t2 is off by 3.5U + 4U |t2|; the sum
+    adds U |t1 + t2|. From M = 8 it is Horner's rule, 22 steps in y = 1/M:
+    44U times sum |c_m| y^(m-2) <= 1.2 s, coefficients within 5U, and 4U
+    for y and the two last products, so 64U relative.
+    """
+    if threshold >= 8.0:
+        return 64 * U * (1.0 / (3.0 * threshold * threshold))
+    d, r = threshold - 1.0, math.sqrt(threshold)
+    t1 = abs(math.log(d / (threshold + 1.0)) / 2.0)
+    t2 = abs(math.log((r + 1.0) ** 2 / d) / (2.0 * r))
+    return U * (5.0 + 2.0 * t1 + 4.0 * t2 + abs(t2 - t1))
 
 
 class TestBTPartial:
@@ -152,29 +222,29 @@ class TestBTRegion:
         assert bt_region_slice(2.0, 0.4).case == "empty"
 
     def test_empty_slice_boundary_within_unit_interval(self):
-        # The raw boundary of an empty slice lies above 1 below p_kj = 0.5
+        # The closed form of an empty slice lies above 1 below p_kj = 0.5
         # and below 0 above it; the reported one is clamped to [0, 1].
         for m, q, want in ((1e200, 0.02, 1.0), (1e200, 0.98, 0.0), (2.0, 0.4, 1.0), (2.0, 0.6, 0.0)):
             region = bt_region_slice(m, q)
             assert region.case == "empty"
-            assert not 0.0 <= bt_boundary(m, q) <= 1.0
+            assert not 0 <= boundary_reference(m, q) <= 1
             assert region.boundary == want
-        assert bt_region_slice(20.0, 0.5).boundary == bt_boundary(20.0, 0.5)
+        assert bt_region_slice(20.0, 0.5).boundary == 1.0
         for m in (1.01, 2.0, 20.0, 1e200):
             for q in make_rng(45).random(200).tolist():
                 region = bt_region_slice(m, q)
                 assert 0.0 <= region.boundary <= 1.0
-                if region.case != "empty":
-                    assert region.boundary == bt_boundary(m, q)
+                assert_boundary_accurate(m, q, region.boundary)
 
     @pytest.mark.parametrize("p_kj", [5e-324, 1e-310, 5.5e-309])
     def test_boundary_where_inverse_overflows(self, p_kj):
-        # Below about 5.6e-309, 1 / p_kj overflows; the boundary's float64
-        # limit is 1, which it already reaches just above that.
+        # Below about 5.6e-309, 1 / p_kj overflows, and below about 2.8e-309
+        # so does a = (1 - p_kj) / (2 p_kj). The boundary's float64 limit is
+        # 1, which it already reaches just above that.
         region = bt_region_slice(2.0, p_kj)
         assert (region.case, region.boundary, region.interval) == ("case1", 1.0, (1.0, 1.0))
         assert not region.contains(1.0 - 2**-53)
-        assert bt_boundary(2.0, p_kj) == bt_boundary(2.0, 5.6e-309) == 1.0
+        assert bt_region_slice(2.0, 5.6e-309).boundary == 1.0
 
     def test_case2_slice(self):
         region = bt_region_slice(2.0, 0.9)
@@ -208,19 +278,42 @@ class TestBTRegion:
                 else:
                     assert bt_partial(p, q) <= m
 
-    def test_boundary_finite_at_half(self):
-        # The raw expression diverges to -inf/+inf on the two sides of
-        # p_kj = 0.5; the two-sided average cancels the odd part, leaving
-        # a finite reported value (~0.5) strictly between the neighbours.
-        # Only reporting continuity is at stake: 0.5 sits inside the
-        # empty middle band for every threshold above 1.
+    def test_boundary_clamped_around_half(self):
+        # The closed form has a pole at p_kj = 0.5, inside the empty middle
+        # band for every threshold above 1: +inf there and above 1 just
+        # below it, below 0 just above it. Clamped, that is 1, 1 and 0.
         for m in (1.5, 4.0, 20.0):
-            below = bt_boundary(m, 0.5 - 1e-5)
-            at = bt_boundary(m, 0.5)
-            above = bt_boundary(m, 0.5 + 1e-5)
-            assert math.isfinite(at)
-            assert min(below, above) <= at <= max(below, above)
-            assert at == pytest.approx(0.5, abs=0.01)
+            got = [bt_region_slice(m, q).boundary for q in (0.5 - 1e-7, 0.5, 0.5 + 1e-7)]
+            assert got == [1.0, 1.0, 0.0]
+
+    def test_boundary_against_decimal(self):
+        # M - 1 log-uniform in [1e-9, 10]; p_kj uniform, log-uniform down to
+        # 1e-300, and within 1e-7 of a case edge. Only case1/case2 slices.
+        rng = make_rng(46)
+        n = 10_000
+        m = 1.0 + 10.0 ** rng.uniform(-9.0, 1.0, 3 * n)
+        edge = np.where(rng.random(n) < 0.5, 1.0, m[2 * n :]) / (1.0 + m[2 * n :])
+        q = np.concatenate(
+            [rng.uniform(0.0, 1.0, n), 10.0 ** rng.uniform(-300.0, 0.0, n), edge + rng.uniform(-1e-7, 1e-7, n)]
+        )
+        _, hi, boundary = bt_region_terms(m, q)
+        case = ~np.isnan(hi)
+        assert case.sum() > 20_000
+        for threshold, p_kj, got in zip(m[case].tolist(), q[case].tolist(), boundary[case].tolist()):
+            assert_boundary_accurate(threshold, p_kj, got)
+
+    def test_threshold_near_one(self):
+        # Case slices within 2.5e-7 of p_kj = 0.5 need M - 1 below about 1e-6.
+        region = bt_region_slice(1.0000001, 0.4999998)
+        assert region.case == "case1"
+        assert region.boundary == pytest.approx(0.5625, abs=1e-6)
+        assert_boundary_accurate(1.0000001, 0.4999998, region.boundary)
+        assert bt_partial(0.5635, 0.4999998) > 1.0000001
+        assert region.contains(0.5635)
+        region = bt_region_slice(1.0 + 1e-9, 0.4999999925)
+        assert region.case == "case1"
+        assert region.boundary == pytest.approx(0.51667, abs=1e-5)
+        assert_boundary_accurate(1.0 + 1e-9, 0.4999999925, region.boundary)
 
     def test_threshold_guard(self):
         with pytest.raises(UnsupportedThresholdError):
@@ -252,6 +345,18 @@ class TestBTArea:
     def test_threshold_guard(self):
         with pytest.raises(UnsupportedThresholdError):
             bt_region_area(1.0)
+
+    # Both ends of the domain: sqrt(M) rounds to 1 at M = 1 + 2^-52, and from
+    # about M = 4e7 the area, about 1/(3 M^2), is below the rounding error of
+    # the closed form's two terms.
+    @pytest.mark.parametrize(
+        "threshold",
+        [1 + 2**-52, 1 + 3 * 2**-52, 1.0000001, 1.5, 2.0, 7.999999999999999, 8.0, 20.0, 1e10, 1e100, 1e150],
+    )
+    def test_against_decimal(self, threshold):
+        want = area_reference(threshold)
+        got = bt_region_area(threshold)
+        assert abs(Decimal(got) - want) <= Decimal(area_error_bound(threshold))
 
 
 class TestPLContext:
@@ -503,13 +608,12 @@ class TestRegionKernels:
         lo, hi, boundary = bt_region_terms(threshold, np.array(p_kj))
         for q, got in zip(p_kj, zip(lo.tolist(), hi.tolist(), boundary.tolist())):
             region = bt_region_slice(threshold, q)
-            raw = bt_boundary(threshold, q)
             if region.interval is None:
                 assert math.isnan(got[0]) and math.isnan(got[1])
-                assert got[2] == region.boundary == min(max(raw, 0.0), 1.0)
+                assert got[2] == region.boundary
             else:
                 assert all(map(_same, got, (*region.interval, region.boundary)))
-                assert _same(got[2], raw)
+            assert_boundary_accurate(threshold, q, got[2])
             assert all(map(_same, got, map(float, bt_region_terms(threshold, q))))
 
     @settings(max_examples=150, deadline=None)
@@ -654,6 +758,15 @@ class TestAreaComparison:
     def test_huge_threshold(self):
         cmp = compare_bt_pl_areas(1e200, PLSensitivityContext.from_alpha_beta(1.01, 0.99))
         assert cmp.pl_area == 0.0
+
+    def test_float64_limit(self):
+        # Above M ~ 1.34e154 the PL area is 0.0, and above ~1e162 the BT
+        # area, about 1/(3 M^2), underflows too; only there does holds fail.
+        ctx = PLSensitivityContext.from_alpha_beta(1.001, 0.999)
+        assert compare_bt_pl_areas(1e10, ctx).holds
+        cmp = compare_bt_pl_areas(1e155, ctx)
+        assert cmp.pl_area == 0.0 < cmp.bt_area and cmp.holds
+        assert compare_bt_pl_areas(1e163, ctx) == (0.0, 0.0, False)
 
     def test_requires_tuple_context(self):
         ctx = PLSensitivityContext.from_alpha_beta(1.0, 1.0, k=2)
