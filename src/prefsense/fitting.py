@@ -3,7 +3,9 @@
 Pairwise win counts are fitted under the logistic pairwise model, ranking
 samples under the K-tuple model; both use the same deterministic
 full-batch gradient ascent with a backtracking line search. The first
-option's score is pinned to 0 for identifiability.
+option's score is pinned to 0 for identifiability. The pairwise
+likelihood is computed over the N x N win matrix, the ranking likelihood
+over one padded array that holds every stage of every distinct ranking.
 
 The MLE is finite exactly when every option beats every other along some
 chain of wins, so one-sided pairs inside a cycle of wins are fine. When a
@@ -28,6 +30,7 @@ from .errors import (
     DomainError,
     ValidationError,
     require_finite,
+    require_instance,
     require_int,
     require_items,
     require_real_array,
@@ -220,6 +223,7 @@ def fit_bt(counts: PairwiseCounts) -> FitResult:
     the rest does, and then a DivergenceWarning names it up front and the
     optimizer's score cap takes over.
     """
+    require_instance(counts, PairwiseCounts, "counts")
     _check_comparisons(counts.wins > 0, "the pairwise comparison graph")
     return _ascend(partial(_bt_value_and_grad, counts.wins), counts.n)
 
@@ -256,28 +260,31 @@ def fit_pl(
         weights[pref.indices] = weights.get(pref.indices, 0.0) + m
     if not weights:
         raise ValidationError("no rankings with positive multiplicity")
+    ranked = {i for idx in weights for i in idx}
+    if len(ranked) < n:  # refused before the n x n graph below is allocated
+        first = next(i for i in range(n) if i not in ranked)
+        raise DisconnectedDataError(
+            f"{n - len(ranked)} of {n} options appear in no ranking; the smallest is {first}"
+        )
+    # Stage k of a ranking is its suffix from place k, winner first, padded
+    # with index n, which value_and_grad maps to a score of -inf.
+    width = max(map(len, weights))
+    pad = (n,) * width
+    stages = np.array([(idx + pad)[k : k + width] for idx in weights for k in range(len(idx) - 1)])
+    mult = np.repeat(list(weights.values()), [len(idx) - 1 for idx in weights])
     beats = np.zeros((n, n), dtype=bool)
-    for idx in weights:  # a chain of adjacent places reaches every later one
-        beats[idx[:-1], idx[1:]] = True
+    beats[stages[:, 0], stages[:, 1]] = True  # adjacent places chain to every later one
     _check_comparisons(beats, "the ranking comparison graph")
 
-    items = list(weights.items())
-
     def value_and_grad(s: np.ndarray) -> tuple[float, np.ndarray]:
-        ll = 0.0
-        grad = np.zeros(n)
-        for idx, mult in items:
-            sel = np.array(idx)
-            for stage in range(len(sel) - 1):
-                suffix = sel[stage:]
-                stage_scores = s[suffix]
-                top = float(np.max(stage_scores))
-                expd = np.exp(stage_scores - top)
-                denom = float(np.sum(expd))
-                ll += mult * (stage_scores[0] - top - math.log(denom))
-                grad[suffix[0]] += mult
-                grad[suffix] -= mult * expd / denom
-        return ll, grad
+        x = np.append(s, -np.inf)[stages]
+        top = x.max(axis=1)
+        expd = np.exp(x - top[:, None])
+        denom = expd.sum(axis=1)
+        ll = float(np.dot(mult, x[:, 0] - top - np.log(denom)))
+        grad = np.bincount(stages[:, 0], mult, n + 1)
+        grad -= np.bincount(stages.ravel(), (expd * (mult / denom)[:, None]).ravel(), n + 1)
+        return ll, grad[:n]
 
     return _ascend(value_and_grad, n)
 
@@ -304,7 +311,7 @@ def counts_from_samples(
     Winners and losers are read from the answer texts by tally_outcomes,
     which also rejects unknown options and duplicate labels.
     """
-    labels = [str(label) for label in labels]
+    labels = [str(label) for label in require_items(labels, "labels")]
     tally = tally_outcomes(samples, labels)
     index = {label: k for k, label in enumerate(labels)}
     wins = np.zeros((len(labels), len(labels)))
@@ -315,7 +322,7 @@ def counts_from_samples(
 
 def parse_counts_text(text: str) -> PairwiseCounts:
     """Parse 'N then N*N integers, whitespace-separated' into counts."""
-    tokens = text.split()
+    tokens = require_instance(text, str, "text").split()
     if not tokens:
         raise ValidationError("empty count-matrix text")
     try:

@@ -166,7 +166,8 @@ def ratio_matrix(options: ScoredOptionSet, omega: KTuplePreference) -> np.ndarra
     (..., b, a) over the same ranking ending (..., a, b), for any K and
     prefix. The diagonal is 1.
     """
-    omega.validate_for(options)
+    require_instance(options, ScoredOptionSet, "options")
+    require_instance(omega, KTuplePreference, "omega").validate_for(options)
     s = np.array([options.scores[i] for i in omega.indices], dtype=float)
     return np.exp(s[None, :] - s[:, None])
 

@@ -45,7 +45,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, require_finite, require_int, require_items, require_seed
+from .errors import (
+    DomainError,
+    ValidationError,
+    require_finite,
+    require_instance,
+    require_int,
+    require_items,
+    require_seed,
+)
 from .oracles import make_rng
 
 __all__ = [
@@ -191,7 +199,7 @@ def generate(spec: DatasetSpec) -> list[PreferenceSample]:
     question, and the Bernoulli winner. The (first, third) pair is never
     emitted. Equal samples are the same (frozen) object, also across calls.
     """
-    table = _sample_table(spec.permutation)
+    table = _sample_table(require_instance(spec, DatasetSpec, "spec").permutation)
     rng = make_rng(spec.seed)
     samples: list[PreferenceSample] = []
     for start in range(0, spec.n_samples, _BLOCK):
@@ -251,6 +259,7 @@ def sweep(base: DatasetSpec) -> list[DatasetSpec]:
     Seeds are derived as base.seed + index so the datasets are independent
     but the whole sweep is reproducible from one seed.
     """
+    require_instance(base, DatasetSpec, "base")
     return [
         DatasetSpec(
             permutation=base.permutation,
@@ -298,7 +307,7 @@ def empirical_check(samples: Sequence[PreferenceSample], spec: DatasetSpec) -> E
     exactly and infinite otherwise. The excluded pair is reported with
     its count, which must be 0 for a well-formed dataset.
     """
-    o1, o2, o3 = spec.permutation
+    o1, o2, o3 = require_instance(spec, DatasetSpec, "spec").permutation
     tally = tally_outcomes(samples, spec.permutation)
     counts = {
         (o1, o2): (tally[o1, o2] + tally[o2, o1], tally[o1, o2]),
@@ -332,7 +341,7 @@ def empirical_check(samples: Sequence[PreferenceSample], spec: DatasetSpec) -> E
         pairs=tuple(stats),
         forbidden_pair=(o1, o3),
         forbidden_count=forbidden,
-        n_total=len(samples),
+        n_total=sum(tally.values()),  # every sample is one outcome
     )
 
 
@@ -347,13 +356,17 @@ def tally_outcomes(
     never read. Each distinct (chosen, rejected) text pair is read once.
     Raises ValidationError for a pair that does not name two distinct labels.
     """
-    labels = [str(label) for label in labels]
+    labels = [str(label) for label in require_items(labels, "labels")]
     if len(labels) < 2 or len(set(labels)) != len(labels):
         raise ValidationError(f"need at least 2 distinct labels, got {labels}")
     # An alternation tries its branches in order: longer labels first.
     label = re.compile("|".join(map(re.escape, sorted(labels, key=len, reverse=True))))
+    try:
+        answers = Counter(map(_answers, samples))
+    except (AttributeError, TypeError) as exc:
+        raise ValidationError(f"samples must be a sequence of PreferenceSample: {exc}") from exc
     tally: Counter[tuple[str, str]] = Counter()
-    for (chosen, rejected), count in Counter(map(_answers, samples)).items():
+    for (chosen, rejected), count in answers.items():
         outcome = _outcome(chosen, rejected, label)
         if outcome is None:
             raise ValidationError(

@@ -4,9 +4,12 @@ import math
 import re
 import warnings
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prefsense import (
     DisconnectedDataError,
@@ -444,6 +447,119 @@ class TestFitPL:
     def test_numpy_integer_n_options(self):
         rankings = [(KTuplePreference((0, 1)), 3.0), (KTuplePreference((1, 0)), 1.0)]
         assert fit_pl(rankings, np.int64(2)).scores == fit_pl(rankings, 2).scores
+
+    @pytest.mark.parametrize(
+        "indices, n, message",
+        [
+            (((0, 1),), 10**7, "9999998 of 10000000 options appear in no ranking; the smallest is 2"),
+            (((0, 2), (2, 0)), 3, "1 of 3 options appear in no ranking; the smallest is 1"),
+        ],
+        ids=["huge-n", "gap"],
+    )
+    def test_unranked_options_refused_before_allocating(self, indices, n, message):
+        # The comparison graph alone would take n * n bytes (91 TiB at 10**7).
+        rankings = [(KTuplePreference(idx), 1.0) for idx in indices]
+        with pytest.raises(DisconnectedDataError, match=re.escape(message)):
+            fit_pl(rankings, n)
+
+
+def loop_value_and_grad(items, n, s):
+    """fit_pl's objective in its earlier per-ranking, per-stage loop, kept as a reference."""
+    ll = 0.0
+    grad = np.zeros(n)
+    for idx, mult in items:
+        sel = np.array(idx)
+        for stage in range(len(sel) - 1):
+            suffix = sel[stage:]
+            stage_scores = s[suffix]
+            top = float(np.max(stage_scores))
+            expd = np.exp(stage_scores - top)
+            denom = float(np.sum(expd))
+            ll += mult * (stage_scores[0] - top - math.log(denom))
+            grad[suffix[0]] += mult
+            grad[suffix] -= mult * expd / denom
+    return ll, grad
+
+
+def pl_objective(weights, n):
+    """The value_and_grad that fit_pl hands to _ascend, for distinct weighted rankings."""
+    rankings = [(KTuplePreference(idx), m) for idx, m in weights.items()]
+    with warnings.catch_warnings(), mock.patch("prefsense.fitting._ascend", lambda f, n: f):
+        warnings.simplefilter("ignore", DivergenceWarning)
+        return fit_pl(rankings, n)
+
+
+@st.composite
+def weighted_rankings(draw):
+    """Distinct rankings of mixed lengths over n options, with positive weights."""
+    n = draw(st.integers(2, 8))
+    weights = {tuple(range(n)): 1.0}  # names every option, so fit_pl accepts the data
+    for perm, k, m in draw(
+        st.lists(
+            st.tuples(st.permutations(range(n)), st.integers(2, n), st.floats(1e-3, 1e3)),
+            max_size=40,
+        )
+    ):
+        weights[tuple(perm[:k])] = weights.get(tuple(perm[:k]), 0.0) + m
+    s = draw(st.lists(st.floats(-SCORE_CAP, SCORE_CAP), min_size=n, max_size=n))
+    return n, weights, np.array(s)
+
+
+def gumbel_rankings(seed, n, count):
+    """Top-k of n by Gumbel-max (a Plackett-Luce draw) at N(0, 1) scores, k uniform in 2..n."""
+    rng = make_rng(seed)
+    keys = rng.normal(size=n) + rng.gumbel(size=(count, n))
+    weights = {}
+    for row, k in zip(np.argsort(-keys, axis=1).tolist(), rng.integers(2, n + 1, size=count)):
+        weights[tuple(row[:k])] = weights.get(tuple(row[:k]), 0.0) + 1.0
+    return weights
+
+
+class TestPLObjective:
+    """fit_pl's stage-array objective against the per-stage loop.
+
+    Both evaluate the same per-stage expressions in float64; they differ
+    only in summation order and in which rounding of exp and log they meet,
+    so the bound below is twice the error either has against exact
+    arithmetic, to first order. For a stage with multiplicity m, K options,
+    d = x - max (one rounding, |d| <= 60) and e = exp(d) (1 ulp): e is
+    within e(2 + |d|)U <= 2U of exact, the top entry's e is exactly 1, so
+    the sum D >= 1 of K of them is within 3(K - 1)U D and log D within
+    3(K - 1)U + 2U log D. The term m(d_0 - log D) has no cancellation
+    (d_0 <= 0 <= log D), so it is within 3(K - 1)U m + 5U |term|. Summing
+    S terms of one sign, in any order, adds (S - 1)U |value|. For option
+    j's gradient, each m * softmax is within (3K + 1)U m, and the up to
+    2C_j addends of the C_j stages holding j, of total magnitude at most
+    2M_j (M_j their multiplicity), add 2(2C_j - 1)U M_j.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(weighted_rankings())
+    def test_matches_loop_reference(self, case):
+        n, weights, s = case
+        value, grad = pl_objective(weights, n)(s)
+        ref_value, ref_grad = loop_value_and_grad(list(weights.items()), n, s)
+        stages = [(idx[k:], m) for idx, m in weights.items() for k in range(len(idx) - 1)]
+        width = max(map(len, weights))
+        total = sum(m for _, m in stages)
+        bound = 2 * U * (3 * (width - 1) * total + (4 + len(stages)) * abs(ref_value))
+        assert abs(value - ref_value) <= bound
+        held, count = np.zeros(n), np.zeros(n)
+        for suffix, m in stages:
+            held[list(suffix)] += m
+            count[list(suffix)] += 1
+        grad_bound = 2 * U * held * (3 * width + 1 + 2 * (2 * count - 1))
+        assert np.all(np.abs(grad - ref_grad) <= grad_bound)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_fit_matches_loop_objective(self, seed):
+        n = 5
+        weights = gumbel_rankings(seed, n, 100)
+        rankings = [(KTuplePreference(idx), m) for idx, m in weights.items()]
+        fit = fit_without_divergence_warning(fit_pl, rankings, n)
+        reference = _ascend(partial(loop_value_and_grad, list(weights.items()), n), n)
+        assert fit.converged and reference.converged
+        np.testing.assert_allclose(fit.scores, reference.scores, rtol=0, atol=1e-8)
 
 
 class TestPredict:

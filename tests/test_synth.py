@@ -197,6 +197,11 @@ class TestGenerate:
         for ps in report.pairs:
             assert abs(ps.z_score) <= 3.0
 
+    def test_iterator_of_samples(self):
+        s = spec(n=500)
+        samples = generate(s)
+        assert empirical_check(iter(samples), s) == empirical_check(samples, s)
+
     def test_degenerate_probabilities_one_sided(self):
         samples = generate(DatasetSpec(PERM, 0.99, 0.0, 3000, 5))
         report = empirical_check(samples, DatasetSpec(PERM, 0.99, 0.0, 3000, 5))
