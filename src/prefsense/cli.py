@@ -20,7 +20,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .errors import DomainError, PrefsenseError, require_probability
+from .errors import DomainError, PrefsenseError, require_probability, text_file
 from .fitting import counts_from_samples, fit_bt, load_counts, predict
 from .links import get_link
 from .models import compose_pairwise
@@ -380,7 +380,7 @@ def _cmd_fit(args):
     ]
     lines += [f"p({key}) = {_fmt(value)}" for key, value in predictions.items()]
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with text_file(args.out, "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
         lines.append(f"wrote fit to {args.out}")

@@ -2,12 +2,23 @@
 
 Every public operation raises one of these instead of bare ValueError,
 so callers can distinguish bad input from genuine numerical breakdown.
+The helpers are the one validation path the modules share:
+
+- require_int, require_seed, require_finite, require_probability,
+  require_threshold and require_alpha_beta check scalars, and
+  require_probabilities an array of probabilities as well;
+- require_instance, require_items, require_real_array and require_choice
+  check types, sequences, arrays and string choices;
+- text_file opens every file the package reads or writes, refusing paths
+  that are not str, bytes or os.PathLike and text that is not UTF-8.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
+import os
 from typing import Any
 
 import numpy as np
@@ -26,11 +37,14 @@ __all__ = [
     "require_instance",
     "require_items",
     "require_real_array",
+    "require_choice",
     "require_seed",
     "require_finite",
     "require_probability",
+    "require_probabilities",
     "require_threshold",
     "require_alpha_beta",
+    "text_file",
 ]
 
 
@@ -127,6 +141,13 @@ def require_real_array(x: Any, name: str) -> np.ndarray:
         raise ValidationError(f"{name} must hold real numbers only: {exc}") from exc
 
 
+def require_choice(x: Any, choices: tuple[str, ...], name: str) -> str:
+    """Accept only a str among choices."""
+    if not (isinstance(x, str) and x in choices):
+        raise DomainError(f"{name} must be {' or '.join(map(repr, choices))}, got {x!r}")
+    return x
+
+
 def require_seed(seed: Any) -> int:
     """Validate a random seed: a non-negative integer."""
     seed = require_int(seed, "seed")
@@ -146,23 +167,25 @@ def require_finite(x: Any, name: str) -> float:
     return v
 
 
-def require_probability(p: Any, name: str):
-    """Validate p strictly inside (0, 1). Never clamps.
-
-    A numpy array with at least one dimension is checked entry by entry
-    and returned as a float64 array; anything else gives a float.
-    """
-    if isinstance(p, np.ndarray) and p.ndim:
-        arr = require_real_array(p, name)
-        outside = ~((arr > 0.0) & (arr < 1.0))
-        if outside.any():
-            # The first offending entry raises the scalar call's error.
-            require_probability(float(arr[outside][0]), name)
-        return arr
+def require_probability(p: Any, name: str) -> float:
+    """Validate p strictly inside (0, 1). Never clamps."""
     v = require_finite(p, name)
     if not 0.0 < v < 1.0:
         raise DomainError(f"{name} must lie strictly inside (0, 1), got {v!r}")
     return v
+
+
+def require_probabilities(p: Any, name: str):
+    """require_probability, except that a numpy array with dimensions is
+    checked entry by entry and returned as a float64 array."""
+    if not (isinstance(p, np.ndarray) and p.ndim):
+        return require_probability(p, name)
+    arr = require_real_array(p, name)
+    outside = ~((arr > 0.0) & (arr < 1.0))
+    if outside.any():
+        # The first offending entry raises the scalar call's error.
+        require_probability(float(arr[outside][0]), name)
+    return arr
 
 
 def require_threshold(threshold: Any) -> float:
@@ -183,3 +206,23 @@ def require_alpha_beta(alpha: Any, beta: Any) -> tuple[float, float]:
     if alpha < 1.0 or not 0.0 < beta <= 1.0:
         raise DomainError(f"need alpha >= 1 and 0 < beta <= 1, got {alpha!r}, {beta!r}")
     return alpha, beta
+
+
+@contextlib.contextmanager
+def text_file(path: Any, mode: str = "r"):
+    """Open path as UTF-8 text to read ("r") or to write ("w", with newline="").
+
+    path must be a str, bytes or os.PathLike: an int would open a file
+    descriptor. Text in the block that is not UTF-8 raises ValidationError.
+    """
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise ValidationError(f"path must be a str, bytes or os.PathLike, got {path!r}")
+    try:
+        fh = open(path, mode, encoding="utf-8", newline="" if mode == "w" else None)
+    except ValueError as exc:  # a NUL character in the path
+        raise ValidationError(f"path {path!r}: {exc}") from exc
+    with fh:
+        try:
+            yield fh
+        except UnicodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc

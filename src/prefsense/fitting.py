@@ -34,6 +34,7 @@ from .errors import (
     require_int,
     require_items,
     require_real_array,
+    text_file,
 )
 from .models import KTuplePreference, bt_prob
 from .synth import PreferenceSample, tally_outcomes
@@ -291,6 +292,7 @@ def fit_pl(
 
 def predict(fit: FitResult, i: int, j: int) -> float:
     """Fitted probability that option i is preferred over option j."""
+    require_instance(fit, FitResult, "fit")
     i, j, n = require_int(i, "i"), require_int(j, "j"), len(fit.scores)
     if not (0 <= i < n and 0 <= j < n):
         raise DomainError(f"indices ({i}, {j}) out of range for {n} fitted options")
@@ -341,9 +343,5 @@ def parse_counts_text(text: str) -> PairwiseCounts:
 
 def load_counts(path) -> PairwiseCounts:
     """Counts from a UTF-8 file in parse_counts_text's format."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    return parse_counts_text(text)
+    with text_file(path) as fh:
+        return parse_counts_text(fh.read())

@@ -30,6 +30,7 @@ from .errors import (
     require_instance,
     require_int,
     require_items,
+    require_probabilities,
     require_probability,
     require_real_array,
 )
@@ -128,8 +129,8 @@ def bt_compose(p_ik, p_kj):
 
     Floats give a float; numpy arrays, broadcast together, give an array.
     """
-    p_ik = require_probability(p_ik, "p_ik")
-    p_kj = require_probability(p_kj, "p_kj")
+    p_ik = require_probabilities(p_ik, "p_ik")
+    p_kj = require_probabilities(p_kj, "p_kj")
     odds = (1.0 - p_ik) * (1.0 - p_kj) / (p_ik * p_kj)
     return _warn_if_saturated(1.0 / (1.0 + odds))
 
@@ -214,7 +215,7 @@ def logit_normal_density(x, sigma2: float):
     0 and 1 as sigma2 grows. x may be a float, giving a float, or an array
     of points strictly inside (0, 1), giving an array of densities.
     """
-    xs = require_probability(require_real_array(x, "x"), "x")
+    xs = require_probabilities(require_real_array(x, "x"), "x")
     sigma2 = require_finite(sigma2, "sigma2")
     if sigma2 <= 0.0:
         raise DomainError(f"sigma2 must be positive, got {sigma2!r}")

@@ -23,6 +23,7 @@ from .errors import (
     DomainError,
     EnumerationSizeError,
     require_alpha_beta,
+    require_choice,
     require_finite,
     require_instance,
     require_int,
@@ -106,7 +107,16 @@ def finite_diff(
     must return one value per point.
     """
     require_instance(fn, Callable, "fn")
-    point = np.broadcast_arrays(*map(_coordinate, require_items(at, "point")))
+    coords = []
+    for c in require_items(at, "point"):
+        if isinstance(c, np.ndarray) and c.ndim:
+            c = require_real_array(c, "point coordinate")
+            for bad in c[~np.isfinite(c)][:1]:  # the first non-finite entry's scalar error
+                require_finite(bad, "point coordinate")
+        else:
+            c = require_finite(c, "point coordinate")
+        coords.append(c)
+    point = np.broadcast_arrays(*coords)
     slot = require_int(slot, "slot")
     if not 0 <= slot < len(point):
         raise DomainError(f"slot {slot} out of range for point of length {len(point)}")
@@ -129,17 +139,6 @@ def finite_diff(
     up, down = (np.asarray(fn(*args), dtype=float) for args in (hi, lo))
     diff = (up - down) / (2.0 * h_eff)
     return float(diff) if diff.ndim == 0 else diff
-
-
-def _coordinate(value) -> np.ndarray:
-    """A finite float or array of finite floats, as an array."""
-    if np.ndim(value) == 0:
-        return np.asarray(require_finite(value, "point coordinate"))
-    arr = require_real_array(value, "point coordinate")
-    bad = arr[~np.isfinite(arr)]
-    if bad.size:
-        raise DomainError(f"point coordinate must be finite, got {float(bad[0])!r}")
-    return arr
 
 
 def mc_area_bt(threshold, n: int, seed: int = DEFAULT_SEED) -> MonteCarloEstimate:
@@ -203,8 +202,7 @@ def quad_area_pl(
     threshold = require_threshold(threshold)
     alpha, beta = require_alpha_beta(alpha, beta)
     grid_n = _require_grid_n(grid_n)
-    if which not in ("uv", "vu"):
-        raise DomainError(f"which must be 'uv' or 'vu', got {which!r}")
+    require_choice(which, ("uv", "vu"), "which")
     upper = beta / (4.0 * alpha * threshold)
     x = np.linspace(0.0, upper, grid_n + 1)
     width = np.sqrt(np.maximum(beta * (beta - 4.0 * alpha * threshold * x), 0.0)) / threshold
@@ -220,6 +218,7 @@ def brute_force_pl(options: ScoredOptionSet, k: int) -> dict[tuple[int, ...], fl
     independent check of the production evaluation path. Guarded to
     K <= 6 because the output grows factorially.
     """
+    require_instance(options, ScoredOptionSet, "options")
     k = require_int(k, "K")
     if k > 6:
         raise EnumerationSizeError(f"enumeration guard: K={k} exceeds the K <= 6 limit")

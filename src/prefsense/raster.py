@@ -13,7 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, require_alpha_beta, require_finite, require_int, require_items
+from .errors import (
+    DomainError,
+    PrefsenseError,
+    require_alpha_beta,
+    require_choice,
+    require_finite,
+    require_instance,
+    require_int,
+    require_items,
+    text_file,
+)
 from .sensitivity import bt_partial_terms, pl_partial_terms
 
 __all__ = [
@@ -135,8 +145,7 @@ def raster_bt(
     which selects the magnitude field: "d_pik" for the derivative with
     respect to the x coordinate, "d_pkj" for the y coordinate.
     """
-    if which not in ("d_pik", "d_pkj"):
-        raise DomainError(f"which must be 'd_pik' or 'd_pkj', got {which!r}")
+    require_choice(which, ("d_pik", "d_pkj"), "which")
     thresholds = _check_thresholds(thresholds)
     c = _centers(_check_resolution(resolution))
     x, y = c[:, None], c[None, :]
@@ -152,8 +161,7 @@ def raster_pl(
     resolution: int = DEFAULT_RESOLUTION,
 ) -> RasterGrid:
     """Rasterize the K-tuple swap-pair derivative over (p_uv, p_vu)."""
-    if which not in ("d_uv", "d_vu"):
-        raise DomainError(f"which must be 'd_uv' or 'd_vu', got {which!r}")
+    require_choice(which, ("d_uv", "d_vu"), "which")
     alpha, beta = require_alpha_beta(alpha, beta)
     thresholds = _check_thresholds(thresholds)
     c = _centers(_check_resolution(resolution))
@@ -183,18 +191,20 @@ def _csv_text(grid: RasterGrid) -> str:
 
 def read_csv_grid(path) -> dict[str, np.ndarray]:
     """Re-parse an exported CSV into flat x/y/value/class arrays, or raise DomainError."""
-    with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
-        header = fh.readline().strip()
-        if header != "x,y,value,class":
-            raise DomainError(f"unexpected CSV header {header!r} in {path}")
-        warnings.simplefilter("error", UserWarning)  # numpy only warns on an empty body
-        dtype = [("x", "f8"), ("y", "f8"), ("value", "f8"), ("class", "i8")]
-        try:
+    try:
+        with text_file(path) as fh, warnings.catch_warnings():
+            header = fh.readline().strip()
+            if header != "x,y,value,class":
+                raise DomainError(f"unexpected CSV header {header!r} in {path}")
+            warnings.simplefilter("error", UserWarning)  # numpy only warns on an empty body
+            dtype = [("x", "f8"), ("y", "f8"), ("value", "f8"), ("class", "i8")]
             data = np.loadtxt(fh, delimiter=",", comments=None, dtype=dtype, ndmin=1)
-        except ValueError as exc:
-            raise DomainError(f"malformed CSV row in {path}: {exc}") from exc
-        except UserWarning as exc:
-            raise DomainError(f"no data rows after the header in {path}") from exc
+    except PrefsenseError:  # the header's, or text_file's for text that is not UTF-8
+        raise
+    except ValueError as exc:
+        raise DomainError(f"malformed CSV row in {path}: {exc}") from exc
+    except UserWarning as exc:
+        raise DomainError(f"no data rows after the header in {path}") from exc
     return {name: data[name] for name in data.dtype.names}
 
 
@@ -343,14 +353,13 @@ def export(grid: RasterGrid, format: str, path) -> str:
     Output is a pure function of the grid, so re-exporting the same grid
     produces a byte-identical file.
     """
-    if format == "csv":
+    require_instance(grid, RasterGrid, "grid")
+    if require_choice(format, ("csv", "svg"), "format") == "csv":
         text = _csv_text(grid)
-    elif format == "svg":
-        text = _svg_text(grid)
     else:
-        raise DomainError(f"format must be 'csv' or 'svg', got {format!r}")
+        text = _svg_text(grid)
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with text_file(path, "w") as fh:
             fh.write(text)
     except OSError as exc:
         raise OSError(f"failed to write {format} export to {path!r}: {exc}") from exc

@@ -37,9 +37,11 @@ from .errors import (
     SingularityError,
     WitnessNotFoundError,
     require_alpha_beta,
+    require_choice,
     require_finite,
     require_instance,
     require_int,
+    require_probabilities,
     require_probability,
     require_threshold,
 )
@@ -85,8 +87,8 @@ def bt_partial(p_ik: float, p_kj: float) -> float:
     Finite and positive in the open square; the denominator vanishes only
     in the corner limits (p_ik, p_kj) -> (1, 0) or (0, 1).
     """
-    p_ik = require_probability(p_ik, "p_ik")
-    p_kj = require_probability(p_kj, "p_kj")
+    p_ik = require_probabilities(p_ik, "p_ik")
+    p_kj = require_probabilities(p_kj, "p_kj")
     numer, denom = bt_partial_terms(p_ik, p_kj)
     # denom is never 0. It is base^2, where base is exactly
     # -((1-p)(1-q) + pq) < 0 but is computed as fl(p + q - 2pq) - 1. A float
@@ -258,9 +260,8 @@ def pl_context(
     require_instance(options, ScoredOptionSet, "options")
     require_instance(omega, KTuplePreference, "omega")
     omega.validate_for(options)
-    k, u, v = len(omega), require_int(u, "u"), require_int(v, "v")
-    if not 0 <= u < v < k:
-        raise DomainError(f"need 0 <= u < v < K={k}, got u={u}, v={v}")
+    pos = PLSensitivityContext(len(omega), u, v, 1.0, 1.0)  # checks 0 <= u < v < K
+    k, u, v = pos.k, pos.u, pos.v
     # Only the entries above the diagonal are read, so an overflow below it
     # (an earlier-ranked option far ahead) is harmless. One above it, or an
     # alpha or beta out of range, is refused below.
@@ -374,8 +375,7 @@ def pl_region(
     threshold = require_threshold(threshold)
     require_instance(ctx, PLSensitivityContext, "ctx")
     fixed = require_probability(fixed, "fixed coordinate")
-    if which not in ("uv", "vu"):
-        raise DomainError(f"which must be 'uv' or 'vu', got {which!r}")
+    require_choice(which, ("uv", "vu"), "which")
     lo, hi, center, half = map(float, pl_region_terms(threshold, ctx.alpha, ctx.beta, fixed, which))
     interval = None if math.isnan(lo) else (lo, hi)
     return PLRegionBounds(threshold, which, fixed, center, half, interval)
@@ -395,11 +395,9 @@ def pl_region_area(threshold: float, ctx: PLSensitivityContext, which: str = "uv
     # threshold * threshold rounds like threshold**2 but gives inf, and so
     # an area of 0.0, where ** raises OverflowError (threshold above 1.3e154).
     m2 = threshold * threshold
-    if which == "uv":
+    if require_choice(which, ("uv", "vu"), "which") == "uv":
         return ctx.beta**2 / (6.0 * ctx.alpha * m2)
-    if which == "vu":
-        return ctx.beta**2 / (6.0 * ctx.alpha**3 * m2)
-    raise DomainError(f"which must be 'uv' or 'vu', got {which!r}")
+    return ctx.beta**2 / (6.0 * ctx.alpha**3 * m2)
 
 
 class AreaComparison(NamedTuple):

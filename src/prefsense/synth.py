@@ -53,6 +53,7 @@ from .errors import (
     require_int,
     require_items,
     require_seed,
+    text_file,
 )
 from .oracles import make_rng
 
@@ -189,6 +190,10 @@ class PreferenceSample:
     chosen: str
     rejected: str
 
+    def __post_init__(self):
+        for name in ("question", "chosen", "rejected"):
+            require_instance(getattr(self, name), str, name)
+
 
 def generate(spec: DatasetSpec) -> list[PreferenceSample]:
     """Generate the dataset described by a spec.
@@ -295,7 +300,6 @@ class EmpiricalReport:
     pairs: tuple[PairStats, ...]
     forbidden_pair: tuple[str, str]
     forbidden_count: int
-    n_total: int
 
 
 def empirical_check(samples: Sequence[PreferenceSample], spec: DatasetSpec) -> EmpiricalReport:
@@ -341,7 +345,6 @@ def empirical_check(samples: Sequence[PreferenceSample], spec: DatasetSpec) -> E
         pairs=tuple(stats),
         forbidden_pair=(o1, o3),
         forbidden_count=forbidden,
-        n_total=sum(tally.values()),  # every sample is one outcome
     )
 
 
@@ -410,13 +413,16 @@ def write_jsonl(samples: Sequence[PreferenceSample], path) -> str:
     sample equal to it, whether or not it is the same instance.
     """
     lines: dict[PreferenceSample, str] = {}
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for s in samples:
-            line = lines.get(s)
-            if line is None:
-                record = {"question": s.question, "chosen": s.chosen, "rejected": s.rejected}
-                line = lines[s] = json.dumps(record) + "\n"
-            fh.write(line)
+    with text_file(path, "w") as fh:
+        try:
+            for s in samples:
+                line = lines.get(s)
+                if line is None:
+                    record = {"question": s.question, "chosen": s.chosen, "rejected": s.rejected}
+                    line = lines[s] = json.dumps(record) + "\n"
+                fh.write(line)
+        except (AttributeError, TypeError) as exc:
+            raise ValidationError(f"samples must be a sequence of PreferenceSample: {exc}") from exc
     return str(path)
 
 
@@ -433,45 +439,40 @@ def read_jsonl(path) -> list[PreferenceSample]:
     """
     parsed: dict[str, PreferenceSample] = {}
     samples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for line_no, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                if len(samples) == MAX_SAMPLES:
-                    raise ValidationError(f"{path}:{line_no}: more than {MAX_SAMPLES} records")
-                sample = parsed.get(line)
-                if sample is None:
-                    sample = parsed[line] = _parse_record(line, path, line_no)
-                samples.append(sample)
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    with text_file(path) as fh:
+        for line_no, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            if len(samples) == MAX_SAMPLES:
+                raise ValidationError(f"{path}:{line_no}: more than {MAX_SAMPLES} records")
+            sample = parsed.get(line)
+            if sample is None:
+                sample = parsed[line] = _parse_record(line, path, line_no)
+            samples.append(sample)
     return samples
 
 
 def _parse_record(line: str, path, line_no: int) -> PreferenceSample:
     try:
         record = json.loads(line)
-        sample = PreferenceSample(record["question"], record["chosen"], record["rejected"])
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        return PreferenceSample(record["question"], record["chosen"], record["rejected"])
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON or a non-str field
         raise ValidationError(f"{path}:{line_no}: malformed sample record") from exc
-    if not (
-        isinstance(sample.question, str)
-        and isinstance(sample.chosen, str)
-        and isinstance(sample.rejected, str)
-    ):
-        raise ValidationError(f"{path}:{line_no}: malformed sample record")
-    return sample
 
 
 def write_manifest(entries: Sequence[tuple[DatasetSpec, str]], path) -> str:
     """Comma-separated manifest: permutation, p12, p23, seed, dataset path."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with text_file(path, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["permutation", "p12", "p23", "seed", "path"])
-        for spec, data_path in entries:
-            writer.writerow(
-                [",".join(spec.permutation), repr(spec.p12), repr(spec.p23), spec.seed, data_path]
-            )
+        try:
+            for spec, data_path in entries:
+                writer.writerow(
+                    [",".join(spec.permutation), repr(spec.p12), repr(spec.p23), spec.seed, data_path]
+                )
+        except UnicodeError:  # a path text_file cannot encode, reported as such
+            raise
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValidationError(f"entries must be (DatasetSpec, path) pairs: {exc}") from exc
     return str(path)

@@ -112,6 +112,11 @@ class TestFiniteDiff:
         ]
         assert type(finite_diff(bt_compose, (0.4, 0.3))) is float
 
+    def test_one_element_array_stays_an_array(self):
+        fd = finite_diff(bt_compose, (np.array([0.4]), 0.3))
+        assert isinstance(fd, np.ndarray) and fd.shape == (1,)
+        assert fd.tolist() == [finite_diff(bt_compose, (0.4, 0.3))]
+
     def test_array_point_too_close_to_the_boundary(self):
         with pytest.raises(DomainError, match="cannot perturb slot 0 at 5e-10"):
             finite_diff(lambda x: x, (np.array([0.5, 5e-10, 0.2]),))

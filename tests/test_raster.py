@@ -263,6 +263,11 @@ class TestGridConstruction:
         with pytest.raises(DomainError):
             raster_bt("d_pik", THRESHOLDS, MAX_RESOLUTION + 1)
 
+    def test_which_array_refused(self):
+        # A one-element array compares equal to its string, but is not one.
+        with pytest.raises(DomainError, match=re.escape("which must be 'd_pik' or 'd_pkj', got array(['d_pik']")):
+            raster_bt(np.array(["d_pik"]), THRESHOLDS, 64)
+
     @pytest.mark.parametrize("resolution", ["x", None, 64.9, 64.0], ids=["x", "None", "64.9", "64.0"])
     def test_non_integer_resolution(self, resolution):
         with pytest.raises(DomainError, match="resolution must be an integer"):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 import re
 from collections import Counter
 
@@ -314,6 +315,11 @@ class TestTallyOutcomes:
             with pytest.raises(ValidationError):
                 tally_outcomes(samples, labels)
 
+    def test_sample_fields_must_be_str(self):
+        # Such a sample used to reach tally_outcomes and raise TypeError there.
+        with pytest.raises(ValidationError, match="question must be a str, got None"):
+            tally_outcomes([PreferenceSample(None, None, None)], ("a", "b"))
+
 
 class TestEmpiricalCheck:
     def test_counts_partition_samples(self):
@@ -429,6 +435,14 @@ class TestFiles:
         assert lines[0] == "permutation,p12,p23,seed,path"
         assert len(lines) == 4
         assert lines[1].startswith('"dog,bird,cat",0.99,0.0,')
+
+
+    def test_manifest_path_not_utf8(self, tmp_path):
+        # A file name decoded with surrogate escapes cannot be written as UTF-8.
+        entries = [(sweep(spec(n=10))[0], os.fsdecode(b"data_\xff.jsonl"))]
+        path = tmp_path / "manifest.csv"
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: not UTF-8 text")):
+            write_manifest(entries, path)
 
 
 class TestJsonlMatchesReference:
