@@ -203,6 +203,8 @@ def quad_area_pl(
     alpha, beta = require_alpha_beta(alpha, beta)
     grid_n = _require_grid_n(grid_n)
     require_choice(which, ("uv", "vu"), "which")
+    if math.isinf(4.0 * alpha * threshold):  # the region is empty; inf * 0 would give NaN
+        return 0.0
     upper = beta / (4.0 * alpha * threshold)
     x = np.linspace(0.0, upper, grid_n + 1)
     width = np.sqrt(np.maximum(beta * (beta - 4.0 * alpha * threshold * x), 0.0)) / threshold

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     DomainError,
     PrefsenseError,
+    ValidationError,
     require_alpha_beta,
     require_choice,
     require_finite,
@@ -39,11 +40,12 @@ __all__ = [
 
 DEFAULT_THRESHOLDS = (1.01, 2.0, 3.0, 5.0, 10.0)
 DEFAULT_RESOLUTION = 512
-# Memory grows as resolution^2. Measured with tracemalloc at 256^2-1024^2:
-# CSV export peaks at about 91 B per cell (78 for the text and row lists plus
-# the 13 the grid keeps; building a grid or reading the CSV back takes less),
-# so about 1.5 GB at this cap, the same order as synth.MAX_SAMPLES. Larger
-# requests are refused before anything is allocated.
+# Memory grows as resolution^2. Measured with tracemalloc at 256^2-1024^2,
+# in bytes per cell: a grid keeps 13 and building one peaks at about 22.
+# Above the grid, CSV export takes under 1 (each row is formatted as it is
+# written) and SVG export about 25; read_csv_grid peaks at about 34. SVG
+# export, at about 38 with its grid, bounds memory: about 640 MB at this
+# cap. Larger requests are refused before anything is allocated.
 MAX_RESOLUTION = 4096
 
 _MARGIN = 60
@@ -175,18 +177,18 @@ def raster_pl(
 # ---------------------------------------------------------------------------
 
 
-def _csv_text(grid: RasterGrid) -> str:
+def _csv_rows(grid: RasterGrid):
+    """The CSV header, then the text of one grid row at a time."""
     # One %-template per grid row, with the formatted y centers written in.
     centers = [f"{c:.9g}" for c in grid.cell_centers().tolist()]
     template = "".join(f"%s,{cy},%.9g,%d\n" for cy in centers)
     fields = [None] * (3 * grid.resolution)
-    lines = ["x,y,value,class\n"]
-    for cx, values, classes in zip(centers, grid.values.tolist(), grid.classes.tolist()):
+    yield "x,y,value,class\n"
+    for cx, values, classes in zip(centers, grid.values, grid.classes):
         fields[0::3] = [cx] * grid.resolution
-        fields[1::3] = values
-        fields[2::3] = classes
-        lines.append(template % tuple(fields))
-    return "".join(lines)
+        fields[1::3] = values.tolist()
+        fields[2::3] = classes.tolist()
+        yield template % tuple(fields)
 
 
 def read_csv_grid(path) -> dict[str, np.ndarray]:
@@ -354,13 +356,20 @@ def export(grid: RasterGrid, format: str, path) -> str:
     produces a byte-identical file.
     """
     require_instance(grid, RasterGrid, "grid")
+    # CSV rows are formatted as they are written, so a grid the row loop
+    # cannot format is refused before the file is opened.
+    side = require_int(grid.resolution, "resolution")
+    for name, kinds, what in (("values", "biuf", "a real"), ("classes", "biu", "an integer")):
+        a = getattr(grid, name)
+        if not (isinstance(a, np.ndarray) and a.shape == (side, side) and a.dtype.kind in kinds):
+            raise ValidationError(f"grid {name} must be {what} array of shape ({side}, {side})")
     if require_choice(format, ("csv", "svg"), "format") == "csv":
-        text = _csv_text(grid)
+        chunks = _csv_rows(grid)
     else:
-        text = _svg_text(grid)
+        chunks = [_svg_text(grid)]
     try:
         with text_file(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise OSError(f"failed to write {format} export to {path!r}: {exc}") from exc
     return str(path)

@@ -11,6 +11,7 @@ from prefsense import (
     DomainError,
     EnumerationSizeError,
     KTuplePreference,
+    PLSensitivityContext,
     ScoredOptionSet,
     UnsupportedThresholdError,
     bt_compose,
@@ -21,6 +22,7 @@ from prefsense import (
     mc_area_bt,
     mode_count,
     pl_prob,
+    pl_region_area,
     quad_area_pl,
     ratio_matrix,
 )
@@ -283,6 +285,12 @@ class TestQuadAreaPL:
 
     def test_huge_threshold_area_underflows_to_zero(self):
         assert quad_area_pl(1e200, 1.01, 0.99) == 0.0
+
+    # 4 * alpha * threshold overflows to inf; the closed form gives 0.0 too.
+    @pytest.mark.parametrize("threshold, alpha", [(1e308, 1.01), (2.0, 1e308)])
+    def test_overflowing_scale_gives_zero(self, threshold, alpha):
+        assert quad_area_pl(threshold, alpha, 0.99, "uv", 10_000) == 0.0
+        assert pl_region_area(threshold, PLSensitivityContext.from_alpha_beta(alpha, 0.99)) == 0.0
 
 
 class TestBruteForce:

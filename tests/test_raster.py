@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import re
+import tracemalloc
 import warnings
 from collections import Counter
 import xml.etree.ElementTree as ET
@@ -14,6 +15,7 @@ import pytest
 from prefsense import (
     DomainError,
     PLSensitivityContext,
+    ValidationError,
     bt_partial,
     bt_region_slice,
     export,
@@ -479,6 +481,41 @@ class TestCSVExport:
     def test_io_error_carries_path(self, tmp_path):
         with pytest.raises(OSError, match="missing-dir"):
             export(tiny_grid(), "csv", tmp_path / "missing-dir" / "x.csv")
+
+    # Rows are formatted as they are written, so the text never exists whole.
+    def test_peak_memory_above_the_grid(self, tmp_path):
+        grid = raster_bt("d_pik", THRESHOLDS, 1024)
+        tracemalloc.start()
+        try:
+            export(grid, "csv", tmp_path / "grid.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024**2
+
+    # Streaming opens the file before the rows are formatted, so a grid the
+    # row loop cannot format is refused first and the file keeps its bytes.
+    @pytest.mark.parametrize("format", ["csv", "svg"])
+    @pytest.mark.parametrize(
+        "field, change",
+        [
+            ("values", lambda a: a[:, :32]),
+            ("classes", lambda a: a[:32]),
+            ("values", lambda a: a[0]),
+            ("values", lambda a: a.tolist()),
+            ("values", lambda a: a.astype(str)),
+            ("classes", lambda a: a.astype(float)),
+        ],
+        ids=["values-columns", "classes-rows", "values-1d", "values-list", "values-str", "classes-float"],
+    )
+    def test_malformed_grid_refused_before_writing(self, tmp_path, format, field, change):
+        grid = raster_bt(resolution=64)
+        bad = dataclasses.replace(grid, **{field: change(getattr(grid, field))})
+        path = tmp_path / f"kept.{format}"
+        path.write_bytes(b"kept\n")
+        with pytest.raises(ValidationError, match=f"grid {field} must be an? \\w+ array of shape \\(64, 64\\)"):
+            export(bad, format, path)
+        assert path.read_bytes() == b"kept\n"
 
 
 class TestSVGExport:

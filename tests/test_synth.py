@@ -437,6 +437,32 @@ class TestFiles:
         assert lines[1].startswith('"dog,bird,cat",0.99,0.0,')
 
 
+    # Bad input is refused before the file is opened, so an existing file keeps its bytes.
+    @pytest.mark.parametrize(
+        "write, bad",
+        [
+            (write_jsonl, lambda: [1]),
+            (write_jsonl, lambda: iter([*generate(spec(n=5)), None])),
+            (write_jsonl, lambda: [[1]]),
+            (write_manifest, lambda: [(1, 2)]),
+            (write_manifest, lambda: iter([(sweep(spec(n=10))[0], "a.jsonl"), (1,)])),
+        ],
+        ids=["jsonl-int", "jsonl-last-bad", "jsonl-unhashable", "manifest-pair", "manifest-last-bad"],
+    )
+    def test_refused_write_leaves_file_untouched(self, tmp_path, write, bad):
+        path = tmp_path / "kept.txt"
+        path.write_bytes(b"kept\n")
+        with pytest.raises(ValidationError):
+            write(bad(), path)
+        assert path.read_bytes() == b"kept\n"
+
+    def test_jsonl_from_iterator(self, tmp_path):
+        samples = generate(spec(n=600))
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_jsonl(samples, a)
+        write_jsonl(iter(samples), b)
+        assert a.read_bytes() == b.read_bytes()
+
     def test_manifest_path_not_utf8(self, tmp_path):
         # A file name decoded with surrogate escapes cannot be written as UTF-8.
         entries = [(sweep(spec(n=10))[0], os.fsdecode(b"data_\xff.jsonl"))]

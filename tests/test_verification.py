@@ -269,6 +269,26 @@ def test_region_coherence_gates_equal_a_scalar_loop(monkeypatch):
     assert gates == _scalar_region_coherence_gates(True)
 
 
+# MC_AREA_SEED's comment claims a 6x margin on the 2% gate in the full run
+# and 2.3x with --quick; the worst rel is 0.0033 and 0.0086.
+@pytest.mark.parametrize("quick, margin", [(False, 6.0), (True, 2.3)], ids=["full", "quick"])
+def test_monte_carlo_area_seed_margin(monkeypatch, quick, margin):
+    draws = []
+    right = verification.mc_area_bt
+
+    def recording(thresholds, n, seed):
+        result = right(thresholds, n, seed)
+        draws.append((thresholds, result.value.tolist()))
+        return result
+
+    monkeypatch.setattr(verification, "mc_area_bt", recording)
+    assert verification.check_bt_area_monte_carlo(quick).passed
+    [(thresholds, estimates)] = draws
+    closed = [verification.bt_region_area(m) for m in thresholds]
+    worst = max(abs(v - c) / c for v, c in zip(estimates, closed))
+    assert 0.02 / worst >= margin
+
+
 def test_quick_details_match_the_pinned_strings():
     expected = json.loads(EXPECTED.read_text())["verify_details"]["quick"]
     results = verification.run_all(quick=True)
