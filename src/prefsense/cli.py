@@ -21,8 +21,8 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .errors import DomainError, PrefsenseError, require_probability, text_file
-from .fitting import counts_from_samples, fit_bt, load_counts, predict
-from .links import get_link
+from .fitting import counts_from_samples, fit_bt, load_counts
+from .links import LOGISTIC, get_link
 from .models import compose_pairwise
 from .oracles import DEFAULT_SEED, mc_area_bt, quad_area_pl
 from .raster import DEFAULT_RESOLUTION, DEFAULT_THRESHOLDS, export, raster_bt, raster_pl
@@ -360,25 +360,27 @@ def _cmd_fit(args):
         counts = load_counts(path)
         labels = [str(i) for i in range(counts.n)]
     fit = fit_bt(counts)
-    predictions = {}
-    for i in range(counts.n):
-        for j in range(counts.n):
-            if i != j:
-                predictions[f"{labels[i]}>{labels[j]}"] = predict(fit, i, j)
+    s = fit.scores
+    predictions = {
+        f"{labels[i]}>{labels[j]}": LOGISTIC.evaluate(s[i] - s[j])
+        for i in range(counts.n)
+        for j in range(counts.n)
+        if i != j
+    }
     payload = {
         "labels": labels,
-        "scores": list(fit.scores),
+        "scores": list(s),
         "log_likelihood": fit.log_likelihood,
         "iterations": fit.iterations,
         "converged": fit.converged,
         "predictions": predictions,
     }
-    lines = [
-        "scores: " + ", ".join(f"{lab} = {_fmt(s)}" for lab, s in zip(labels, fit.scores)),
+    lines = [] if args.json else [
+        "scores: " + ", ".join(f"{lab} = {_fmt(x)}" for lab, x in zip(labels, s)),
         f"log likelihood: {_fmt(fit.log_likelihood)} "
         f"({'converged' if fit.converged else 'not converged'}, {fit.iterations} iterations)",
+        *(f"p({key}) = {_fmt(value)}" for key, value in predictions.items()),
     ]
-    lines += [f"p({key}) = {_fmt(value)}" for key, value in predictions.items()]
     if args.out:
         with text_file(args.out, "w") as fh:
             json.dump(payload, fh, indent=2)

@@ -2,10 +2,12 @@
 
 Pairwise win counts are fitted under the logistic pairwise model, ranking
 samples under the K-tuple model; both use the same deterministic
-full-batch gradient ascent with a backtracking line search. The first
-option's score is pinned to 0 for identifiability. The pairwise
-likelihood is computed over the N x N win matrix, the ranking likelihood
-over one padded array that holds every stage of every distinct ranking.
+full-batch ascent with a backtracking line search, preconditioned by the
+inverse of the complete comparison graph's grounded Laplacian (see
+_ascend). The first option's score is pinned to 0 for identifiability.
+The pairwise likelihood is computed over the N x N win matrix, the ranking
+likelihood over one padded array that holds every stage of every distinct
+ranking.
 
 The MLE is finite exactly when every option beats every other along some
 chain of wins, so one-sided pairs inside a cycle of wins are fine. When a
@@ -17,7 +19,6 @@ the regime. A cap of 30 corresponds to a fitted pair probability within
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -138,17 +139,32 @@ def _ascend(
     value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
     n: int,
 ) -> FitResult:
-    """Gradient ascent with backtracking; coordinate 0 stays anchored at 0.
+    """Preconditioned ascent with backtracking; coordinate 0 stays anchored at 0.
 
-    The sufficient-increase constant is 1/2, which on a quadratic rejects
-    any step beyond the inverse curvature and keeps the contraction rate
-    geometric; looser constants accept steps near twice that and crawl.
+    Pinning leaves the pinned gradient g (grad with g[0] = 0) a poor
+    direction: with equal weights on a complete comparison graph the free
+    scores' Hessian is the grounded Laplacian n*I - 11^T, with eigenvalues
+    n (n - 2 times) and 1, a condition number near n. Each step follows
+    d = (grad - grad[0]) / n instead, the unpinned gradient re-pinned and
+    scaled by 1/n. Both likelihoods are shift-invariant, so grad sums to 0
+    and d = (I + 11^T) g / n on the free scores: the inverse of that
+    Laplacian applied to g. With two options d is g bit for bit.
+
+    The sufficient-increase test asks for half the predicted gain
+    trial * g.d, which on a quadratic rejects any step beyond the inverse
+    curvature and keeps the contraction rate geometric; looser constants
+    accept steps near twice that and crawl.
 
     Near the optimum the true improvement falls below float64 resolution
-    of the likelihood, so the test carries a small absolute slack; an
-    acceptance that needs the slack must also not increase the gradient
-    norm (the likelihood is too flat there to veto an unstable step, the
-    gradient is not), and it never grows the next trial step.
+    of the likelihood, so the test carries a small absolute slack. A step
+    is resolvable, and doubles the next trial step, only when its
+    predicted gain exceeds the slack and is realised; otherwise rounding
+    noise passes unstable steps. Any other acceptance needs the slack and
+    must be stable by the gradient, which stays accurate where the likelihood
+    is flat: its norm does not grow, and g_new.d >= -g.d / 2, the overshoot
+    side of the strong Wolfe condition with the same constant 1/2. Without
+    that bound a step at the edge of stability, which flips the stiffest
+    mode's gradient at nearly full size, passes and the ascent crawls.
     """
     s = np.zeros(n)
     ll, grad = value_and_grad(s)
@@ -162,21 +178,23 @@ def _ascend(
             converged = True
             iterations -= 1
             break
+        d = (grad - grad[0]) / n
         trial = step
         slack = 1e-10 * (1.0 + abs(ll))
-        gsq = float(np.dot(g, g))
-        gnorm = math.sqrt(gsq)
+        gd = float(np.dot(g, d))
+        gnorm = float(np.linalg.norm(g))
         accepted = False
         resolvable = False
         for _ in range(60):
-            s_new = np.clip(s + trial * g, -SCORE_CAP, SCORE_CAP)
+            s_new = np.clip(s + trial * d, -SCORE_CAP, SCORE_CAP)
             s_new[0] = 0.0
             ll_new, grad_new = value_and_grad(s_new)
-            resolvable = ll_new - ll >= 0.5 * trial * gsq
+            gain = 0.5 * trial * gd
+            resolvable = gain > slack and ll_new - ll >= gain
             g_new = grad_new.copy()
             g_new[0] = 0.0
-            stable = float(np.linalg.norm(g_new)) <= gnorm
-            if resolvable or (stable and ll_new >= ll + 0.5 * trial * gsq - slack):
+            stable = float(np.linalg.norm(g_new)) <= gnorm and float(np.dot(g_new, d)) >= -0.5 * gd
+            if resolvable or (stable and ll_new >= ll + gain - slack):
                 accepted = True
                 break
             trial *= 0.5

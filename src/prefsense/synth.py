@@ -466,12 +466,15 @@ def _parse_record(line: str, path, line_no: int) -> PreferenceSample:
 
 def write_manifest(entries: Sequence[tuple[DatasetSpec, str]], path) -> str:
     """Comma-separated manifest: permutation, p12, p23, seed, dataset path."""
-    # Every row is built before the file is opened, so bad input leaves it untouched.
+    # Every row is built and encoded before the file is opened, so bad input leaves it untouched.
     try:
         rows = [
             [",".join(spec.permutation), repr(spec.p12), repr(spec.p23), spec.seed, data_path]
             for spec, data_path in entries
         ]
+        "".join(str(cell) for row in rows for cell in row).encode()
+    except UnicodeEncodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     except (AttributeError, TypeError, ValueError) as exc:
         raise ValidationError(f"entries must be (DatasetSpec, path) pairs: {exc}") from exc
     with text_file(path, "w") as fh:

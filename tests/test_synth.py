@@ -446,8 +446,12 @@ class TestFiles:
             (write_jsonl, lambda: [[1]]),
             (write_manifest, lambda: [(1, 2)]),
             (write_manifest, lambda: iter([(sweep(spec(n=10))[0], "a.jsonl"), (1,)])),
+            (write_manifest, lambda: [(sweep(spec(n=10))[0], os.fsdecode(b"data_\xff.jsonl"))]),
         ],
-        ids=["jsonl-int", "jsonl-last-bad", "jsonl-unhashable", "manifest-pair", "manifest-last-bad"],
+        ids=[
+            "jsonl-int", "jsonl-last-bad", "jsonl-unhashable", "manifest-pair", "manifest-last-bad",
+            "manifest-path-not-utf8",
+        ],
     )
     def test_refused_write_leaves_file_untouched(self, tmp_path, write, bad):
         path = tmp_path / "kept.txt"
