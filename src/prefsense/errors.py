@@ -10,7 +10,8 @@ The helpers are the one validation path the modules share:
 - require_instance, require_items, require_real_array and require_choice
   check types, sequences, arrays and string choices;
 - text_file opens every file the package reads or writes, refusing paths
-  that are not str, bytes or os.PathLike and text that is not UTF-8.
+  that are not str, bytes or os.PathLike and, through utf8_errors, text
+  that is not UTF-8.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ __all__ = [
     "require_threshold",
     "require_alpha_beta",
     "text_file",
+    "utf8_errors",
 ]
 
 
@@ -221,8 +223,14 @@ def text_file(path: Any, mode: str = "r"):
         fh = open(path, mode, encoding="utf-8", newline="" if mode == "w" else None)
     except ValueError as exc:  # a NUL character in the path
         raise ValidationError(f"path {path!r}: {exc}") from exc
-    with fh:
-        try:
-            yield fh
-        except UnicodeError as exc:
-            raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    with fh, utf8_errors(path):
+        yield fh
+
+
+@contextlib.contextmanager
+def utf8_errors(path: Any):
+    """Report a UnicodeError raised in the block as text for path that is not UTF-8."""
+    try:
+        yield
+    except UnicodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc

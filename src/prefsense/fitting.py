@@ -3,11 +3,10 @@
 Pairwise win counts are fitted under the logistic pairwise model, ranking
 samples under the K-tuple model; both use the same deterministic
 full-batch ascent with a backtracking line search, preconditioned by the
-inverse of the complete comparison graph's grounded Laplacian (see
-_ascend). The first option's score is pinned to 0 for identifiability.
-The pairwise likelihood is computed over the N x N win matrix, the ranking
-likelihood over one padded array that holds every stage of every distinct
-ranking.
+inverse of the data's own comparison graph Laplacian (see _ascend). The
+first option's score is pinned to 0 for identifiability. The pairwise
+likelihood is computed over the N x N win matrix, the ranking likelihood
+over one padded array that holds every stage of every distinct ranking.
 
 The MLE is finite exactly when every option beats every other along some
 chain of wins, so one-sided pairs inside a cycle of wins are fine. When a
@@ -137,63 +136,68 @@ def _check_comparisons(beats: np.ndarray, what: str) -> None:
 
 def _ascend(
     value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    n: int,
+    weights: np.ndarray,
 ) -> FitResult:
     """Preconditioned ascent with backtracking; coordinate 0 stays anchored at 0.
 
-    Pinning leaves the pinned gradient g (grad with g[0] = 0) a poor
-    direction: with equal weights on a complete comparison graph the free
-    scores' Hessian is the grounded Laplacian n*I - 11^T, with eigenvalues
-    n (n - 2 times) and 1, a condition number near n. Each step follows
-    d = (grad - grad[0]) / n instead, the unpinned gradient re-pinned and
-    scaled by 1/n. Both likelihoods are shift-invariant, so grad sums to 0
-    and d = (I + 11^T) g / n on the free scores: the inverse of that
-    Laplacian applied to g. With two options d is g bit for bit.
+    weights[i, j] = weights[j, i] says how often the data compares i and j;
+    its graph must be connected. Up to each pair's factor p(1 - p), the free
+    scores' Hessian is the grounded Laplacian L of that graph (row and
+    column 0 removed), whose condition number, about n on a complete graph
+    and n^2 on a chain, slows plain ascent along the pinned gradient g.
+    Steps follow d = (L / c)^-1 g, c the mean weight of a compared pair but
+    at least 16, so that the trial cap of 1 stays above the ideal step of
+    about 1 / (c p(1 - p)). L is inverted once, at O(n^3). With two options
+    compared at least 16 times, d is g bit for bit.
 
     The sufficient-increase test asks for half the predicted gain
     trial * g.d, which on a quadratic rejects any step beyond the inverse
-    curvature and keeps the contraction rate geometric; looser constants
-    accept steps near twice that and crawl.
+    curvature and keeps the contraction rate geometric.
 
-    Near the optimum the true improvement falls below float64 resolution
-    of the likelihood, so the test carries a small absolute slack. A step
-    is resolvable, and doubles the next trial step, only when its
-    predicted gain exceeds the slack and is realised; otherwise rounding
-    noise passes unstable steps. Any other acceptance needs the slack and
-    must be stable by the gradient, which stays accurate where the likelihood
-    is flat: its norm does not grow, and g_new.d >= -g.d / 2, the overshoot
-    side of the strong Wolfe condition with the same constant 1/2. Without
-    that bound a step at the edge of stability, which flips the stiffest
-    mode's gradient at nearly full size, passes and the ascent crawls.
+    Near the optimum the gain falls below float64 resolution of the
+    likelihood, so the test carries a small absolute slack, and the
+    gradient, which stays accurate, judges stability: g_new.d_new <= g.d
+    (g's norm in the preconditioner's metric, where a stable step cannot
+    grow it; the Euclidean norm can) and g_new.d >= -g.d / 2 (no overshoot
+    by more than half, as in the strong Wolfe condition). A step that
+    realises its predicted gain is resolvable, and doubles the next trial
+    step, if that gain exceeds the slack or the step is stable; otherwise
+    rounding noise would pass unstable steps. A step accepted within the
+    slack must be stable and keeps the trial step.
     """
+    n = len(weights)
+    laplacian = np.diag(weights.sum(axis=1)) - weights
+    inverse = np.linalg.inv(laplacian[1:, 1:] / max(weights[weights > 0].mean(), 16.0))
+
+    def pinned(grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        g = grad.copy()
+        g[0] = 0.0
+        return g, np.append(0.0, inverse @ g[1:])
+
     s = np.zeros(n)
     ll, grad = value_and_grad(s)
+    g, d = pinned(grad)
     step = 1.0
     iterations = 0
     converged = False
     for iterations in range(1, MAX_ITERATIONS + 1):
-        g = grad.copy()
-        g[0] = 0.0
         if np.max(np.abs(g)) <= GRADIENT_TOL:
             converged = True
             iterations -= 1
             break
-        d = (grad - grad[0]) / n
         trial = step
         slack = 1e-10 * (1.0 + abs(ll))
         gd = float(np.dot(g, d))
-        gnorm = float(np.linalg.norm(g))
         accepted = False
         resolvable = False
         for _ in range(60):
             s_new = np.clip(s + trial * d, -SCORE_CAP, SCORE_CAP)
             s_new[0] = 0.0
             ll_new, grad_new = value_and_grad(s_new)
+            g_new, d_new = pinned(grad_new)
+            stable = float(np.dot(g_new, d_new)) <= gd and float(np.dot(g_new, d)) >= -0.5 * gd
             gain = 0.5 * trial * gd
-            resolvable = gain > slack and ll_new - ll >= gain
-            g_new = grad_new.copy()
-            g_new[0] = 0.0
-            stable = float(np.linalg.norm(g_new)) <= gnorm and float(np.dot(g_new, d)) >= -0.5 * gd
+            resolvable = ll_new - ll >= gain and (gain > slack or stable)
             if resolvable or (stable and ll_new >= ll + gain - slack):
                 accepted = True
                 break
@@ -201,9 +205,7 @@ def _ascend(
         if not accepted:
             break
         step = min(1.0, 2.0 * trial) if resolvable else trial
-        s, ll, grad = s_new, ll_new, grad_new
-    g = grad.copy()
-    g[0] = 0.0
+        s, ll, g, d = s_new, ll_new, g_new, d_new
     converged = converged or bool(np.max(np.abs(g)) <= GRADIENT_TOL)
     if np.any(np.abs(s) >= SCORE_CAP):
         warnings.warn(
@@ -244,7 +246,7 @@ def fit_bt(counts: PairwiseCounts) -> FitResult:
     """
     require_instance(counts, PairwiseCounts, "counts")
     _check_comparisons(counts.wins > 0, "the pairwise comparison graph")
-    return _ascend(partial(_bt_value_and_grad, counts.wins), counts.n)
+    return _ascend(partial(_bt_value_and_grad, counts.wins), counts.wins + counts.wins.T)
 
 
 def fit_pl(
@@ -291,9 +293,15 @@ def fit_pl(
     pad = (n,) * width
     stages = np.array([(idx + pad)[k : k + width] for idx in weights for k in range(len(idx) - 1)])
     mult = np.repeat(list(weights.values()), [len(idx) - 1 for idx in weights])
-    beats = np.zeros((n, n), dtype=bool)
-    beats[stages[:, 0], stages[:, 1]] = True  # adjacent places chain to every later one
-    _check_comparisons(beats, "the ranking comparison graph")
+    # won[i, j] weighs the rankings that place i above j: each stage's winner
+    # against the options still in it.
+    rest = stages[:, 1:] < n
+    won = np.bincount(
+        (stages[:, :1] * n + stages[:, 1:])[rest],
+        np.broadcast_to(mult[:, None], rest.shape)[rest],
+        n * n,
+    ).reshape(n, n)
+    _check_comparisons(won > 0, "the ranking comparison graph")
 
     def value_and_grad(s: np.ndarray) -> tuple[float, np.ndarray]:
         x = np.append(s, -np.inf)[stages]
@@ -305,7 +313,7 @@ def fit_pl(
         grad -= np.bincount(stages.ravel(), (expd * (mult / denom)[:, None]).ravel(), n + 1)
         return ll, grad[:n]
 
-    return _ascend(value_and_grad, n)
+    return _ascend(value_and_grad, won + won.T)
 
 
 def predict(fit: FitResult, i: int, j: int) -> float:

@@ -54,6 +54,7 @@ from .errors import (
     require_items,
     require_seed,
     text_file,
+    utf8_errors,
 )
 from .oracles import make_rng
 
@@ -466,17 +467,18 @@ def _parse_record(line: str, path, line_no: int) -> PreferenceSample:
 
 def write_manifest(entries: Sequence[tuple[DatasetSpec, str]], path) -> str:
     """Comma-separated manifest: permutation, p12, p23, seed, dataset path."""
-    # Every row is built and encoded before the file is opened, so bad input leaves it untouched.
+    # Every row is built, and its text cells encoded, before the file is opened,
+    # so bad input leaves it untouched.
     try:
         rows = [
             [",".join(spec.permutation), repr(spec.p12), repr(spec.p23), spec.seed, data_path]
             for spec, data_path in entries
         ]
-        "".join(str(cell) for row in rows for cell in row).encode()
-    except UnicodeEncodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     except (AttributeError, TypeError, ValueError) as exc:
         raise ValidationError(f"entries must be (DatasetSpec, path) pairs: {exc}") from exc
+    with utf8_errors(path):
+        for row in rows:
+            (row[0] + str(row[4])).encode()
     with text_file(path, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["permutation", "p12", "p23", "seed", "path"])
