@@ -9,11 +9,11 @@ likelihood is computed over the N x N win matrix, the ranking likelihood
 over one padded array that holds every stage of every distinct ranking.
 
 The MLE is finite exactly when every option beats every other along some
-chain of wins, so one-sided pairs inside a cycle of wins are fine. When a
-group of options never lost to the rest, the MLE is at infinity: scores are
-capped at |s| <= 30 and a DivergenceWarning is emitted instead of hiding
-the regime. A cap of 30 corresponds to a fitted pair probability within
-1e-13 of certainty.
+chain of wins, so one-sided pairs inside a cycle of wins are fine, and
+chains of dominant preferences fit to their exact, widely spread scores.
+When a group of options never lost to the rest, the MLE is at infinity: a
+DivergenceWarning names the group before the ascent starts, and the fit
+ends unconverged where the ascent stopped instead of hiding the regime.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .models import KTuplePreference, bt_prob
 from .synth import PreferenceSample, tally_outcomes
 
 __all__ = [
-    "SCORE_CAP",
     "GRADIENT_TOL",
     "MAX_ITERATIONS",
     "DivergenceWarning",
@@ -54,13 +53,12 @@ __all__ = [
     "load_counts",
 ]
 
-SCORE_CAP = 30.0
 GRADIENT_TOL = 1e-8
 MAX_ITERATIONS = 10_000
 
 
 class DivergenceWarning(RuntimeWarning):
-    """The MLE is at infinity for some score; results are capped."""
+    """The MLE is at infinity for some score; the fit cannot converge."""
 
 
 @dataclass(frozen=True)
@@ -111,7 +109,7 @@ def _check_comparisons(beats: np.ndarray, what: str) -> None:
     beats[i, j] is True when option i beat option j (or was ranked above
     it). The MLE is finite exactly when this directed graph is strongly
     connected (Ford 1957; Hunter 2004, Assumption 1): otherwise a group of
-    options never lost to the rest and its scores run off to the cap.
+    options never lost to the rest and its scores run off to infinity.
     """
     compared, comps, left = beats | beats.T, [], np.ones(len(beats), dtype=bool)
     while left.any():
@@ -128,7 +126,8 @@ def _check_comparisons(beats: np.ndarray, what: str) -> None:
     if unbeaten.any():
         warnings.warn(
             f"options {np.flatnonzero(unbeaten).tolist()} never lost to the others, "
-            f"so the MLE diverges; scores are capped at |s| = {SCORE_CAP:g}",
+            "so the MLE diverges; the fit will not converge and the scores are "
+            "where the ascent stopped",
             DivergenceWarning,
             stacklevel=3,
         )
@@ -164,6 +163,13 @@ def _ascend(
     step, if that gain exceeds the slack or the step is stable; otherwise
     rounding noise would pass unstable steps. A step accepted within the
     slack must be stable and keeps the trial step.
+
+    Nothing bounds the iterates, and d[0] = 0 keeps option 0 at 0. With a
+    finite MLE the pinned log likelihood has bounded superlevel sets, and
+    every accepted step ascends up to the slack, so the scores stay in a
+    bounded set, however widely the MLE spreads them. Without one,
+    _check_comparisons has already warned, and the ascent runs until
+    MAX_ITERATIONS or until no step is accepted.
     """
     n = len(weights)
     laplacian = np.diag(weights.sum(axis=1)) - weights
@@ -191,8 +197,7 @@ def _ascend(
         accepted = False
         resolvable = False
         for _ in range(60):
-            s_new = np.clip(s + trial * d, -SCORE_CAP, SCORE_CAP)
-            s_new[0] = 0.0
+            s_new = s + trial * d
             ll_new, grad_new = value_and_grad(s_new)
             g_new, d_new = pinned(grad_new)
             stable = float(np.dot(g_new, d_new)) <= gd and float(np.dot(g_new, d)) >= -0.5 * gd
@@ -207,13 +212,6 @@ def _ascend(
         step = min(1.0, 2.0 * trial) if resolvable else trial
         s, ll, g, d = s_new, ll_new, g_new, d_new
     converged = converged or bool(np.max(np.abs(g)) <= GRADIENT_TOL)
-    if np.any(np.abs(s) >= SCORE_CAP):
-        warnings.warn(
-            f"scores capped at |s| = {SCORE_CAP:g}; the unconstrained optimum "
-            "diverges (dominant preferences in the data)",
-            DivergenceWarning,
-            stacklevel=3,
-        )
     return FitResult(
         scores=tuple(float(x) for x in s),
         log_likelihood=float(ll),
@@ -229,8 +227,8 @@ def _bt_value_and_grad(wins: np.ndarray, s: np.ndarray) -> tuple[float, np.ndarr
     # numpy runs exp and log1p as SIMD loops (logaddexp is a per-element libm loop).
     log_p = np.minimum(diff, 0.0) - np.log1p(np.exp(-np.abs(diff)))
     ll = float(np.sum(wins * log_p))
-    # No clip: _ascend keeps |s| <= SCORE_CAP, so |diff| <= 60 and exp is finite.
-    sig_neg = 1.0 / (1.0 + np.exp(diff))  # sigmoid(-diff)
+    with np.errstate(over="ignore"):  # exp(diff) = inf beyond 709 gives the limit 0
+        sig_neg = 1.0 / (1.0 + np.exp(diff))  # sigmoid(-diff)
     g_matrix = wins * sig_neg
     grad = g_matrix.sum(axis=1) - g_matrix.sum(axis=0)
     return ll, grad
@@ -242,7 +240,7 @@ def fit_bt(counts: PairwiseCounts) -> FitResult:
     Requires the comparison graph to be connected. A one-sided pair alone
     does not diverge when N >= 3; only a group of options that never lost to
     the rest does, and then a DivergenceWarning names it up front and the
-    optimizer's score cap takes over.
+    fit returns converged=False with the scores where the ascent stopped.
     """
     require_instance(counts, PairwiseCounts, "counts")
     _check_comparisons(counts.wins > 0, "the pairwise comparison graph")

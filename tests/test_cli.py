@@ -1,8 +1,10 @@
 """CLI surface: output conventions, files, exit codes."""
 
 import json
+import math
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import pytest
@@ -367,17 +369,21 @@ class TestData:
         assert "1.09861" in out  # ln 3
 
     def test_fit_saturated_prediction_warns(self, capsys, tmp_path):
-        # 1 beats 0 and 0 beats 2 at odds of 1e17, beyond the score cap of 30,
-        # so p(1>2) = sigmoid(60) rounds to 1.
+        # 1 beats 0 and 0 beats 2 at odds of 1e17. The win graph is strongly
+        # connected, so the MLE is finite, at scores (0, +-ln 1e17), and
+        # p(1>2) = sigmoid(2 ln 1e17) rounds to 1.
         counts = tmp_path / "counts.txt"
         counts.write_text("3  0 1 1e17  1e17 0 0  1 0 0")
-        with pytest.warns(SaturationWarning), pytest.warns(DivergenceWarning, match="scores capped"):
-            code, out, _ = run(capsys, "fit", "--in", str(counts), "--json")
-            fit = json.loads(out)
-            s = fit["scores"]
-            expected = {f"{i}>{j}": bt_prob(s[i], s[j]) for i in range(3) for j in range(3) if i != j}
-        assert code == 0
-        assert s == [0.0, 30.0, -30.0] and fit["predictions"] == expected
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DivergenceWarning)
+            with pytest.warns(SaturationWarning):
+                code, out, _ = run(capsys, "fit", "--in", str(counts), "--json")
+                fit = json.loads(out)
+                s = fit["scores"]
+                expected = {f"{i}>{j}": bt_prob(s[i], s[j]) for i in range(3) for j in range(3) if i != j}
+        assert code == 0 and fit["converged"]
+        assert s == pytest.approx([0.0, math.log(1e17), -math.log(1e17)], rel=1e-12)
+        assert fit["predictions"] == expected
         assert expected["1>2"] == 1.0
 
     def test_fit_counts_not_utf8(self, capsys, tmp_path):

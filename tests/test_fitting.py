@@ -31,7 +31,7 @@ from prefsense import (
     parse_counts_text,
     predict,
 )
-from prefsense.fitting import MAX_ITERATIONS, SCORE_CAP, _ascend, _bt_value_and_grad
+from prefsense.fitting import MAX_ITERATIONS, _ascend, _bt_value_and_grad
 from prefsense.synth import DatasetSpec
 
 
@@ -168,13 +168,14 @@ class TestFitBT:
         assert exc_info.value.components == [[0, 1], [2, 3]]
         assert "[0, 1]" in str(exc_info.value)
 
-    def test_one_sided_pair_warns_and_caps(self):
+    def test_one_sided_pair_warns_once_and_runs_out_of_iterations(self):
         wins = np.zeros((2, 2))
         wins[0, 1] = 50
-        with pytest.warns(DivergenceWarning):
+        with pytest.warns(DivergenceWarning) as record:
             fit = fit_bt(PairwiseCounts(wins))
-        assert abs(fit.scores[1]) <= 30.0
-        assert not fit.converged
+        assert len(record) == 1
+        assert fit.scores[1] < 0.0
+        assert fit.iterations == MAX_ITERATIONS and not fit.converged
 
     @pytest.mark.parametrize(
         "pairs, components",
@@ -226,7 +227,7 @@ class TestDivergence:
         assert np.sum(wins == 0) - 100 > 100  # one-sided pairs, off the diagonal
         fit = fit_without_divergence_warning(fit_bt, PairwiseCounts(wins))
         assert fit.converged
-        assert max(abs(s) for s in fit.scores) < SCORE_CAP
+        assert max(abs(s) for s in fit.scores) < 30.0
 
     @pytest.mark.parametrize(
         "winner, loser, group",
@@ -239,8 +240,10 @@ class TestDivergence:
             wins[:, winner] = 0.0
         if loser is not None:
             wins[loser, :] = 0.0
-        with pytest.warns(DivergenceWarning, match=re.escape(f"options {group} never lost")):
+        with pytest.warns(DivergenceWarning, match=re.escape(f"options {group} never lost")) as record:
             fit = fit_bt(PairwiseCounts(wins))
+        assert len(record) == 1
+        assert fit.iterations == MAX_ITERATIONS and not fit.converged
         rest = [s for k, s in enumerate(fit.scores) if k not in group]
         assert min(fit.scores[k] for k in group) > max(rest)
 
@@ -305,6 +308,21 @@ class TestAscend:
         fit = fit_without_divergence_warning(fit_bt, PairwiseCounts(wins))
         assert fit.converged and fit.iterations < 200
 
+    # Each option beats the next at the given odds, so the MLE's adjacent
+    # gaps are ln(odds) and its spread is (n - 1) ln(odds), up to 1,368.
+    # Score differences beyond 709 overflow exp in the objective, which
+    # must not warn.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("odds", [99.0, 1e6])
+    @pytest.mark.parametrize("n", [12, 100])
+    def test_dominant_chains_fit_exactly(self, n, odds):
+        wins = np.zeros((n, n))
+        for i in range(n - 1):
+            wins[i, i + 1], wins[i + 1, i] = odds, 1.0
+        fit = fit_bt(PairwiseCounts(wins))
+        assert fit.converged and fit.iterations < 60
+        np.testing.assert_allclose(-np.diff(fit.scores), math.log(odds), rtol=0, atol=2e-8)
+
     def test_rise_below_the_slack_is_not_resolvable(self):
         # The value rises by 1e-12, more than the predicted gain (3.3e-13 at
         # the first trial step) but less than the slack (1e-10), while the
@@ -321,17 +339,29 @@ class TestAscend:
         fit = fit_without_divergence_warning(fit_pl, rankings, 8)
         assert fit.converged
 
+    @pytest.mark.filterwarnings("error")
+    def test_dominant_ranking_chain_converges(self):
+        # Each triple (i, i + 1, i + 2) is ranked in order 99 times and in
+        # reverse once; the MLE spreads the 12 scores over about 46.
+        n = 12
+        rankings = [(KTuplePreference((i, i + 1, i + 2)), 99.0) for i in range(n - 2)]
+        rankings += [(KTuplePreference((i + 2, i + 1, i)), 1.0) for i in range(n - 2)]
+        fit = fit_pl(rankings, n)
+        assert fit.converged and fit.iterations < 60
+        assert np.all(np.diff(fit.scores) < -3.0)
+
     def test_exit_when_no_step_is_accepted(self):
         # Any move costs 1, far above the slack, so all 60 trial steps fail.
         grad = np.array([0.0, 1.0, -1.0])
         fit = _ascend(lambda s: (-float(np.any(s != 0.0)), grad), COMPLETE_3)
         assert fit == FitResult(scores=(0.0, 0.0, 0.0), log_likelihood=0.0, iterations=1, converged=False)
 
-    def test_linear_objective_runs_to_the_cap(self):
+    @pytest.mark.filterwarnings("error")
+    def test_linear_objective_runs_out_of_iterations(self):
+        # Every step is accepted and the gradient never shrinks.
         grad = np.array([0.0, 1.0, -1.0])
-        with pytest.warns(DivergenceWarning, match=re.escape(f"scores capped at |s| = {SCORE_CAP:g}")):
-            fit = _ascend(lambda s: (float(grad @ s), grad), COMPLETE_3)
-        assert fit.scores == (0.0, SCORE_CAP, -SCORE_CAP)
+        fit = _ascend(lambda s: (float(grad @ s), grad), COMPLETE_3)
+        assert fit.scores[0] == 0.0 and fit.scores[1] == -fit.scores[2] > 0.0
         assert fit.iterations == MAX_ITERATIONS and not fit.converged
 
 
@@ -355,11 +385,11 @@ def pairwise_sum_depth(n):
 
 
 def random_objective_case(seed, n):
-    """Integer win counts and scores drawn within +-SCORE_CAP."""
+    """Integer win counts and scores drawn within +-30."""
     rng = make_rng(seed)
     wins = rng.integers(0, 21, size=(n, n)).astype(float)
     np.fill_diagonal(wins, 0.0)
-    return wins, rng.uniform(-SCORE_CAP, SCORE_CAP, size=n)
+    return wins, rng.uniform(-30.0, 30.0, size=n)
 
 
 def logaddexp_value_and_grad(wins, s):
@@ -448,6 +478,13 @@ class TestObjective:
         reference = _ascend(partial(logaddexp_value_and_grad, wins), wins + wins.T)
         assert fit.converged and reference.converged
         np.testing.assert_allclose(fit.scores, reference.scores, rtol=0, atol=1e-8)
+
+    @pytest.mark.filterwarnings("error")
+    def test_score_gap_beyond_exp_overflow(self):
+        # exp(800) overflows to inf, so sigmoid(-800) is its limit 0, silently.
+        value, grad = _bt_value_and_grad(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.0, 800.0]))
+        assert value == -800.0  # log sigmoid(-800) + log sigmoid(800)
+        assert grad.tolist() == [1.0, -1.0]  # sigmoid(800) - sigmoid(-800) at option 0
 
 
 class TestFitPL:
@@ -591,7 +628,7 @@ def weighted_rankings(draw):
         )
     ):
         weights[tuple(perm[:k])] = weights.get(tuple(perm[:k]), 0.0) + m
-    s = draw(st.lists(st.floats(-SCORE_CAP, SCORE_CAP), min_size=n, max_size=n))
+    s = draw(st.lists(st.floats(-30.0, 30.0), min_size=n, max_size=n))
     return n, weights, np.array(s)
 
 
