@@ -357,6 +357,8 @@ def _cmd_fit(args):
         labels = list(args.options)
         counts = counts_from_samples(read_jsonl(path), labels)
     else:
+        if args.options:
+            raise _UsageError("--options names the options of JSONL input; a counts file labels them 0 to N-1")
         counts = load_counts(path)
         labels = [str(i) for i in range(counts.n)]
     fit = fit_bt(counts)

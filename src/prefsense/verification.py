@@ -2,9 +2,10 @@
 
 Each check below corresponds to one acceptance criterion of the package
 (the same checks back the `verify` CLI command and the acceptance test
-module). All randomness is seeded, so the suite is deterministic, needs
-no network and no external files, and either passes reproducibly or
-fails reproducibly.
+module), and CHECKS lists them in the order they are defined. All
+randomness is seeded, so the suite is deterministic, needs no network
+and no external files, and either passes reproducibly or fails
+reproducibly.
 """
 
 from __future__ import annotations
@@ -75,28 +76,36 @@ class _Gates:
     """The pass/fail gates of one check; failure text is built only on failure.
 
     A numeric gate fails unless `value <= bound` (`at_most`) or
-    `value > bound` (`above`), so a NaN value fails either kind. `at` is
-    the point or parameters the gate is evaluated at, and goes into the
-    failure message with the gate's name, value and bound. `worst[name]`
-    is the largest value an `at_most` gate has seen, starting from 0.
+    `value > bound` (`above`), so a NaN value fails either kind. `value`
+    is a float or an array whose entries are each their own gate. `at` is
+    the point or parameters the gate is evaluated at; its entries are
+    arrays with one value per entry of `value`, or floats and strings
+    shared by all of them. Each failing entry, in entry order, adds one
+    failure message with the gate's name, point, value and bound.
+    `worst[name]` is the largest value an `at_most` gate has seen,
+    starting from 0: Python's `max` over the entries in order, so a NaN
+    entry never raises it.
     """
 
     def __init__(self):
         self.failures: list[str] = []
         self.worst: dict[str, float] = {}
 
-    def at_most(self, name: str, value: float, bound: float, at: tuple = ()) -> None:
-        self.worst[name] = max(self.worst.get(name, 0.0), value)
-        if not value <= bound:
-            self._fail(name, at, f"{value:.6g}, want <= {bound:.6g}")
+    def at_most(self, name: str, value, bound: float, at: tuple = ()) -> None:
+        self.worst[name] = max([self.worst.get(name, 0.0), *np.ravel(value).tolist()])
+        self._fail_where(~(np.asarray(value) <= bound), name, value, at, f"want <= {bound:.6g}")
 
-    def above(self, name: str, value: float, bound: float, at: tuple = ()) -> None:
-        if not value > bound:
-            self._fail(name, at, f"{value:.6g}, want > {bound:.6g}")
+    def above(self, name: str, value, bound: float, at: tuple = ()) -> None:
+        self._fail_where(~(np.asarray(value) > bound), name, value, at, f"want > {bound:.6g}")
 
     def holds(self, name: str, condition: bool, at: tuple = ()) -> None:
         if not condition:
             self._fail(name, at, "does not hold")
+
+    def _fail_where(self, failing, name: str, value, at: tuple, want: str) -> None:
+        for i in np.flatnonzero(failing).tolist():
+            entry = lambda v: v if np.ndim(v) == 0 else v[i]
+            self._fail(name, tuple(map(entry, at)), f"{entry(value):.6g}, {want}")
 
     def _fail(self, name: str, at: tuple, verdict: str) -> None:
         if at:
@@ -105,58 +114,56 @@ class _Gates:
         self.failures.append(f"{name}: {verdict}")
 
 
-def _run(name: str, body: Callable[[_Gates], str]) -> CheckResult:
-    gates = _Gates()
-    start = time.perf_counter()
-    summary = body(gates)
-    elapsed = time.perf_counter() - start
-    if gates.failures:
-        return CheckResult(name, False, "; ".join(gates.failures), elapsed)
-    return CheckResult(name, True, summary, elapsed)
+CHECKS: list[tuple[str, Callable[[bool], CheckResult]]] = []
+
+
+def _criterion(body: Callable[[_Gates, bool], str]) -> Callable[[bool], CheckResult]:
+    """Append `body` to CHECKS as the next criterion, named after it less `check_`.
+
+    The check it returns runs `body` on fresh gates and reports `body`'s
+    summary, or every gate failure if there is one.
+    """
+    name = body.__name__.removeprefix("check_")
+
+    def check(quick: bool = False) -> CheckResult:
+        gates = _Gates()
+        start = time.perf_counter()
+        summary = body(gates, quick)
+        elapsed = time.perf_counter() - start
+        if gates.failures:
+            return CheckResult(name, False, "; ".join(gates.failures), elapsed)
+        return CheckResult(name, True, summary, elapsed)
+
+    check.__name__ = check.__qualname__ = body.__name__
+    CHECKS.append((name, check))
+    return check
 
 
 # ---------------------------------------------------------------------------
-# 1-2, 10: frozen example values
+# 1-2: frozen example values
 # ---------------------------------------------------------------------------
 
 
-def check_example_composition(quick: bool = False) -> CheckResult:
-    def body(f: _Gates) -> str:
-        near = bt_compose(0.9801, 0.02)
-        far = bt_compose(0.9999, 0.02)
-        f.at_most("|bt_compose - 0.5013|", abs(near - 0.5013), 1e-4, (0.9801, 0.02))
-        f.at_most("|bt_compose - reported 0.50|", abs(near - 0.50), 0.005, (0.9801, 0.02))
-        f.at_most("|bt_compose - 0.9951|", abs(far - 0.9951), 1e-4, (0.9999, 0.02))
-        return f"0.9801,0.02 -> {near:.6f}; 0.9999,0.02 -> {far:.6f}"
-
-    return _run("example_composition", body)
+@_criterion
+def check_example_composition(f: _Gates, quick: bool) -> str:
+    near = bt_compose(0.9801, 0.02)
+    far = bt_compose(0.9999, 0.02)
+    f.at_most("|bt_compose - 0.5013|", abs(near - 0.5013), 1e-4, (0.9801, 0.02))
+    f.at_most("|bt_compose - reported 0.50|", abs(near - 0.50), 0.005, (0.9801, 0.02))
+    f.at_most("|bt_compose - 0.9951|", abs(far - 0.9951), 1e-4, (0.9999, 0.02))
+    return f"0.9801,0.02 -> {near:.6f}; 0.9999,0.02 -> {far:.6f}"
 
 
-def check_example_sensitivity(quick: bool = False) -> CheckResult:
-    def body(f: _Gates) -> str:
-        deriv = bt_partial(0.99, 0.02)
-        f.at_most("|bt_partial - 22.37|", abs(deriv - 22.37), 0.01, (0.99, 0.02))
-        f.above("bt_partial", deriv, 20.0, (0.99, 0.02))
-        region = bt_region_slice(20.0, 0.02)
-        f.holds("threshold-20 slice is case1", region.case == "case1", (0.02,))
-        f.at_most("|boundary - 0.98823|", abs(region.boundary - 0.98823), 1e-5, (20.0, 0.02))
-        f.holds("threshold-20 region contains the point", region.contains(0.99), (0.99, 0.02))
-        return f"derivative {deriv:.4f}, boundary {region.boundary:.6f}"
-
-    return _run("example_sensitivity", body)
-
-
-def check_reward_model_crosscheck(quick: bool = False) -> CheckResult:
-    def body(f: _Gates) -> str:
-        strong = bt_compose(0.9993, 0.0141)
-        weak = bt_compose(0.9820, 0.0141)
-        f.at_most("|bt_compose - 0.9533|", abs(strong - 0.9533), 1e-4, (0.9993, 0.0141))
-        f.at_most("|bt_compose - measured 0.9526|", abs(strong - 0.9526), 0.002, (0.9993, 0.0141))
-        f.at_most("|bt_compose - 0.4382|", abs(weak - 0.4382), 1e-4, (0.9820, 0.0141))
-        f.at_most("|bt_compose - measured 0.4378|", abs(weak - 0.4378), 0.001, (0.9820, 0.0141))
-        return f"0.9993,0.0141 -> {strong:.6f}; 0.9820,0.0141 -> {weak:.6f}"
-
-    return _run("reward_model_crosscheck", body)
+@_criterion
+def check_example_sensitivity(f: _Gates, quick: bool) -> str:
+    deriv = bt_partial(0.99, 0.02)
+    f.at_most("|bt_partial - 22.37|", abs(deriv - 22.37), 0.01, (0.99, 0.02))
+    f.above("bt_partial", deriv, 20.0, (0.99, 0.02))
+    region = bt_region_slice(20.0, 0.02)
+    f.holds("threshold-20 slice is case1", region.case == "case1", (0.02,))
+    f.at_most("|boundary - 0.98823|", abs(region.boundary - 0.98823), 1e-5, (20.0, 0.02))
+    f.holds("threshold-20 region contains the point", region.contains(0.99), (0.99, 0.02))
+    return f"derivative {deriv:.4f}, boundary {region.boundary:.6f}"
 
 
 # ---------------------------------------------------------------------------
@@ -164,41 +171,35 @@ def check_reward_model_crosscheck(quick: bool = False) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_bt_area_monte_carlo(quick: bool = False) -> CheckResult:
+@_criterion
+def check_bt_area_monte_carlo(f: _Gates, quick: bool) -> str:
     thresholds = (1.5, 2.0) if quick else (1.5, 2.0, 5.0, 10.0)
     n = 200_000 if quick else 1_000_000
-
-    def body(f: _Gates) -> str:
-        rels = []
-        # One draw of n points serves every threshold.
-        estimates = mc_area_bt(thresholds, n, MC_AREA_SEED).value.tolist()
-        for m, value in zip(thresholds, estimates):
-            closed = bt_region_area(m)
-            rel = abs(value - closed) / closed
-            rels.append(f"M={m:g}: closed {closed:.6f}, mc {value:.6f}, rel {rel:.4f}")
-            f.at_most("Monte Carlo relative area error", rel, 0.02, (m,))
-        return "; ".join(rels)
-
-    return _run("bt_area_monte_carlo", body)
+    rels = []
+    # One draw of n points serves every threshold.
+    estimates = mc_area_bt(thresholds, n, MC_AREA_SEED).value.tolist()
+    for m, value in zip(thresholds, estimates):
+        closed = bt_region_area(m)
+        rel = abs(value - closed) / closed
+        rels.append(f"M={m:g}: closed {closed:.6f}, mc {value:.6f}, rel {rel:.4f}")
+        f.at_most("Monte Carlo relative area error", rel, 0.02, (m,))
+    return "; ".join(rels)
 
 
-def check_pl_area_exponent(quick: bool = False) -> CheckResult:
+@_criterion
+def check_pl_area_exponent(f: _Gates, quick: bool) -> str:
     tol = 1e-4
-
-    def body(f: _Gates) -> str:
-        for alpha in (1.01, 1.5):
-            for beta in (0.99, 0.5):
-                ctx = PLSensitivityContext.from_alpha_beta(alpha, beta)
-                for m in (2.0, 5.0):
-                    quad = quad_area_pl(m, alpha, beta, "uv", 100_000)
-                    good = pl_region_area(m, ctx)
-                    bad = beta**2 / (6.0 * alpha * m)
-                    f.at_most("|quad - 1/M^2 form|", abs(quad - good), tol, (alpha, beta, m))
-                    f.above("|quad - 1/M form|", abs(quad - bad), 10 * tol, (alpha, beta, m))
-        worst = f.worst["|quad - 1/M^2 form|"]
-        return f"worst |quad - closed| = {worst:.2e}; 1/M variant rejected everywhere"
-
-    return _run("pl_area_exponent", body)
+    for alpha in (1.01, 1.5):
+        for beta in (0.99, 0.5):
+            ctx = PLSensitivityContext.from_alpha_beta(alpha, beta)
+            for m in (2.0, 5.0):
+                quad = quad_area_pl(m, alpha, beta, "uv", 100_000)
+                good = pl_region_area(m, ctx)
+                bad = beta**2 / (6.0 * alpha * m)
+                f.at_most("|quad - 1/M^2 form|", abs(quad - good), tol, (alpha, beta, m))
+                f.above("|quad - 1/M form|", abs(quad - bad), 10 * tol, (alpha, beta, m))
+    worst = f.worst["|quad - 1/M^2 form|"]
+    return f"worst |quad - closed| = {worst:.2e}; 1/M variant rejected everywhere"
 
 
 # ---------------------------------------------------------------------------
@@ -245,31 +246,26 @@ def _derivative_errors(a: np.ndarray, b: np.ndarray, ctx, ratio_fn) -> dict[str,
     return errors
 
 
-def check_derivative_oracles(quick: bool = False) -> CheckResult:
+@_criterion
+def check_derivative_oracles(f: _Gates, quick: bool) -> str:
     n_points = 200 if quick else 1000
     rel_tol = 1e-5
-
-    def body(f: _Gates) -> str:
-        rng = make_rng(VERIFY_SEED)
-        options = ScoredOptionSet(("a", "b", "c", "d"), (0.8, 0.1, -0.4, -1.2))
-        omega = KTuplePreference((0, 1, 2, 3))
-        u, v = 1, 2
-        ctx = pl_context(options, omega, u, v)
-        ratio_fn = _swap_ratio_fn(ratio_matrix(options, omega), u, v)
-        # One (n, 2) draw is the same stream as n draws of 2.
-        a, b = (0.01 + 0.98 * rng.random((n_points, 2))).T
-        errors = _derivative_errors(a, b, ctx, ratio_fn)
-        # Each gate's name is its key in the summary of worst relative errors;
-        # the gates see the points, and the names at each, in draw order.
-        for at, *rels in zip(zip(a.tolist(), b.tolist()), *(e.tolist() for e in errors.values())):
-            for name, rel in zip(errors, rels):
-                f.at_most(name, rel, rel_tol, at)
-        return (
-            f"{n_points} points; worst rel: "
-            + ", ".join(f"{k} {v:.2e}" for k, v in f.worst.items())
-        )
-
-    return _run("derivative_oracles", body)
+    rng = make_rng(VERIFY_SEED)
+    options = ScoredOptionSet(("a", "b", "c", "d"), (0.8, 0.1, -0.4, -1.2))
+    omega = KTuplePreference((0, 1, 2, 3))
+    u, v = 1, 2
+    ctx = pl_context(options, omega, u, v)
+    ratio_fn = _swap_ratio_fn(ratio_matrix(options, omega), u, v)
+    # One (n, 2) draw is the same stream as n draws of 2.
+    a, b = (0.01 + 0.98 * rng.random((n_points, 2))).T
+    errors = _derivative_errors(a, b, ctx, ratio_fn)
+    # Each gate's name is its key in the summary of worst relative errors.
+    for name, rel in errors.items():
+        f.at_most(name, rel, rel_tol, (a, b))
+    return (
+        f"{n_points} points; worst rel: "
+        + ", ".join(f"{k} {v:.2e}" for k, v in f.worst.items())
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -336,48 +332,38 @@ def _magnitudes(p, q, ctx):
 _REGIONS = ("bt_partial", "pl d_uv", "|pl d_vu|")
 
 
-def check_region_coherence(quick: bool = False) -> CheckResult:
+@_criterion
+def check_region_coherence(f: _Gates, quick: bool) -> str:
     n_points = 200 if quick else 1000
     thresholds = (1.01, 2.0, 3.0, 5.0, 10.0)
     quota = n_points // len(thresholds)
-
-    def body(f: _Gates) -> str:
-        rng = make_rng(VERIFY_SEED)
-        ctx = PLSensitivityContext.from_alpha_beta(FIGURE_ALPHA, FIGURE_BETA)
-        checked_in = checked_out = 0
-        for m in thresholds:
-            # One (n, 7) draw is the same stream as n rows of 7 single draws.
-            inside = [
-                zip(zip(x.tolist(), y.tolist()), _magnitudes(x, y, ctx)[k].tolist())
-                for k, (x, y) in enumerate(_inside_points(rng.random((quota, 7)), m, ctx))
-            ]
-            for row in zip(*inside):
-                for name, (at, value) in zip(_REGIONS, row):
-                    f.above(f"{name} inside region", value, m, at)
-                checked_in += 3
-            n_out = 0
-            while n_out < quota:
-                state = rng.bit_generator.state
-                p, q = rng.random((_OUTSIDE_BLOCK, 2)).T
-                # rng.random may return 0.0, which lies outside the open square.
-                outside = _outside_masks(p, q, m, ctx) & (p > 0) & (q > 0)
-                found = np.cumsum(outside[0])
-                if found[-1] >= quota - n_out:
-                    # Rewind, and redraw only the pairs up to the one that completes the quota.
-                    used = int(np.searchsorted(found, quota - n_out)) + 1
-                    rng.bit_generator.state = state
-                    p, q = rng.random((used, 2)).T
-                    outside = outside[:, :used]
-                values = zip(*(v.tolist() for v in _magnitudes(p, q, ctx)))
-                for at, out, value in zip(zip(p.tolist(), q.tolist()), outside.T.tolist(), values):
-                    for name, is_out, d in zip(_REGIONS, out, value):
-                        if is_out:
-                            f.at_most(f"{name} outside region", d, m, at)
-                    n_out += out[0]
-                    checked_out += out[0]
-        return f"{checked_in} inside and {checked_out}+ outside points coherent"
-
-    return _run("region_coherence", body)
+    rng = make_rng(VERIFY_SEED)
+    ctx = PLSensitivityContext.from_alpha_beta(FIGURE_ALPHA, FIGURE_BETA)
+    checked_out = 0
+    for m in thresholds:
+        # One (n, 7) draw is the same stream as n rows of 7 single draws.
+        inside = _inside_points(rng.random((quota, 7)), m, ctx)
+        for k, (name, (x, y)) in enumerate(zip(_REGIONS, inside)):
+            f.above(f"{name} inside region", _magnitudes(x, y, ctx)[k], m, (x, y))
+        n_out = 0
+        while n_out < quota:
+            state = rng.bit_generator.state
+            p, q = rng.random((_OUTSIDE_BLOCK, 2)).T
+            # rng.random may return 0.0, which lies outside the open square.
+            outside = _outside_masks(p, q, m, ctx) & (p > 0) & (q > 0)
+            found = np.cumsum(outside[0])
+            if found[-1] >= quota - n_out:
+                # Rewind, and redraw only the pairs up to the one that completes the quota.
+                used = int(np.searchsorted(found, quota - n_out)) + 1
+                rng.bit_generator.state = state
+                p, q = rng.random((used, 2)).T
+                outside = outside[:, :used]
+            for name, out, d in zip(_REGIONS, outside, _magnitudes(p, q, ctx)):
+                f.at_most(f"{name} outside region", d[out], m, (p[out], q[out]))
+            n_out += np.count_nonzero(outside[0])
+        checked_out += n_out
+    checked_in = len(_REGIONS) * quota * len(thresholds)
+    return f"{checked_in} inside and {checked_out}+ outside points coherent"
 
 
 # ---------------------------------------------------------------------------
@@ -407,80 +393,82 @@ def _transition_distances(centers, lo, hi, curves, exceeded) -> np.ndarray:
     return dist
 
 
-def check_raster_boundaries(quick: bool = False) -> CheckResult:
+@_criterion
+def check_raster_boundaries(f: _Gates, quick: bool) -> str:
     resolution = 128 if quick else 512
-
-    def body(f: _Gates) -> str:
-        one_cell = 1.0 / resolution * 1.0001
-        # Each grid is dropped before the next is built: one is alive at a time.
-        bt_grid = raster_bt("d_pik", FIGURE_THRESHOLDS, resolution)
-        centers = bt_grid.cell_centers()
-        # Grids are indexed [ix, iy]; each check reads rows of fixed coordinate.
+    one_cell = 1.0 / resolution * 1.0001
+    # Each grid is dropped before the next is built: one is alive at a time.
+    bt_grid = raster_bt("d_pik", FIGURE_THRESHOLDS, resolution)
+    centers = bt_grid.cell_centers()
+    # Grids are indexed [ix, iy]; each check reads rows of fixed coordinate.
+    for level, t in enumerate(FIGURE_THRESHOLDS, start=1):
+        lo, hi, boundary = bt_region_terms(t, centers)
+        dist = _transition_distances(centers, lo, hi, (boundary,), (bt_grid.classes >= level).T)
+        f.at_most("bt raster row: transition to boundary", dist, one_cell, (centers, t))
+    del bt_grid
+    # Each PL field is checked along the axis of its fixed coordinate.
+    for which, transpose, name in (
+        ("uv", False, "pl uv raster column: transition to boundary"),
+        ("vu", True, "pl vu raster row: transition to boundary"),
+    ):
+        grid = raster_pl(f"d_{which}", FIGURE_ALPHA, FIGURE_BETA, FIGURE_THRESHOLDS, resolution)
         for level, t in enumerate(FIGURE_THRESHOLDS, start=1):
-            lo, hi, boundary = bt_region_terms(t, centers)
-            dist = _transition_distances(centers, lo, hi, (boundary,), (bt_grid.classes >= level).T)
-            for q, d in zip(centers.tolist(), dist.tolist()):
-                f.at_most("bt raster row: transition to boundary", d, one_cell, (q, t))
-        del bt_grid
-        # Each PL field is checked along the axis of its fixed coordinate.
-        for which, transpose, name in (
-            ("uv", False, "pl uv raster column: transition to boundary"),
-            ("vu", True, "pl vu raster row: transition to boundary"),
-        ):
-            grid = raster_pl(f"d_{which}", FIGURE_ALPHA, FIGURE_BETA, FIGURE_THRESHOLDS, resolution)
-            for level, t in enumerate(FIGURE_THRESHOLDS, start=1):
-                lo, hi, _, _ = pl_region_terms(t, FIGURE_ALPHA, FIGURE_BETA, centers, which)
-                exceeded = grid.classes >= level
-                dist = _transition_distances(
-                    centers, lo, hi, (lo, hi), exceeded.T if transpose else exceeded
-                )
-                for fixed, d in zip(centers.tolist(), dist.tolist()):
-                    f.at_most(name, d, one_cell, (fixed, t))
-            del grid
-        return (
-            f"resolution {resolution}, thresholds {FIGURE_THRESHOLDS}: all class "
-            "transitions within one cell of the analytic curves"
-        )
-
-    return _run("raster_boundaries", body)
+            lo, hi, _, _ = pl_region_terms(t, FIGURE_ALPHA, FIGURE_BETA, centers, which)
+            exceeded = grid.classes >= level
+            dist = _transition_distances(
+                centers, lo, hi, (lo, hi), exceeded.T if transpose else exceeded
+            )
+            f.at_most(name, dist, one_cell, (centers, t))
+        del grid
+    return (
+        f"resolution {resolution}, thresholds {FIGURE_THRESHOLDS}: all class "
+        "transitions within one cell of the analytic curves"
+    )
 
 
 # ---------------------------------------------------------------------------
-# 8-9: area comparison and witness construction
+# 8-10: area comparison, witness construction and reward-model cross-check
 # ---------------------------------------------------------------------------
 
 
-def check_area_comparison(quick: bool = False) -> CheckResult:
-    def body(f: _Gates) -> str:
-        count = 0
-        for m in (1.01, 1.1, 2.0, 5.0, 10.0, 100.0):
-            f.above("pairwise area", bt_region_area(m), 1.0 / (6.0 * m**2), (m,))
-            for alpha in (1.001, 1.5, 3.0):
-                for beta in (0.999, 0.5, 0.1):
-                    ctx = PLSensitivityContext.from_alpha_beta(alpha, beta)
-                    cmp = compare_bt_pl_areas(m, ctx)
-                    at = (m, alpha, beta)
-                    f.above("pairwise area over tuple area", cmp.bt_area, cmp.pl_area, at)
-                    count += 1
-        return f"pairwise area exceeds the K-tuple area at all {count} grid points"
-
-    return _run("area_comparison", body)
+@_criterion
+def check_area_comparison(f: _Gates, quick: bool) -> str:
+    count = 0
+    for m in (1.01, 1.1, 2.0, 5.0, 10.0, 100.0):
+        f.above("pairwise area", bt_region_area(m), 1.0 / (6.0 * m**2), (m,))
+        for alpha in (1.001, 1.5, 3.0):
+            for beta in (0.999, 0.5, 0.1):
+                ctx = PLSensitivityContext.from_alpha_beta(alpha, beta)
+                cmp = compare_bt_pl_areas(m, ctx)
+                at = (m, alpha, beta)
+                f.above("pairwise area over tuple area", cmp.bt_area, cmp.pl_area, at)
+                count += 1
+    return f"pairwise area exceeds the K-tuple area at all {count} grid points"
 
 
-def check_witness_construction(quick: bool = False) -> CheckResult:
-    def body(f: _Gates) -> str:
-        found = []
-        for name, link in (("logistic", LOGISTIC), ("probit", PROBIT)):
-            for m in (10.0, 100.0):
-                w = sensitivity_witness(link, m)
-                fd = finite_diff(
-                    lambda a, b: compose_pairwise(link, a, b), (w.p_ik, w.p_kj), slot=0
-                )
-                f.above("finite difference at the witness", fd, m, (name, w.p_ik, w.p_kj))
-                found.append(f"{name} M={m:g}: fd {fd:.2f} at p_ik={w.p_ik:.6f}")
-        return "; ".join(found)
+@_criterion
+def check_witness_construction(f: _Gates, quick: bool) -> str:
+    found = []
+    for name, link in (("logistic", LOGISTIC), ("probit", PROBIT)):
+        for m in (10.0, 100.0):
+            w = sensitivity_witness(link, m)
+            fd = finite_diff(
+                lambda a, b: compose_pairwise(link, a, b), (w.p_ik, w.p_kj), slot=0
+            )
+            f.above("finite difference at the witness", fd, m, (name, w.p_ik, w.p_kj))
+            found.append(f"{name} M={m:g}: fd {fd:.2f} at p_ik={w.p_ik:.6f}")
+    return "; ".join(found)
 
-    return _run("witness_construction", body)
+
+@_criterion
+def check_reward_model_crosscheck(f: _Gates, quick: bool) -> str:
+    strong = bt_compose(0.9993, 0.0141)
+    weak = bt_compose(0.9820, 0.0141)
+    f.at_most("|bt_compose - 0.9533|", abs(strong - 0.9533), 1e-4, (0.9993, 0.0141))
+    f.at_most("|bt_compose - measured 0.9526|", abs(strong - 0.9526), 0.002, (0.9993, 0.0141))
+    f.at_most("|bt_compose - 0.4382|", abs(weak - 0.4382), 1e-4, (0.9820, 0.0141))
+    f.at_most("|bt_compose - measured 0.4378|", abs(weak - 0.4378), 0.001, (0.9820, 0.0141))
+    return f"0.9993,0.0141 -> {strong:.6f}; 0.9820,0.0141 -> {weak:.6f}"
 
 
 # ---------------------------------------------------------------------------
@@ -488,89 +476,64 @@ def check_witness_construction(quick: bool = False) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_dataset_protocol(quick: bool = False) -> CheckResult:
+@_criterion
+def check_dataset_protocol(f: _Gates, quick: bool) -> str:
     n_samples = 2000 if quick else 10_000
-
-    def body(f: _Gates) -> str:
-        base = DatasetSpec(("dog", "bird", "cat"), 0.99, 0.5, n_samples, VERIFY_SEED)
-        specs = sweep(base)
-        f.holds("sweep has 21 specs", len(specs) == 21)
-        grid = [round(s.p23, 2) for s in specs]
-        f.holds("sweep p23 grid", grid == [round(i * 0.05, 2) for i in range(21)])
-        for spec in specs:
-            samples = generate(spec)
-            f.holds("sample count", len(samples) == spec.n_samples, (spec.p23,))
-            report = empirical_check(samples, spec)
-            f.at_most("forbidden-pair samples", report.forbidden_count, 0, (spec.p23,))
-            for ps in report.pairs:
-                f.at_most("|z|", abs(ps.z_score), 3.0, (spec.p23, *ps.pair))
-        # specs[0] is the degenerate sweep point.
-        for spec in (specs[7], specs[0]):
-            f.holds("regeneration is deterministic", generate(spec) == generate(spec), (spec.p23,))
-        worst_z = f.worst["|z|"]
-        return f"21 datasets x {n_samples} samples; worst |z| = {worst_z:.3f}; regeneration identical"
-
-    return _run("dataset_protocol", body)
+    base = DatasetSpec(("dog", "bird", "cat"), 0.99, 0.5, n_samples, VERIFY_SEED)
+    specs = sweep(base)
+    f.holds("sweep has 21 specs", len(specs) == 21)
+    grid = [round(s.p23, 2) for s in specs]
+    f.holds("sweep p23 grid", grid == [round(i * 0.05, 2) for i in range(21)])
+    for spec in specs:
+        samples = generate(spec)
+        f.holds("sample count", len(samples) == spec.n_samples, (spec.p23,))
+        report = empirical_check(samples, spec)
+        f.at_most("forbidden-pair samples", report.forbidden_count, 0, (spec.p23,))
+        for ps in report.pairs:
+            f.at_most("|z|", abs(ps.z_score), 3.0, (spec.p23, *ps.pair))
+    # specs[0] is the degenerate sweep point.
+    for spec in (specs[7], specs[0]):
+        f.holds("regeneration is deterministic", generate(spec) == generate(spec), (spec.p23,))
+    worst_z = f.worst["|z|"]
+    return f"21 datasets x {n_samples} samples; worst |z| = {worst_z:.3f}; regeneration identical"
 
 
-def check_fitting_round_trip(quick: bool = False) -> CheckResult:
+@_criterion
+def check_fitting_round_trip(f: _Gates, quick: bool) -> str:
     per_pair = 10_000 if quick else 100_000
     # The 0.01 gate is calibrated for 10^5 comparisons per pair; the quick
     # run keeps the same z-equivalent by scaling with the sampling error.
     tol = 0.01 * math.sqrt(100_000 / per_pair)
-
-    def body(f: _Gates) -> str:
-        true_scores = (1.0, 0.0, -1.0)
-        rng = make_rng(VERIFY_SEED)
-        n = len(true_scores)
-        wins = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                w = rng.binomial(per_pair, bt_prob(true_scores[i], true_scores[j]))
-                wins[i, j], wins[j, i] = w, per_pair - w
-        fit = fit_bt(PairwiseCounts(wins))
-        f.holds("fit converged", fit.converged)
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    err = abs(predict(fit, i, j) - bt_prob(true_scores[i], true_scores[j]))
-                    f.at_most("fitted probability error", err, tol, (i, j))
-        two = fit_bt(PairwiseCounts(np.array([[0.0, 25.0], [75.0, 0.0]])))
-        gap = abs(two.scores[1] - math.log(3.0))
-        f.at_most("|two-option score - ln 3|", gap, 1e-4)
-        worst = f.worst["fitted probability error"]
-        return f"worst pairwise probability error {worst:.5f}; two-option gap {gap:.2e}"
-
-    return _run("fitting_round_trip", body)
+    true_scores = (1.0, 0.0, -1.0)
+    rng = make_rng(VERIFY_SEED)
+    n = len(true_scores)
+    wins = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = rng.binomial(per_pair, bt_prob(true_scores[i], true_scores[j]))
+            wins[i, j], wins[j, i] = w, per_pair - w
+    fit = fit_bt(PairwiseCounts(wins))
+    f.holds("fit converged", fit.converged)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                err = abs(predict(fit, i, j) - bt_prob(true_scores[i], true_scores[j]))
+                f.at_most("fitted probability error", err, tol, (i, j))
+    two = fit_bt(PairwiseCounts(np.array([[0.0, 25.0], [75.0, 0.0]])))
+    gap = abs(two.scores[1] - math.log(3.0))
+    f.at_most("|two-option score - ln 3|", gap, 1e-4)
+    worst = f.worst["fitted probability error"]
+    return f"worst pairwise probability error {worst:.5f}; two-option gap {gap:.2e}"
 
 
-def check_logit_normal_modes(quick: bool = False) -> CheckResult:
-    def body(f: _Gates) -> str:
-        results = []
-        for sigma2, want in ((0.5, 1), (0.999, 1), (1.1, 2), (2.0, 2)):
-            got = mode_count(sigma2, 10_000)
-            results.append(f"sigma2={sigma2:g}: {got}")
-            f.holds("mode count", got == want, (sigma2,))
-        return "; ".join(results)
-
-    return _run("logit_normal_modes", body)
-
-
-CHECKS: tuple[tuple[str, Callable[[bool], CheckResult]], ...] = (
-    ("example_composition", check_example_composition),
-    ("example_sensitivity", check_example_sensitivity),
-    ("bt_area_monte_carlo", check_bt_area_monte_carlo),
-    ("pl_area_exponent", check_pl_area_exponent),
-    ("derivative_oracles", check_derivative_oracles),
-    ("region_coherence", check_region_coherence),
-    ("raster_boundaries", check_raster_boundaries),
-    ("area_comparison", check_area_comparison),
-    ("witness_construction", check_witness_construction),
-    ("reward_model_crosscheck", check_reward_model_crosscheck),
-    ("dataset_protocol", check_dataset_protocol),
-    ("fitting_round_trip", check_fitting_round_trip),
-    ("logit_normal_modes", check_logit_normal_modes),
-)
+@_criterion
+def check_logit_normal_modes(f: _Gates, quick: bool) -> str:
+    results = []
+    for sigma2, want in ((0.5, 1), (0.999, 1), (1.1, 2), (2.0, 2)):
+        got = mode_count(sigma2, 10_000)
+        results.append(f"sigma2={sigma2:g}: {got}")
+        f.holds("mode count", got == want, (sigma2,))
+    return "; ".join(results)
 
 
 def run_all(quick: bool = False) -> list[CheckResult]:

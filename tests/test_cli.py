@@ -368,6 +368,13 @@ class TestData:
         assert code == 0
         assert "1.09861" in out  # ln 3
 
+    def test_fit_counts_file_refuses_options(self, capsys, tmp_path):
+        counts = tmp_path / "c.txt"
+        counts.write_text("2 0 25 75 0")
+        code, out, err = run(capsys, "fit", "--in", str(counts), "--options", "a,b,c")
+        assert (code, out) == (1, "")
+        assert_one_error_line(err, "--options names the options of JSONL input; a counts file labels them 0 to N-1")
+
     def test_fit_saturated_prediction_warns(self, capsys, tmp_path):
         # 1 beats 0 and 0 beats 2 at odds of 1e17. The win graph is strongly
         # connected, so the MLE is finite, at scores (0, +-ln 1e17), and

@@ -261,12 +261,55 @@ def test_region_coherence_gates_equal_a_scalar_loop(monkeypatch):
         right = getattr(verification._Gates, kind)
 
         def record(self, name, value, bound, at=(), kind=kind, right=right):
-            gates.append((kind, name, value, bound, tuple(at)))
+            # One record per entry, as one scalar call per point would give.
+            points = zip(*(np.ravel(v).tolist() for v in at))
+            gates.extend((kind, name, v, bound, point) for v, point in zip(np.ravel(value).tolist(), points))
             right(self, name, value, bound, at)
 
         monkeypatch.setattr(verification._Gates, kind, record)
     assert verification.check_region_coherence(True).passed
-    assert gates == _scalar_region_coherence_gates(True)
+    # The check gates a region's points in one call, the loop one point at a
+    # time: a stable sort by gate and threshold keeps each one's point order.
+    by_gate = lambda gate: (gate[0], gate[1], gate[3])
+    assert sorted(gates, key=by_gate) == sorted(_scalar_region_coherence_gates(True), key=by_gate)
+
+
+def test_array_gate_fails_each_entry_at_its_point():
+    gates = verification._Gates()
+    p = np.array([0.1, 0.2, 0.3, 0.4])
+    gates.at_most("rel", np.array([0.5, 1.0, 0.0, -1.0]), 1.0, (p, 7.0, "uv"))
+    gates.above("d", np.array([2.0, 1.5, 9.0, 1.01]), 1.0, (p, 7.0, "uv"))
+    assert gates.failures == []
+    gates.at_most("rel", np.array([0.5, 2.0, 0.5, 3.0]), 1.0, (p, 7.0, "uv"))
+    gates.above("d", np.array([0.5, 2.0, 1.0, 3.0]), 1.0, (p, 7.0, "uv"))
+    assert gates.failures == [
+        "rel at (0.2, 7, uv): 2, want <= 1",
+        "rel at (0.4, 7, uv): 3, want <= 1",
+        "d at (0.1, 7, uv): 0.5, want > 1",
+        "d at (0.3, 7, uv): 1, want > 1",
+    ]
+
+
+@pytest.mark.parametrize("kind, passing, want", [("at_most", 0.5, "<= 1"), ("above", 2.0, "> 1")])
+def test_array_gate_fails_a_nan_entry(kind, passing, want):
+    gates = verification._Gates()
+    getattr(gates, kind)("g", np.array([passing, math.nan]), 1.0, (np.array([0.1, 0.2]),))
+    assert gates.failures == [f"g at (0.2): nan, want {want}"]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[0.5, 2.0, 1.0], [math.nan, 0.25], [0.25, math.nan, 3.0], [math.nan], [-1.0, -2.0]],
+)
+def test_array_gate_worst_equals_a_scalar_loop(values):
+    array, scalar = verification._Gates(), verification._Gates()
+    for gates in (array, scalar):
+        gates.at_most("g", 0.1, 1.0)
+    array.at_most("g", np.array(values), 1.0)
+    for value in values:
+        scalar.at_most("g", value, 1.0)
+    assert array.worst == scalar.worst
+    assert array.failures == scalar.failures
 
 
 # MC_AREA_SEED's comment claims a 6x margin on the 2% gate in the full run
