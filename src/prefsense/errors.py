@@ -6,7 +6,9 @@ The helpers are the one validation path the modules share:
 
 - require_int, require_seed, require_finite, require_probability,
   require_threshold and require_alpha_beta check scalars, and
-  require_probabilities an array of probabilities as well;
+  require_probabilities an array of probabilities as well; require_int
+  refuses an integer outside [lo, hi] as "{name} must lie in [{lo}, {hi}]",
+  or with no hi as "{name} must be at least {lo}";
 - require_instance, require_items, require_real_array and require_choice
   check types, sequences, arrays and string choices;
 - text_file opens every file the package reads or writes, refusing paths
@@ -109,12 +111,22 @@ class SaturationWarning(RuntimeWarning):
     """
 
 
-def require_int(x: Any, name: str) -> int:
-    """Accept ints and numpy integers; reject floats, strings and the rest."""
+def require_int(x: Any, name: str, lo: int | None = None, hi: int | None = None) -> int:
+    """Accept ints and numpy integers; reject floats, strings and the rest.
+
+    An integer outside the closed interval [lo, hi] raises DomainError:
+    "{name} must lie in [{lo}, {hi}], got {x}", or with no hi "{name}
+    must be at least {lo}, got {x}".
+    """
     try:
-        return operator.index(x)
+        x = operator.index(x)
     except TypeError as exc:
         raise DomainError(f"{name} must be an integer, got {x!r}") from exc
+    if hi is not None and not lo <= x <= hi:
+        raise DomainError(f"{name} must lie in [{lo}, {hi}], got {x}")
+    if lo is not None and x < lo:
+        raise DomainError(f"{name} must be at least {lo}, got {x}")
+    return x
 
 
 def require_instance(x: Any, cls: type, name: str) -> Any:
@@ -152,10 +164,7 @@ def require_choice(x: Any, choices: tuple[str, ...], name: str) -> str:
 
 def require_seed(seed: Any) -> int:
     """Validate a random seed: a non-negative integer."""
-    seed = require_int(seed, "seed")
-    if seed < 0:
-        raise DomainError(f"seed must be non-negative, got {seed}")
-    return seed
+    return require_int(seed, "seed", 0)
 
 
 def require_finite(x: Any, name: str) -> float:

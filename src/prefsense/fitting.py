@@ -257,9 +257,7 @@ def fit_pl(
     rankings may appear multiple times and are aggregated. With only
     2-tuples this coincides with fit_bt on the induced counts.
     """
-    n = require_int(n_options, "n_options")
-    if n < 2:
-        raise DomainError(f"need at least 2 options, got {n}")
+    n = require_int(n_options, "n_options", 2)
     weights: dict[tuple[int, ...], float] = {}
     for entry in require_items(rankings, "rankings"):
         try:
@@ -317,9 +315,8 @@ def fit_pl(
 def predict(fit: FitResult, i: int, j: int) -> float:
     """Fitted probability that option i is preferred over option j."""
     require_instance(fit, FitResult, "fit")
-    i, j, n = require_int(i, "i"), require_int(j, "j"), len(fit.scores)
-    if not (0 <= i < n and 0 <= j < n):
-        raise DomainError(f"indices ({i}, {j}) out of range for {n} fitted options")
+    last = len(fit.scores) - 1
+    i, j = require_int(i, "i", 0, last), require_int(j, "j", 0, last)
     return bt_prob(fit.scores[i], fit.scores[j])
 
 

@@ -116,10 +116,10 @@ def finite_diff(
         else:
             c = require_finite(c, "point coordinate")
         coords.append(c)
+    if not coords:
+        raise DomainError("point must have at least one coordinate")
     point = np.broadcast_arrays(*coords)
-    slot = require_int(slot, "slot")
-    if not 0 <= slot < len(point):
-        raise DomainError(f"slot {slot} out of range for point of length {len(point)}")
+    slot = require_int(slot, "slot", 0, len(point) - 1)
     x = point[slot]
     h = require_finite(h, "h")
     if h <= 0.0:
@@ -159,9 +159,7 @@ def mc_area_bt(threshold, n: int, seed: int = DEFAULT_SEED) -> MonteCarloEstimat
     thresholds = np.array([require_threshold(t) for t in np.ravel(threshold)])
     if not thresholds.size:
         raise DomainError("at least one threshold is required")
-    n = require_int(n, "n")
-    if not 10_000 <= n <= MAX_MC_SAMPLES:
-        raise DomainError(f"n must lie in [10^4, {MAX_MC_SAMPLES}], got {n}")
+    n = require_int(n, "n", 10_000, MAX_MC_SAMPLES)
     rng = make_rng(seed)
     hits = np.zeros(thresholds.size, dtype=np.int64)
     for start in range(0, n, _BLOCK):
@@ -176,13 +174,6 @@ def mc_area_bt(threshold, n: int, seed: int = DEFAULT_SEED) -> MonteCarloEstimat
     if np.ndim(threshold) == 0:
         frac, std_error = float(frac[0]), float(std_error[0])
     return MonteCarloEstimate(value=frac, std_error=std_error, n_samples=n, seed=int(seed))
-
-
-def _require_grid_n(grid_n) -> int:
-    grid_n = require_int(grid_n, "grid_n")
-    if not 10_000 <= grid_n <= MAX_GRID_N:
-        raise DomainError(f"grid_n must lie in [10^4, {MAX_GRID_N}], got {grid_n}")
-    return grid_n
 
 
 def quad_area_pl(
@@ -201,7 +192,7 @@ def quad_area_pl(
     """
     threshold = require_threshold(threshold)
     alpha, beta = require_alpha_beta(alpha, beta)
-    grid_n = _require_grid_n(grid_n)
+    grid_n = require_int(grid_n, "grid_n", 10_000, MAX_GRID_N)
     require_choice(which, ("uv", "vu"), "which")
     if math.isinf(4.0 * alpha * threshold):  # the region is empty; inf * 0 would give NaN
         return 0.0
@@ -247,7 +238,7 @@ def mode_count(sigma2: float, grid_n: int = 10_000) -> int:
     merged first, so a flat-topped peak counts once and the symmetric
     two-point tie straddling 0.5 is not missed.
     """
-    grid_n = _require_grid_n(grid_n)
+    grid_n = require_int(grid_n, "grid_n", 10_000, MAX_GRID_N)
     grid = np.linspace(0.0, 1.0, grid_n + 2)[1:-1]
     dens = np.concatenate(([0.0], logit_normal_density(grid, sigma2), [0.0]))
     # Collapse plateaus to single representatives.

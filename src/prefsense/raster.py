@@ -105,13 +105,6 @@ def _check_thresholds(thresholds) -> tuple[float, ...]:
     return st
 
 
-def _check_resolution(resolution: int) -> int:
-    resolution = require_int(resolution, "resolution")
-    if not 64 <= resolution <= MAX_RESOLUTION:
-        raise DomainError(f"resolution must lie in [64, {MAX_RESOLUTION}], got {resolution}")
-    return resolution
-
-
 def _grid(numer, denom, thresholds, which: str, xlabel: str, ylabel: str) -> RasterGrid:
     """Divide a kernel's terms into the [ix, iy] grid and classify the magnitudes.
 
@@ -149,7 +142,7 @@ def raster_bt(
     """
     require_choice(which, ("d_pik", "d_pkj"), "which")
     thresholds = _check_thresholds(thresholds)
-    c = _centers(_check_resolution(resolution))
+    c = _centers(require_int(resolution, "resolution", 64, MAX_RESOLUTION))
     x, y = c[:, None], c[None, :]
     numer, denom = bt_partial_terms(x, y) if which == "d_pik" else bt_partial_terms(y, x)
     return _grid(numer, denom, thresholds, which, "p_ik", "p_kj")
@@ -166,7 +159,7 @@ def raster_pl(
     require_choice(which, ("d_uv", "d_vu"), "which")
     alpha, beta = require_alpha_beta(alpha, beta)
     thresholds = _check_thresholds(thresholds)
-    c = _centers(_check_resolution(resolution))
+    c = _centers(require_int(resolution, "resolution", 64, MAX_RESOLUTION))
     x, y = c[:, None], c[None, :]
     numer, denom = pl_partial_terms(x, y, alpha, beta, "uv" if which == "d_uv" else "vu")
     return _grid(numer, denom, thresholds, which, "p_uv", "p_vu")

@@ -178,9 +178,7 @@ class DatasetSpec:
             if not 0.0 <= p <= 1.0:
                 raise DomainError(f"{name} must lie in [0, 1], got {p!r}")
             object.__setattr__(self, name, p)
-        n = require_int(self.n_samples, "n_samples")
-        if not 1 <= n <= MAX_SAMPLES:
-            raise ValidationError(f"n_samples must lie in [1, {MAX_SAMPLES}], got {n}")
+        n = require_int(self.n_samples, "n_samples", 1, MAX_SAMPLES)
         object.__setattr__(self, "n_samples", n)
         object.__setattr__(self, "seed", require_seed(self.seed))
 

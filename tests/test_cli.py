@@ -2,8 +2,11 @@
 
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -40,6 +43,18 @@ class TestCompose:
         code, out, _ = run(capsys, "compose", "--p-ik", "0.9801", "--p-kj", "0.02")
         assert code == 0
         assert "0.501279" in out
+
+    def test_module_entry_point(self):
+        # python -m prefsense.cli runs main() and exits with its code.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "prefsense.cli", "compose", "--p-ik", "0.9801", "--p-kj", "0.02"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "0.501279" in proc.stdout
 
     def test_json_full_precision(self, capsys):
         code, out, _ = run(capsys, "compose", "--p-ik", "0.9801", "--p-kj", "0.02", "--json")
@@ -190,8 +205,8 @@ class TestGradRegionArea:
     @pytest.mark.parametrize(
         "argv,text",
         [
-            ("area bt --M 2 --n-samples 1000000000001", "n must lie in [10^4, 1000000000]"),
-            ("area pl --M 2 --alpha 1.01 --beta 0.99 --grid-n 10000001", "grid_n must lie in [10^4, 10000000]"),
+            ("area bt --M 2 --n-samples 1000000000001", "n must lie in [10000, 1000000000]"),
+            ("area pl --M 2 --alpha 1.01 --beta 0.99 --grid-n 10000001", "grid_n must lie in [10000, 10000000]"),
         ],
     )
     def test_area_oracle_size_cap(self, capsys, argv, text):
@@ -329,7 +344,7 @@ class TestData:
             "--p23", "0.5", "--n", "10", "--seed", "-1", "--out", str(out),
         )
         assert code == 1
-        assert_one_error_line(err, "seed must be non-negative")
+        assert_one_error_line(err, "seed must be at least 0")
         assert not out.exists()
 
     def test_fit_jsonl_not_utf8(self, capsys, tmp_path):

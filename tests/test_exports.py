@@ -275,6 +275,42 @@ def test_contract_sweep(name, position):
     assert wrong == []
 
 
+def _integer_bounds():
+    """(call, position, argument, lo, hi) of each integer argument with a range.
+
+    hi is None where there is no cap. No call is made at a cap itself:
+    resolution 4096 alone builds a 4096 x 4096 grid.
+    """
+    from prefsense.oracles import MAX_GRID_N, MAX_MC_SAMPLES
+    from prefsense.raster import MAX_RESOLUTION
+    from prefsense.synth import MAX_SAMPLES
+
+    return [
+        ("make_rng", 0, "seed", 0, None),
+        ("raster_bt", 2, "resolution", 64, MAX_RESOLUTION),
+        ("raster_pl", 4, "resolution", 64, MAX_RESOLUTION),
+        ("quad_area_pl", 4, "grid_n", 10_000, MAX_GRID_N),
+        ("mode_count", 1, "grid_n", 10_000, MAX_GRID_N),
+        ("mc_area_bt", 1, "n", 10_000, MAX_MC_SAMPLES),
+        ("DatasetSpec", 3, "n_samples", 1, MAX_SAMPLES),
+        ("fit_pl", 1, "n_options", 2, None),
+        ("finite_diff", 2, "slot", 0, 1),  # a point of two coordinates
+        ("predict", 1, "i", 0, 1),  # a fit of two options
+        ("predict", 2, "j", 0, 1),
+    ]
+
+
+@pytest.mark.parametrize("name, position, arg, lo, hi", _integer_bounds())
+def test_integer_bounds(name, position, arg, lo, hi):
+    fn, args = CALLS[name]
+    call = lambda value: fn(*args[:position], value, *args[position + 1 :])
+    call(lo)
+    wording = f"{arg} must be at least {lo}" if hi is None else f"{arg} must lie in [{lo}, {hi}]"
+    for bad in [lo - 1] if hi is None else [lo - 1, hi + 1]:
+        with pytest.raises(prefsense.DomainError, match=re.escape(f"{wording}, got {bad}")):
+            call(bad)
+
+
 _IO_CALLS = ["export", "write_jsonl", "write_manifest", "read_csv_grid", "read_jsonl", "load_counts"]
 
 

@@ -553,7 +553,7 @@ class TestFitPL:
                 fit_pl([entry], 2)
 
     def test_needs_two_options(self):
-        with pytest.raises(DomainError, match="need at least 2 options, got 1"):
+        with pytest.raises(DomainError, match="n_options must be at least 2, got 1"):
             fit_pl([(KTuplePreference((0, 1)), 1.0)], 1)
 
     def test_zero_multiplicity_skipped(self):

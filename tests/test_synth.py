@@ -106,13 +106,13 @@ class TestDatasetSpec:
             DatasetSpec(("a", "a", "b"), 0.5, 0.5, 10, 0)
         with pytest.raises(DomainError):
             DatasetSpec(PERM, 1.5, 0.5, 10, 0)
-        with pytest.raises(ValidationError):
+        with pytest.raises(DomainError):
             DatasetSpec(PERM, 0.5, 0.5, 0, 0)
 
     def test_oversized_refused(self):
         DatasetSpec(PERM, 0.5, 0.5, MAX_SAMPLES, 0)
         for n in (MAX_SAMPLES + 1, 10**12):
-            with pytest.raises(ValidationError):
+            with pytest.raises(DomainError):
                 DatasetSpec(PERM, 0.5, 0.5, n, 0)
 
     def test_endpoints_admitted(self):
@@ -130,7 +130,7 @@ class TestDatasetSpec:
             DatasetSpec(PERM, 0.5, 0.5, 10, seed)
 
     def test_negative_seed(self):
-        with pytest.raises(DomainError, match="seed must be non-negative"):
+        with pytest.raises(DomainError, match="seed must be at least 0"):
             DatasetSpec(PERM, 0.5, 0.5, 10, -1)
 
     def test_non_iterable_permutation(self):

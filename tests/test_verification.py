@@ -237,8 +237,11 @@ def _scalar_region_coherence_gates(quick):
             lambda x, y: pl_region(m, ctx, y, "vu").contains(x),
         )
         n_out = 0
-        while n_out < n_points // 5:
-            p, q = rng.random(2).tolist()
+        # 1024 pairs are drawn per threshold; those up to the quota-th pair
+        # outside the BT region are gated.
+        for p, q in [rng.random(2).tolist() for _ in range(1024)]:
+            if n_out == n_points // 5:
+                break
             if not (0 < p < 1 and 0 < q < 1):
                 continue
             probes = ((p, q), (p - 1e-3, q), (p + 1e-3, q), (p, q - 1e-3), (p, q + 1e-3))
