@@ -45,7 +45,6 @@ from .sensitivity import (
     AreaComparison,
     BTRegionSlice,
     PLRegionBounds,
-    PLSensitivityContext,
     Witness,
     bt_partial,
     bt_region_area,

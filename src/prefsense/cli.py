@@ -27,7 +27,6 @@ from .models import compose_pairwise
 from .oracles import DEFAULT_SEED, mc_area_bt, quad_area_pl
 from .raster import DEFAULT_RESOLUTION, DEFAULT_THRESHOLDS, export, raster_bt, raster_pl
 from .sensitivity import (
-    PLSensitivityContext,
     bt_partial,
     bt_region_area,
     bt_region_slice,
@@ -194,8 +193,7 @@ def _grad_bt(args):
 
 
 def _grad_pl(args):
-    ctx = PLSensitivityContext.from_alpha_beta(args.alpha, args.beta)
-    d_uv, d_vu = pl_partials(args.p_uv, args.p_vu, ctx)
+    d_uv, d_vu = pl_partials(args.p_uv, args.p_vu, args.alpha, args.beta)
     return (
         {"alpha": args.alpha, "beta": args.beta, "d_p_uv": d_uv, "d_p_vu": d_vu},
         [f"d p / d p_uv: {_fmt(d_uv)}", f"d p / d p_vu: {_fmt(d_vu)}"],
@@ -212,11 +210,10 @@ def _region_bt(args):
 
 
 def _region_pl(args):
-    ctx = PLSensitivityContext.from_alpha_beta(args.alpha, args.beta)
     if args.p_uv is not None:
-        bounds = pl_region(args.threshold, ctx, args.p_uv, "uv")
+        bounds = pl_region(args.threshold, args.alpha, args.beta, args.p_uv, "uv")
     else:
-        bounds = pl_region(args.threshold, ctx, args.p_vu, "vu")
+        bounds = pl_region(args.threshold, args.alpha, args.beta, args.p_vu, "vu")
     payload = {**asdict(bounds), "center": None if bounds.empty else bounds.center}
     if bounds.empty:
         return payload, [f"[{bounds.which}] interval: empty (fixed coordinate beyond beta/(4 alpha M))"]
@@ -248,8 +245,7 @@ def _area_bt(args):
 
 
 def _area_pl(args):
-    ctx = PLSensitivityContext.from_alpha_beta(args.alpha, args.beta)
-    closed = pl_region_area(args.threshold, ctx, args.which)
+    closed = pl_region_area(args.threshold, args.alpha, args.beta, args.which)
     oracle = quad_area_pl(args.threshold, args.alpha, args.beta, args.which, args.grid_n)
     diff = abs(closed - oracle)
     payload = {

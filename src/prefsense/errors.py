@@ -67,8 +67,9 @@ class ValidationError(PrefsenseError, ValueError):
 class SingularityError(PrefsenseError, ArithmeticError):
     """A derivative is undefined at the requested point.
 
-    Carries the offending point so callers (e.g. rasterization) can flag
-    the cell instead of silently producing infinity.
+    Raised by the scalar derivatives, with the offending point as .point.
+    The raster kernels do not raise it: they mark a cell whose denominator
+    is 0 as singular themselves.
     """
 
     def __init__(self, message: str, point: tuple[float, ...] | None = None):

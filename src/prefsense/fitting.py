@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import (
     DisconnectedDataError,
-    DomainError,
     ValidationError,
     require_finite,
     require_instance,
@@ -272,8 +271,7 @@ def fit_pl(
         if m == 0:
             continue
         for idx in pref.indices:
-            if not 0 <= idx < n:
-                raise DomainError(f"ranking index {idx} out of range for {n} options")
+            require_int(idx, "ranking index", 0, n - 1)
         weights[pref.indices] = weights.get(pref.indices, 0.0) + m
     if not weights:
         raise ValidationError("no rankings with positive multiplicity")

@@ -101,8 +101,7 @@ class KTuplePreference:
         if len(self.indices) > n:
             raise DomainError(f"ranking of {len(self.indices)} options from a set of {n}")
         for i in self.indices:
-            if not 0 <= i < n:
-                raise DomainError(f"index {i} out of range for {n} options")
+            require_int(i, "ranking index", 0, n - 1)
 
 
 def bt_prob(s_i: float, s_j: float) -> float:

@@ -216,8 +216,7 @@ def brute_force_pl(options: ScoredOptionSet, k: int) -> dict[tuple[int, ...], fl
     if k > 6:
         raise EnumerationSizeError(f"enumeration guard: K={k} exceeds the K <= 6 limit")
     n = len(options)
-    if not 2 <= k <= n:
-        raise DomainError(f"need 2 <= K <= {n}, got K={k}")
+    require_int(k, "K", 2, n)
     weights = [math.exp(s) for s in options.scores]
     out: dict[tuple[int, ...], float] = {}
     for perm in itertools.permutations(range(n), k):

@@ -18,8 +18,9 @@ boundary in p_ik. Its total area is
 
 For a K-tuple ranking the derivative with respect to a suffix-swap pair
 probability has the same structure up to constants alpha >= 1 and
-0 < beta <= 1 built from the remaining pairs, and the region area is
-beta^2 / (6 alpha M^2) (or beta^2 / (6 alpha^3 M^2) for the reverse
+0 < beta <= 1 built from the remaining pairs (pl_context computes them for
+a ranking, and every PL function takes them as two floats), and the region
+area is beta^2 / (6 alpha M^2) (or beta^2 / (6 alpha^3 M^2) for the reverse
 coordinate). That area is strictly smaller than the pairwise one for any
 M > 1, which is the precise sense in which longer tuples are more robust.
 """
@@ -50,7 +51,6 @@ from .models import KTuplePreference, ScoredOptionSet, _stage_denominators, rati
 
 __all__ = [
     "BTRegionSlice",
-    "PLSensitivityContext",
     "PLRegionBounds",
     "AreaComparison",
     "Witness",
@@ -209,49 +209,17 @@ def bt_region_area(threshold: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Plackett-Luce context, derivatives, regions, areas
+# Plackett-Luce constants, derivatives, regions, areas
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PLSensitivityContext:
-    """Constants (alpha, beta) for one suffix-swap pair of a K-tuple.
+def pl_context(options: ScoredOptionSet, omega: KTuplePreference, u: int, v: int) -> tuple[float, float]:
+    """The constants (alpha, beta) for ranking positions u < v.
 
-    alpha is 1 plus the ratio mass of the other options competing at the
-    pair's stage; beta is the product of all other stage factors. For
-    K = 2 both are exactly 1; alpha also degenerates to 1 when the pair
-    occupies the last two positions, since nothing else competes there.
-    """
-
-    k: int
-    u: int
-    v: int
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        k, u, v = (require_int(getattr(self, n), n) for n in ("k", "u", "v"))
-        if k < 2:
-            raise DomainError(f"K must be at least 2, got {k}")
-        if not 0 <= u < v < k:
-            raise DomainError(f"need 0 <= u < v < K, got u={u}, v={v}, K={k}")
-        alpha, beta = require_alpha_beta(self.alpha, self.beta)
-        for name, value in (("k", k), ("u", u), ("v", v), ("alpha", alpha), ("beta", beta)):
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def from_alpha_beta(cls, alpha: float, beta: float, k: int = 3) -> "PLSensitivityContext":
-        """Synthetic context with explicit constants (for sweeps and plots)."""
-        return cls(k=k, u=0, v=1, alpha=alpha, beta=beta)
-
-
-def pl_context(
-    options: ScoredOptionSet,
-    omega: KTuplePreference,
-    u: int,
-    v: int,
-) -> PLSensitivityContext:
-    """Build the (alpha, beta) context for positions u < v of a ranking.
+    alpha is 1 plus the ratio mass of the other options competing at
+    stage u; beta is the product of all other stage factors. For K = 2
+    both are exactly 1; alpha also degenerates to 1 when the pair occupies
+    the last two positions, since nothing else competes there.
 
     Raises DomainError when a later-ranked option outscores an earlier one
     by more than about 709, where its ratio overflows float64, or when
@@ -260,8 +228,9 @@ def pl_context(
     require_instance(options, ScoredOptionSet, "options")
     require_instance(omega, KTuplePreference, "omega")
     omega.validate_for(options)
-    pos = PLSensitivityContext(len(omega), u, v, 1.0, 1.0)  # checks 0 <= u < v < K
-    k, u, v = pos.k, pos.u, pos.v
+    k = len(omega)
+    u = require_int(u, "u", 0, k - 2)
+    v = require_int(v, "v", u + 1, k - 1)
     # Only the entries above the diagonal are read, so an overflow below it
     # (an earlier-ranked option far ahead) is harmless. One above it, or an
     # alpha or beta out of range, is refused below.
@@ -286,7 +255,7 @@ def pl_context(
                 f"the scores are too far apart for ranking positions {u} and {v}: "
                 f"their {name} is {value:g} in float64, not finite and positive"
             )
-    return PLSensitivityContext(k=k, u=u, v=v, alpha=alpha, beta=beta)
+    return alpha, beta
 
 
 def pl_partial_terms(p_uv, p_vu, alpha, beta, which: str):
@@ -298,22 +267,22 @@ def pl_partial_terms(p_uv, p_vu, alpha, beta, which: str):
     return beta * (p_vu if which == "uv" else p_uv), d * d
 
 
-def pl_partials(p_uv: float, p_vu: float, ctx: PLSensitivityContext) -> tuple[float, float]:
+def pl_partials(p_uv: float, p_vu: float, alpha: float, beta: float) -> tuple[float, float]:
     """Ranking-probability derivatives w.r.t. the two swap probabilities.
 
     Returns (d/d p_uv, d/d p_vu); the first is positive and the second
     negative, with magnitudes in the ratio p_vu : p_uv.
     """
-    require_instance(ctx, PLSensitivityContext, "ctx")
     p_uv = require_probability(p_uv, "p_uv")
     p_vu = require_probability(p_vu, "p_vu")
-    numer_uv, denom = pl_partial_terms(p_uv, p_vu, ctx.alpha, ctx.beta, "uv")
+    alpha, beta = require_alpha_beta(alpha, beta)
+    numer_uv, denom = pl_partial_terms(p_uv, p_vu, alpha, beta, "uv")
     if denom == 0.0:
         raise SingularityError(
             f"ranking derivative undefined at ({p_uv!r}, {p_vu!r})",
             point=(p_uv, p_vu),
         )
-    numer_vu, _ = pl_partial_terms(p_uv, p_vu, ctx.alpha, ctx.beta, "vu")
+    numer_vu, _ = pl_partial_terms(p_uv, p_vu, alpha, beta, "vu")
     return numer_uv / denom, -numer_vu / denom
 
 
@@ -361,27 +330,22 @@ def pl_region_terms(threshold, alpha, beta, fixed, which: str):
     return center - half, center + half, center, half
 
 
-def pl_region(
-    threshold: float,
-    ctx: PLSensitivityContext,
-    fixed: float,
-    which: str,
-) -> PLRegionBounds:
+def pl_region(threshold: float, alpha: float, beta: float, fixed: float, which: str) -> PLRegionBounds:
     """Sensitive interval of the free swap probability at a fixed one.
 
     which="uv" fixes p_uv and bounds p_vu (forward derivative); which="vu"
     fixes p_vu and bounds p_uv (reverse derivative).
     """
     threshold = require_threshold(threshold)
-    require_instance(ctx, PLSensitivityContext, "ctx")
+    alpha, beta = require_alpha_beta(alpha, beta)
     fixed = require_probability(fixed, "fixed coordinate")
     require_choice(which, ("uv", "vu"), "which")
-    lo, hi, center, half = map(float, pl_region_terms(threshold, ctx.alpha, ctx.beta, fixed, which))
+    lo, hi, center, half = map(float, pl_region_terms(threshold, alpha, beta, fixed, which))
     interval = None if math.isnan(lo) else (lo, hi)
     return PLRegionBounds(threshold, which, fixed, center, half, interval)
 
 
-def pl_region_area(threshold: float, ctx: PLSensitivityContext, which: str = "uv") -> float:
+def pl_region_area(threshold: float, alpha: float, beta: float, which: str = "uv") -> float:
     """Exact sensitive-region area for a K-tuple swap pair.
 
     beta^2 / (6 alpha M^2) for the forward coordinate and
@@ -391,13 +355,13 @@ def pl_region_area(threshold: float, ctx: PLSensitivityContext, which: str = "uv
     for every threshold of 2 or more.
     """
     threshold = require_threshold(threshold)
-    require_instance(ctx, PLSensitivityContext, "ctx")
+    alpha, beta = require_alpha_beta(alpha, beta)
     # threshold * threshold rounds like threshold**2 but gives inf, and so
     # an area of 0.0, where ** raises OverflowError (threshold above 1.3e154).
     m2 = threshold * threshold
     if require_choice(which, ("uv", "vu"), "which") == "uv":
-        return ctx.beta**2 / (6.0 * ctx.alpha * m2)
-    return ctx.beta**2 / (6.0 * ctx.alpha**3 * m2)
+        return beta**2 / (6.0 * alpha * m2)
+    return beta**2 / (6.0 * alpha**3 * m2)
 
 
 class AreaComparison(NamedTuple):
@@ -408,20 +372,16 @@ class AreaComparison(NamedTuple):
     holds: bool
 
 
-def compare_bt_pl_areas(threshold: float, ctx: PLSensitivityContext) -> AreaComparison:
+def compare_bt_pl_areas(threshold: float, alpha: float, beta: float) -> AreaComparison:
     """Check that the K-tuple region is smaller than the pairwise one.
 
-    Requires a context from K > 2 (for K = 2 the two models coincide and
-    the comparison is vacuous). The pairwise area also dominates the
-    universal lower bound 1 / (6 M^2), which is what makes the inequality
-    hold for every admissible (alpha, beta).
+    The K-tuple area beta^2 / (6 alpha M^2) is at most 1 / (6 M^2), its
+    value at alpha = beta = 1 (the pair of a 2-tuple), and the pairwise
+    area exceeds 1 / (6 M^2): so the inequality holds for every admissible
+    (alpha, beta).
     """
-    threshold = require_threshold(threshold)
-    require_instance(ctx, PLSensitivityContext, "ctx")
-    if ctx.k <= 2:
-        raise DomainError("comparison requires a K-tuple context with K > 2")
     bt = bt_region_area(threshold)
-    pl = pl_region_area(threshold, ctx, "uv")
+    pl = pl_region_area(threshold, alpha, beta, "uv")
     return AreaComparison(bt_area=bt, pl_area=pl, holds=bt > pl)
 
 

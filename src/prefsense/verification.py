@@ -32,7 +32,6 @@ from .models import (
 from .oracles import finite_diff, make_rng, mc_area_bt, mode_count, quad_area_pl
 from .raster import raster_bt, raster_pl
 from .sensitivity import (
-    PLSensitivityContext,
     bt_partial,
     bt_partial_terms,
     bt_region_area,
@@ -191,10 +190,9 @@ def check_pl_area_exponent(f: _Gates, quick: bool) -> str:
     tol = 1e-4
     for alpha in (1.01, 1.5):
         for beta in (0.99, 0.5):
-            ctx = PLSensitivityContext.from_alpha_beta(alpha, beta)
             for m in (2.0, 5.0):
                 quad = quad_area_pl(m, alpha, beta, "uv", 100_000)
-                good = pl_region_area(m, ctx)
+                good = pl_region_area(m, alpha, beta)
                 bad = beta**2 / (6.0 * alpha * m)
                 f.at_most("|quad - 1/M^2 form|", abs(quad - good), tol, (alpha, beta, m))
                 f.above("|quad - 1/M form|", abs(quad - bad), 10 * tol, (alpha, beta, m))
@@ -225,7 +223,7 @@ def _swap_ratio_fn(ratios: np.ndarray, u: int, v: int):
     return fn
 
 
-def _derivative_errors(a: np.ndarray, b: np.ndarray, ctx, ratio_fn) -> dict[str, np.ndarray]:
+def _derivative_errors(a: np.ndarray, b: np.ndarray, alpha, beta, ratio_fn) -> dict[str, np.ndarray]:
     """Per-point relative error of each analytic derivative against its central difference.
 
     The analytic side is the production kernels over the arrays (the link
@@ -239,8 +237,8 @@ def _derivative_errors(a: np.ndarray, b: np.ndarray, ctx, ratio_fn) -> dict[str,
         exact = np.frompyfunc(partial(general_partial, link), 2, 1)(a, b).astype(float)
         compose = np.frompyfunc(partial(compose_pairwise, link), 2, 1)
         errors[name] = rel(exact, finite_diff(compose, (a, b), slot=0))
-    numer_uv, denom = pl_partial_terms(a, b, ctx.alpha, ctx.beta, "uv")
-    numer_vu, _ = pl_partial_terms(a, b, ctx.alpha, ctx.beta, "vu")
+    numer_uv, denom = pl_partial_terms(a, b, alpha, beta, "uv")
+    numer_vu, _ = pl_partial_terms(a, b, alpha, beta, "vu")
     errors["pl_uv"] = rel(numer_uv / denom, finite_diff(ratio_fn, (a, b), slot=0))
     errors["pl_vu"] = rel(-numer_vu / denom, finite_diff(ratio_fn, (a, b), slot=1))
     return errors
@@ -254,11 +252,11 @@ def check_derivative_oracles(f: _Gates, quick: bool) -> str:
     options = ScoredOptionSet(("a", "b", "c", "d"), (0.8, 0.1, -0.4, -1.2))
     omega = KTuplePreference((0, 1, 2, 3))
     u, v = 1, 2
-    ctx = pl_context(options, omega, u, v)
+    alpha, beta = pl_context(options, omega, u, v)
     ratio_fn = _swap_ratio_fn(ratio_matrix(options, omega), u, v)
     # One (n, 2) draw is the same stream as n draws of 2.
     a, b = (0.01 + 0.98 * rng.random((n_points, 2))).T
-    errors = _derivative_errors(a, b, ctx, ratio_fn)
+    errors = _derivative_errors(a, b, alpha, beta, ratio_fn)
     # Each gate's name is its key in the summary of worst relative errors.
     for name, rel in errors.items():
         f.at_most(name, rel, rel_tol, (a, b))
@@ -285,7 +283,7 @@ def _open_unit(u):
     return 1e-6 + (1 - 2e-6) * u
 
 
-def _inside_points(r, threshold, ctx):
+def _inside_points(r, threshold, alpha, beta):
     """(p, q) points strictly inside the BT, PL uv and PL vu regions.
 
     Row i of r holds point i's 7 uniform draws, in this order: the BT
@@ -298,14 +296,14 @@ def _inside_points(r, threshold, ctx):
     lo, hi, _ = bt_region_terms(threshold, q)
     points = [(lo + (hi - lo) * _open_unit(r[:, 2]), q)]
     for which, col in (("uv", 3), ("vu", 5)):
-        fixed = ctx.beta / (4.0 * ctx.alpha * threshold) * _open_unit(r[:, col])
-        lo, hi, _, _ = pl_region_terms(threshold, ctx.alpha, ctx.beta, fixed, which)
+        fixed = beta / (4.0 * alpha * threshold) * _open_unit(r[:, col])
+        lo, hi, _, _ = pl_region_terms(threshold, alpha, beta, fixed, which)
         free = lo + (hi - lo) * _open_unit(r[:, col + 1])
         points.append((fixed, free) if which == "uv" else (free, fixed))
     return points
 
 
-def _outside_masks(p, q, threshold, ctx):
+def _outside_masks(p, q, threshold, alpha, beta):
     """(3, n) masks of the pairs that lie, with their four neighbours at
     _MARGIN, outside the BT, PL uv and PL vu regions (rows in that order)."""
     probes = ((p, q), (p - _MARGIN, q), (p + _MARGIN, q), (p, q - _MARGIN), (p, q + _MARGIN))
@@ -314,17 +312,17 @@ def _outside_masks(p, q, threshold, ctx):
     for x, y in probes:
         x, y = np.clip(x, 1e-9, 1 - 1e-9), np.clip(y, 1e-9, 1 - 1e-9)
         bt = bt | within(*bt_region_terms(threshold, y)[:2], x)
-        uv = uv | within(*pl_region_terms(threshold, ctx.alpha, ctx.beta, x, "uv")[:2], y)
-        vu = vu | within(*pl_region_terms(threshold, ctx.alpha, ctx.beta, y, "vu")[:2], x)
+        uv = uv | within(*pl_region_terms(threshold, alpha, beta, x, "uv")[:2], y)
+        vu = vu | within(*pl_region_terms(threshold, alpha, beta, y, "vu")[:2], x)
     return ~np.stack((bt, uv, vu))
 
 
-def _magnitudes(p, q, ctx):
+def _magnitudes(p, q, alpha, beta):
     """|d p_ij / d p_ik|, |d p / d p_uv| and |d p / d p_vu| at the points
     (p, q), read as (p_ik, p_kj) and as (p_uv, p_vu)."""
     numer, denom = bt_partial_terms(p, q)
-    numer_uv, pl_denom = pl_partial_terms(p, q, ctx.alpha, ctx.beta, "uv")
-    numer_vu, _ = pl_partial_terms(p, q, ctx.alpha, ctx.beta, "vu")
+    numer_uv, pl_denom = pl_partial_terms(p, q, alpha, beta, "uv")
+    numer_vu, _ = pl_partial_terms(p, q, alpha, beta, "vu")
     return numer / denom, numer_uv / pl_denom, numer_vu / pl_denom
 
 
@@ -338,17 +336,17 @@ def check_region_coherence(f: _Gates, quick: bool) -> str:
     thresholds = (1.01, 2.0, 3.0, 5.0, 10.0)
     quota = n_points // len(thresholds)
     rng = make_rng(VERIFY_SEED)
-    ctx = PLSensitivityContext.from_alpha_beta(FIGURE_ALPHA, FIGURE_BETA)
+    alpha, beta = FIGURE_ALPHA, FIGURE_BETA
     for m in thresholds:
         # One (n, 7) draw is the same stream as n rows of 7 single draws.
-        inside = _inside_points(rng.random((quota, 7)), m, ctx)
+        inside = _inside_points(rng.random((quota, 7)), m, alpha, beta)
         for k, (name, (x, y)) in enumerate(zip(_REGIONS, inside)):
-            f.above(f"{name} inside region", _magnitudes(x, y, ctx)[k], m, (x, y))
+            f.above(f"{name} inside region", _magnitudes(x, y, alpha, beta)[k], m, (x, y))
         p, q = rng.random((_OUTSIDE_BLOCK, 2)).T
         # rng.random may return 0.0, which lies outside the open square.
-        outside = _outside_masks(p, q, m, ctx) & (p > 0) & (q > 0)
+        outside = _outside_masks(p, q, m, alpha, beta) & (p > 0) & (q > 0)
         outside[:, np.flatnonzero(outside[0])[quota - 1] + 1 :] = False
-        for name, out, d in zip(_REGIONS, outside, _magnitudes(p, q, ctx)):
+        for name, out, d in zip(_REGIONS, outside, _magnitudes(p, q, alpha, beta)):
             f.at_most(f"{name} outside region", d[out], m, (p[out], q[out]))
     return f"{len(_REGIONS) * n_points} inside and {n_points}+ outside points coherent"
 
@@ -425,8 +423,7 @@ def check_area_comparison(f: _Gates, quick: bool) -> str:
         f.above("pairwise area", bt_region_area(m), 1.0 / (6.0 * m**2), (m,))
         for alpha in (1.001, 1.5, 3.0):
             for beta in (0.999, 0.5, 0.1):
-                ctx = PLSensitivityContext.from_alpha_beta(alpha, beta)
-                cmp = compare_bt_pl_areas(m, ctx)
+                cmp = compare_bt_pl_areas(m, alpha, beta)
                 at = (m, alpha, beta)
                 f.above("pairwise area over tuple area", cmp.bt_area, cmp.pl_area, at)
                 count += 1

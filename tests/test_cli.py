@@ -14,7 +14,6 @@ import pytest
 
 from prefsense import (
     DivergenceWarning,
-    PLSensitivityContext,
     SaturationWarning,
     bt_prob,
     cli,
@@ -172,7 +171,7 @@ class TestGradRegionArea:
         )
         assert code == 0
         payload = json.loads(out)
-        bounds = pl_region(2.0, PLSensitivityContext.from_alpha_beta(1.01, 0.99), 0.05, "vu")
+        bounds = pl_region(2.0, 1.01, 0.99, 0.05, "vu")
         assert payload["which"] == "vu"
         assert payload["interval"] == list(bounds.interval)
 
@@ -208,12 +207,29 @@ class TestGradRegionArea:
             ("area bt --M 2 --n-samples 1000000000001", "n must lie in [10000, 1000000000]"),
             ("area pl --M 2 --alpha 1.01 --beta 0.99 --grid-n 10000001", "grid_n must lie in [10000, 10000000]"),
         ],
+        ids=["area-bt-n-samples", "area-pl-grid-n"],
     )
     def test_area_oracle_size_cap(self, capsys, argv, text):
         code, out, err = run(capsys, *argv.split())
         assert code == 1
         assert out == ""
         assert_one_error_line(err, text)
+
+    # Every PL command passes --alpha and --beta to the same check.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "grad pl --p-uv 0.3 --p-vu 0.6",
+            "region pl --M 2 --p-uv 0.05",
+            "area pl --M 2",
+            "raster pl --out unused.csv",
+        ],
+        ids=["grad", "region", "area", "raster"],
+    )
+    def test_pl_constants_refused(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split(), "--alpha", "0.5")
+        assert (code, out) == (1, "")
+        assert_one_error_line(err, "need alpha >= 1 and 0 < beta <= 1, got 0.5, 0.99")
 
     def test_area_pl_huge_threshold(self, capsys):
         argv = ["area", "pl", "--M", "1e200", "--alpha", "1.01", "--beta", "0.99"]

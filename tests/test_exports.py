@@ -71,7 +71,6 @@ def _calls():
     omega = models.KTuplePreference((0, 1))
     options3 = models.ScoredOptionSet(("a", "b", "c"), (0.0, 1.0, 2.0))
     omega3 = models.KTuplePreference((0, 1, 2))
-    ctx = sensitivity.PLSensitivityContext(3, 0, 1, 1.01, 0.99)
     counts = fitting.PairwiseCounts([[0, 1], [1, 0]])
     grid = raster.raster_bt("d_pik", (2.0,), 64)
     calls = {
@@ -108,20 +107,15 @@ def _calls():
         "export": (raster.export, (grid, "csv", "out.csv")),
         "read_csv_grid": (raster.read_csv_grid, (GRID_CSV,)),
         # sensitivity
-        "PLSensitivityContext": (sensitivity.PLSensitivityContext, (3, 0, 1, 1.01, 0.99)),
-        "PLSensitivityContext.from_alpha_beta": (
-            sensitivity.PLSensitivityContext.from_alpha_beta,
-            (1.01, 0.99, 3),
-        ),
         "bt_partial": (sensitivity.bt_partial, (0.3, 0.6)),
         "general_partial": (sensitivity.general_partial, (links.PROBIT, 0.3, 0.6)),
         "bt_region_slice": (sensitivity.bt_region_slice, (2.0, 0.3)),
         "bt_region_area": (sensitivity.bt_region_area, (2.0,)),
         "pl_context": (sensitivity.pl_context, (options3, omega3, 0, 1)),
-        "pl_partials": (sensitivity.pl_partials, (0.3, 0.6, ctx)),
-        "pl_region": (sensitivity.pl_region, (2.0, ctx, 0.01, "uv")),
-        "pl_region_area": (sensitivity.pl_region_area, (2.0, ctx, "uv")),
-        "compare_bt_pl_areas": (sensitivity.compare_bt_pl_areas, (2.0, ctx)),
+        "pl_partials": (sensitivity.pl_partials, (0.3, 0.6, 1.01, 0.99)),
+        "pl_region": (sensitivity.pl_region, (2.0, 1.01, 0.99, 0.01, "uv")),
+        "pl_region_area": (sensitivity.pl_region_area, (2.0, 1.01, 0.99, "uv")),
+        "compare_bt_pl_areas": (sensitivity.compare_bt_pl_areas, (2.0, 1.01, 0.99)),
         "sensitivity_witness": (sensitivity.sensitivity_witness, (links.LOGISTIC, 2.0, 1.0)),
         # synth
         "DatasetSpec": (synth.DatasetSpec, (("a", "b", "c"), 0.5, 0.5, 10, 0)),
@@ -294,6 +288,9 @@ def _integer_bounds():
         ("mc_area_bt", 1, "n", 10_000, MAX_MC_SAMPLES),
         ("DatasetSpec", 3, "n_samples", 1, MAX_SAMPLES),
         ("fit_pl", 1, "n_options", 2, None),
+        ("brute_force_pl", 1, "K", 2, 3),  # a set of three options
+        ("pl_context", 2, "u", 0, 1),  # a ranking of three options, v = 1
+        ("pl_context", 3, "v", 1, 2),  # u = 0
         ("finite_diff", 2, "slot", 0, 1),  # a point of two coordinates
         ("predict", 1, "i", 0, 1),  # a fit of two options
         ("predict", 2, "j", 0, 1),

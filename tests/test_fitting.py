@@ -541,8 +541,9 @@ class TestFitPL:
             fit_pl([], 3)
         with pytest.raises(ValidationError):
             fit_pl([(KTuplePreference((0, 1)), -1.0)], 2)
-        with pytest.raises(DomainError):
-            fit_pl([(KTuplePreference((0, 5)), 1.0)], 3)
+        for bad in (5, -1):
+            with pytest.raises(DomainError, match=rf"ranking index must lie in \[0, 2\], got {bad}"):
+                fit_pl([(KTuplePreference((0, bad)), 1.0)], 3)
         for mult in ("x", None, math.inf):
             with pytest.raises(DomainError, match="multiplicity must be"):
                 fit_pl([(KTuplePreference((0, 1)), mult)], 2)

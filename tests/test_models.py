@@ -66,11 +66,19 @@ class TestTypes:
         for bad in (5, None, 1.5):
             with pytest.raises(DomainError, match="indices must be a sequence"):
                 KTuplePreference(bad)
-        options = ScoredOptionSet(["a", "b"], [0.0, 1.0])
-        with pytest.raises(DomainError):
-            KTuplePreference([0, 5]).validate_for(options)
-        with pytest.raises(DomainError):
-            KTuplePreference([0, 1, 2]).validate_for(options)
+
+    @pytest.mark.parametrize(
+        "indices, message",
+        [
+            ((0, 5), r"ranking index must lie in \[0, 1\], got 5"),
+            ((-1, 0), r"ranking index must lie in \[0, 1\], got -1"),
+            ((0, 1, 2), "ranking of 3 options from a set of 2"),
+        ],
+        ids=["above", "negative", "too-long"],
+    )
+    def test_preference_outside_option_set(self, indices, message):
+        with pytest.raises(DomainError, match=message):
+            KTuplePreference(indices).validate_for(ScoredOptionSet(["a", "b"], [0.0, 1.0]))
 
 
 class TestBTProb:

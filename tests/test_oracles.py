@@ -11,7 +11,6 @@ from prefsense import (
     DomainError,
     EnumerationSizeError,
     KTuplePreference,
-    PLSensitivityContext,
     ScoredOptionSet,
     UnsupportedThresholdError,
     bt_compose,
@@ -292,7 +291,7 @@ class TestQuadAreaPL:
     @pytest.mark.parametrize("threshold, alpha", [(1e308, 1.01), (2.0, 1e308)])
     def test_overflowing_scale_gives_zero(self, threshold, alpha):
         assert quad_area_pl(threshold, alpha, 0.99, "uv", 10_000) == 0.0
-        assert pl_region_area(threshold, PLSensitivityContext.from_alpha_beta(alpha, 0.99)) == 0.0
+        assert pl_region_area(threshold, alpha, 0.99) == 0.0
 
 
 class TestBruteForce:
@@ -342,10 +341,17 @@ class TestBruteForce:
         options = ScoredOptionSet([f"o{i}" for i in range(8)], [0.0] * 8)
         with pytest.raises(EnumerationSizeError):
             brute_force_pl(options, 7)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"K must lie in \[2, 8\], got 1"):
             brute_force_pl(options, 1)
         with pytest.raises(DomainError, match="K must be an integer"):
             brute_force_pl(options, 2.5)
+
+    # The size guard comes first, so K = 7 on three options is still an EnumerationSizeError.
+    @pytest.mark.parametrize("k, error", [(4, DomainError), (7, EnumerationSizeError)])
+    def test_k_beyond_the_option_count(self, k, error):
+        options = ScoredOptionSet(["a", "b", "c"], [0.0, 0.5, 1.0])
+        with pytest.raises(error, match="K must lie in" if error is DomainError else "K <= 6"):
+            brute_force_pl(options, k)
 
 
 def _scalar_density(x, sigma2):

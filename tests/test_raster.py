@@ -14,13 +14,14 @@ import pytest
 
 from prefsense import (
     DomainError,
-    PLSensitivityContext,
     ValidationError,
     bt_partial,
     bt_region_slice,
+    compare_bt_pl_areas,
     export,
     pl_partials,
     pl_region,
+    pl_region_area,
     quad_area_pl,
     raster_bt,
     raster_pl,
@@ -209,12 +210,11 @@ class TestGridConstruction:
         assert (grid.values == np.array(expect)).all()
 
     def test_pl_values(self):
-        ctx = PLSensitivityContext.from_alpha_beta(1.01, 0.99)
         for which, idx in (("d_uv", 0), ("d_vu", 1)):
             grid = raster_pl(which, 1.01, 0.99, THRESHOLDS, 64)
             c = grid.cell_centers()
             expect = [
-                [abs(pl_partials(c[ix], c[iy], ctx)[idx]) for iy in range(64)] for ix in range(64)
+                [abs(pl_partials(c[ix], c[iy], 1.01, 0.99)[idx]) for iy in range(64)] for ix in range(64)
             ]
             assert (grid.values == np.array(expect)).all()
 
@@ -309,8 +309,14 @@ class TestGridConstruction:
         ids=["x", "None", "nan", "inf", "alpha0.9", "beta0", "beta1.5"],
     )
     def test_non_finite_alpha(self, alpha, beta):
-        with pytest.raises(DomainError):
-            PLSensitivityContext.from_alpha_beta(alpha, beta)
+        for call in (
+            lambda: pl_partials(0.3, 0.6, alpha, beta),
+            lambda: pl_region(2.0, alpha, beta, 0.01, "uv"),
+            lambda: pl_region_area(2.0, alpha, beta),
+            lambda: compare_bt_pl_areas(2.0, alpha, beta),
+        ):
+            with pytest.raises(DomainError):
+                call()
         with pytest.raises(DomainError):
             raster_pl("d_uv", alpha, beta, THRESHOLDS, 64)
         with pytest.raises(DomainError):
@@ -373,14 +379,13 @@ class TestRegionAgreement:
 
     def test_pl_classes_match_analytic_membership(self):
         resolution = 128
-        ctx = PLSensitivityContext.from_alpha_beta(1.01, 0.99)
         grid = raster_pl("d_uv", 1.01, 0.99, THRESHOLDS, resolution)
         centers = grid.cell_centers()
         cell = 1.0 / resolution
         for level, t in enumerate(THRESHOLDS, start=1):
             exceeded = grid.classes >= level
             for ix in range(0, resolution, 7):
-                bounds = pl_region(t, ctx, centers[ix], "uv")
+                bounds = pl_region(t, 1.01, 0.99, centers[ix], "uv")
                 if bounds.empty:
                     analytic = np.zeros(resolution, dtype=bool)
                     curve = []

@@ -14,7 +14,6 @@ from prefsense import (
     PROBIT,
     DomainError,
     KTuplePreference,
-    PLSensitivityContext,
     ScoredOptionSet,
     SingularityError,
     UnsupportedThresholdError,
@@ -362,23 +361,23 @@ class TestBTArea:
 class TestPLContext:
     def test_pair_is_degenerate(self):
         options = ScoredOptionSet(["a", "b"], [1.0, -1.0])
-        ctx = pl_context(options, KTuplePreference((0, 1)), 0, 1)
-        assert ctx.alpha == pytest.approx(1.0)
-        assert ctx.beta == pytest.approx(1.0)
+        alpha, beta = pl_context(options, KTuplePreference((0, 1)), 0, 1)
+        assert alpha == pytest.approx(1.0)
+        assert beta == pytest.approx(1.0)
 
     def test_equal_scores_triple(self):
         options = ScoredOptionSet(["a", "b", "c"], [0.0, 0.0, 0.0])
-        ctx = pl_context(options, KTuplePreference((0, 1, 2)), 0, 1)
-        assert ctx.alpha == pytest.approx(2.0)
-        assert ctx.beta == pytest.approx(0.5)
+        alpha, beta = pl_context(options, KTuplePreference((0, 1, 2)), 0, 1)
+        assert alpha == pytest.approx(2.0)
+        assert beta == pytest.approx(0.5)
 
     def test_trailing_pair_has_unit_alpha(self):
         # Nothing competes at the final stage, so the sum is empty even
         # for K > 2.
         options = ScoredOptionSet(["a", "b", "c"], [0.4, 0.1, -0.2])
-        ctx = pl_context(options, KTuplePreference((0, 1, 2)), 1, 2)
-        assert ctx.alpha == pytest.approx(1.0)
-        assert 0.0 < ctx.beta < 1.0
+        alpha, beta = pl_context(options, KTuplePreference((0, 1, 2)), 1, 2)
+        assert alpha == pytest.approx(1.0)
+        assert 0.0 < beta < 1.0
 
     def test_alpha_grows_beta_shrinks_with_k(self):
         rng = make_rng(45)
@@ -386,11 +385,11 @@ class TestPLContext:
         previous = None
         for k in (3, 4, 5, 6):
             options = ScoredOptionSet([f"o{i}" for i in range(k)], scores[:k])
-            ctx = pl_context(options, KTuplePreference(tuple(range(k))), 0, 1)
+            alpha, beta = pl_context(options, KTuplePreference(tuple(range(k))), 0, 1)
             if previous is not None:
-                assert ctx.alpha >= previous.alpha - 1e-12
-                assert ctx.beta <= previous.beta + 1e-12
-            previous = ctx
+                assert alpha >= previous[0] - 1e-12
+                assert beta <= previous[1] + 1e-12
+            previous = alpha, beta
 
     def test_invalid_positions(self):
         options = ScoredOptionSet(["a", "b", "c"], [0.0, 0.0, 0.0])
@@ -435,54 +434,47 @@ class TestPLContext:
         options = ScoredOptionSet(["a", "b", "c"], [800.0, 0.0, 0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ctx = pl_context(options, KTuplePreference((0, 1, 2)), 0, 1)
-        assert (ctx.alpha, ctx.beta) == (1.0, 0.5)
+            constants = pl_context(options, KTuplePreference((0, 1, 2)), 0, 1)
+        assert constants == (1.0, 0.5)
 
     def test_context_validation(self):
-        with pytest.raises(DomainError, match="K must be at least 2, got 1"):
-            PLSensitivityContext(k=1, u=0, v=1, alpha=1.1, beta=0.5)
-        for u, v in ((1, 1), (2, 1)):
-            with pytest.raises(DomainError, match="need 0 <= u < v < K"):
-                PLSensitivityContext(k=3, u=u, v=v, alpha=1.1, beta=0.5)
+        # u runs over 0 .. K-2 and v over u+1 .. K-1, with K = len(omega).
+        options = ScoredOptionSet(["a", "b", "c"], [0.0, 0.0, 0.0])
+        for omega, u, v, message in (
+            (KTuplePreference((0, 1)), 0, 2, r"v must lie in \[1, 1\], got 2"),
+            (KTuplePreference((0, 1, 2)), 2, 1, r"u must lie in \[0, 1\], got 2"),
+            (KTuplePreference((0, 1, 2)), 1, 1, r"v must lie in \[2, 2\], got 1"),
+            (KTuplePreference((0, 1, 2)), -1, 1, r"u must lie in \[0, 1\], got -1"),
+        ):
+            with pytest.raises(DomainError, match=message):
+                pl_context(options, omega, u, v)
 
-    def test_synthetic_context_validation(self):
-        with pytest.raises(DomainError):
-            PLSensitivityContext.from_alpha_beta(0.9, 0.5)
-        with pytest.raises(DomainError):
-            PLSensitivityContext.from_alpha_beta(1.5, 0.0)
-        with pytest.raises(DomainError):
-            PLSensitivityContext.from_alpha_beta(1.5, 1.5)
-        with pytest.raises(DomainError):
-            PLSensitivityContext.from_alpha_beta(1.1, 0.5, k="x")
-
-    # K and the positions are integers: floats are refused, not compared.
-    @pytest.mark.parametrize(
-        "field, bad",
-        [("k", "x"), ("k", 3.0), ("u", None), ("u", 0.0), ("v", "1"), ("v", 1.0)],
-    )
+    # The positions are integers: floats are refused, not compared.
+    @pytest.mark.parametrize("field, bad", [("u", None), ("u", 0.0), ("v", "1"), ("v", 1.0)])
     def test_non_integer_k_u_v(self, field, bad):
-        kwargs = {"k": 3, "u": 0, "v": 1, "alpha": 1.1, "beta": 0.5, field: bad}
+        options = ScoredOptionSet(["a", "b", "c"], [0.0, 0.0, 0.0])
+        kwargs = {"u": 0, "v": 1, field: bad}
         with pytest.raises(DomainError, match=f"{field} must be an integer"):
-            PLSensitivityContext(**kwargs)
+            pl_context(options, KTuplePreference((0, 1, 2)), **kwargs)
 
     def test_numpy_integer_k_u_v(self):
-        ctx = PLSensitivityContext(k=np.int64(3), u=np.int32(0), v=np.int64(1), alpha=1.1, beta=0.5)
-        assert (ctx.k, ctx.u, ctx.v) == (3, 0, 1)
-        assert all(type(n) is int for n in (ctx.k, ctx.u, ctx.v))
+        options = ScoredOptionSet(["a", "b", "c"], [0.4, 0.1, -0.2])
+        omega = KTuplePreference(np.arange(3, dtype=np.int64))
+        constants = pl_context(options, omega, np.int32(0), np.int64(1))
+        assert constants == pl_context(options, KTuplePreference((0, 1, 2)), 0, 1)
+        assert all(type(c) is float for c in constants)
 
 
 class TestPLPartials:
     def test_degenerate_midpoint(self):
-        ctx = PLSensitivityContext.from_alpha_beta(1.0, 1.0, k=2)
-        d_uv, d_vu = pl_partials(0.5, 0.5, ctx)
+        d_uv, d_vu = pl_partials(0.5, 0.5, 1.0, 1.0)
         assert d_uv == pytest.approx(0.5, abs=1e-12)
         assert d_vu == pytest.approx(-0.5, abs=1e-12)
 
     @given(interior, interior)
     @settings(max_examples=200)
     def test_signs_and_magnitude_ratio(self, p_uv, p_vu):
-        ctx = PLSensitivityContext.from_alpha_beta(1.3, 0.7)
-        d_uv, d_vu = pl_partials(p_uv, p_vu, ctx)
+        d_uv, d_vu = pl_partials(p_uv, p_vu, 1.3, 0.7)
         assert d_uv > 0.0
         assert d_vu < 0.0
         assert abs(d_uv / d_vu) == pytest.approx(p_vu / p_uv, rel=1e-9)
@@ -491,7 +483,7 @@ class TestPLPartials:
         options = ScoredOptionSet(["a", "b", "c", "d"], [0.9, 0.2, -0.3, -1.0])
         omega = KTuplePreference((0, 1, 2, 3))
         for u, v in ((0, 1), (0, 3), (1, 2), (2, 3)):
-            ctx = pl_context(options, omega, u, v)
+            alpha, beta = pl_context(options, omega, u, v)
             base = ratio_matrix(options, omega)
 
             def ranking_prob(p_uv, p_vu):
@@ -503,7 +495,7 @@ class TestPLPartials:
             rng = make_rng(46)
             for _ in range(50):
                 a, b = rng.uniform(0.05, 0.95, size=2)
-                d_uv, d_vu = pl_partials(a, b, ctx)
+                d_uv, d_vu = pl_partials(a, b, alpha, beta)
                 assert d_uv == pytest.approx(
                     finite_diff(ranking_prob, (a, b), slot=0), rel=1e-5
                 )
@@ -516,62 +508,60 @@ class TestPLPartials:
         # function evaluates to the actual ranking probability.
         options = ScoredOptionSet(["a", "b", "c"], [0.7, 0.0, -0.4])
         omega = KTuplePreference((0, 1, 2))
-        ctx = pl_context(options, omega, 0, 1)
+        alpha, beta = pl_context(options, omega, 0, 1)
         ratios = ratio_matrix(options, omega)
         assert pl_prob_from_ratios(ratios) == pytest.approx(
-            ctx.beta / (ctx.alpha + ratios[0, 1]), rel=1e-12
+            beta / (alpha + ratios[0, 1]), rel=1e-12
         )
 
 
 class TestPLRegions:
     def test_empty_beyond_cap(self):
-        ctx = PLSensitivityContext.from_alpha_beta(1.01, 0.99)
-        cap = ctx.beta / (4 * ctx.alpha * 2.0)
-        assert pl_region(2.0, ctx, cap + 1e-9, "uv").empty
-        assert pl_region(2.0, ctx, cap * 0.5, "uv").empty is False
-        assert pl_region(2.0, ctx, cap + 1e-9, "vu").empty
+        alpha, beta = 1.01, 0.99
+        cap = beta / (4 * alpha * 2.0)
+        assert pl_region(2.0, alpha, beta, cap + 1e-9, "uv").empty
+        assert pl_region(2.0, alpha, beta, cap * 0.5, "uv").empty is False
+        assert pl_region(2.0, alpha, beta, cap + 1e-9, "vu").empty
 
     def test_interval_formulas(self):
-        ctx = PLSensitivityContext.from_alpha_beta(1.01, 0.99)
+        alpha, beta = 1.01, 0.99
         m, x = 2.0, 0.05
-        bounds = pl_region(m, ctx, x, "uv")
-        center = (ctx.beta - 2 * ctx.alpha * m * x) / (2 * m)
-        half = math.sqrt(ctx.beta * (ctx.beta - 4 * ctx.alpha * m * x)) / (2 * m)
+        bounds = pl_region(m, alpha, beta, x, "uv")
+        center = (beta - 2 * alpha * m * x) / (2 * m)
+        half = math.sqrt(beta * (beta - 4 * alpha * m * x)) / (2 * m)
         assert bounds.center == pytest.approx(center, rel=1e-12)
         assert bounds.half_width == pytest.approx(half, rel=1e-12)
-        bounds_vu = pl_region(m, ctx, x, "vu")
-        assert bounds_vu.center == pytest.approx(center / ctx.alpha**2, rel=1e-12)
-        assert bounds_vu.half_width == pytest.approx(half / ctx.alpha**2, rel=1e-12)
+        bounds_vu = pl_region(m, alpha, beta, x, "vu")
+        assert bounds_vu.center == pytest.approx(center / alpha**2, rel=1e-12)
+        assert bounds_vu.half_width == pytest.approx(half / alpha**2, rel=1e-12)
 
     def test_directions_coincide_at_unit_alpha(self):
-        ctx = PLSensitivityContext.from_alpha_beta(1.0, 0.9)
-        uv = pl_region(3.0, ctx, 0.02, "uv")
-        vu = pl_region(3.0, ctx, 0.02, "vu")
+        alpha, beta = 1.0, 0.9
+        uv = pl_region(3.0, alpha, beta, 0.02, "uv")
+        vu = pl_region(3.0, alpha, beta, 0.02, "vu")
         assert uv.interval == pytest.approx(vu.interval, rel=1e-12)
 
     def test_rejects_unknown_direction(self):
-        ctx = PLSensitivityContext.from_alpha_beta(1.01, 0.99)
         with pytest.raises(DomainError, match="which must be 'uv' or 'vu', got 'xy'"):
-            pl_region(2.0, ctx, 0.05, "xy")
+            pl_region(2.0, 1.01, 0.99, 0.05, "xy")
 
     def test_limit_of_full_interval(self):
-        ctx = PLSensitivityContext.from_alpha_beta(1.0, 1.0, k=2)
-        bounds = pl_region(2.0, ctx, 1e-12, "uv")
+        bounds = pl_region(2.0, 1.0, 1.0, 1e-12, "uv")
         assert bounds.interval[1] == pytest.approx(1.0 / 2.0, abs=1e-5)
 
     def test_membership_matches_derivative(self):
-        ctx = PLSensitivityContext.from_alpha_beta(1.01, 0.99)
+        alpha, beta = 1.01, 0.99
         rng = make_rng(47)
         for m in (1.01, 2.0, 5.0):
             for _ in range(200):
                 x, y = rng.uniform(1e-4, 1 - 1e-4, size=2)
-                bounds = pl_region(m, ctx, x, "uv")
-                d_uv, d_vu = pl_partials(x, y, ctx)
+                bounds = pl_region(m, alpha, beta, x, "uv")
+                d_uv, d_vu = pl_partials(x, y, alpha, beta)
                 if bounds.contains(y):
                     assert d_uv > m
                 elif bounds.empty or min(abs(y - bounds.interval[0]), abs(y - bounds.interval[1])) > 1e-9:
                     assert d_uv <= m
-                rbounds = pl_region(m, ctx, y, "vu")
+                rbounds = pl_region(m, alpha, beta, y, "vu")
                 if rbounds.contains(x):
                     assert abs(d_vu) > m
 
@@ -581,9 +571,8 @@ class TestPLRegions:
             alpha = 1.0 + rng.random() * 3
             beta = rng.uniform(0.05, 1.0)
             m = 1.0 + rng.random() * 10 + 1e-6
-            ctx = PLSensitivityContext.from_alpha_beta(alpha, beta)
             x = rng.uniform(1e-9, 1 - 1e-9)
-            bounds = pl_region(m, ctx, x, "uv")
+            bounds = pl_region(m, alpha, beta, x, "uv")
             if not bounds.empty:
                 lo, hi = bounds.interval
                 assert 0.0 <= lo < hi <= 1.0
@@ -626,31 +615,40 @@ class TestRegionKernels:
         which=st.sampled_from(["uv", "vu"]),
     )
     def test_pl_array_equals_scalar_calls(self, threshold, alpha, beta, scale, which):
-        ctx = PLSensitivityContext.from_alpha_beta(alpha, beta)
         fixed = [beta / (4.0 * alpha * threshold) * f for f in scale]
         terms = pl_region_terms(threshold, alpha, beta, np.array(fixed), which)
         for x, got in zip(fixed, zip(*(t.tolist() for t in terms))):
-            bounds = pl_region(threshold, ctx, x, which)
+            bounds = pl_region(threshold, alpha, beta, x, which)
             want = (*(bounds.interval or (math.nan, math.nan)), bounds.center, bounds.half_width)
             assert all(map(_same, got, want))
             assert bounds.empty == (beta * (beta - 4.0 * alpha * threshold * x) <= 0.0)
 
 
-class TestContextType:
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda ctx: pl_region(2.0, ctx, 0.05, "uv"),
-            lambda ctx: pl_partials(0.1, 0.2, ctx),
-            lambda ctx: pl_region_area(2.0, ctx),
-            lambda ctx: compare_bt_pl_areas(2.0, ctx),
-        ],
-        ids=["pl_region", "pl_partials", "pl_region_area", "compare_bt_pl_areas"],
-    )
-    @pytest.mark.parametrize("ctx", [1.5, None, (1.01, 0.99)], ids=["float", "None", "tuple"])
-    def test_wrong_type_refused(self, call, ctx):
-        with pytest.raises(ValidationError, match="ctx must be a PLSensitivityContext, got "):
-            call(ctx)
+class TestAlphaBeta:
+    """Each PL function refuses constants outside alpha >= 1, 0 < beta <= 1."""
+
+    CALLS = {
+        "pl_partials": lambda alpha, beta: pl_partials(0.1, 0.2, alpha, beta),
+        "pl_region": lambda alpha, beta: pl_region(2.0, alpha, beta, 0.05, "uv"),
+        "pl_region_area": lambda alpha, beta: pl_region_area(2.0, alpha, beta),
+        "compare_bt_pl_areas": lambda alpha, beta: compare_bt_pl_areas(2.0, alpha, beta),
+    }
+    BAD = [
+        (0.99, 0.5, r"need alpha >= 1 and 0 < beta <= 1, got 0\.99, 0\.5"),
+        (1.5, 0.0, r"need alpha >= 1 and 0 < beta <= 1, got 1\.5, 0\.0"),
+        (1.5, 1.01, r"need alpha >= 1 and 0 < beta <= 1, got 1\.5, 1\.01"),
+        (math.nan, 0.5, "alpha must be finite, got nan"),
+        (1.5, math.inf, "beta must be finite, got inf"),
+        ((1.01, 0.99), 0.5, r"alpha must be a real number, got \(1\.01, 0\.99\)"),
+    ]
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_bad_constants_refused(self, name):
+        call = self.CALLS[name]
+        call(1.0, 1.0)
+        for alpha, beta, message in self.BAD:
+            with pytest.raises(DomainError, match=message):
+                call(alpha, beta)
 
 
 class TestArgumentType:
@@ -686,63 +684,57 @@ class TestArgumentType:
 
 class TestPLArea:
     def test_figure_context_value(self):
-        ctx = PLSensitivityContext.from_alpha_beta(1.01, 0.99)
-        assert pl_region_area(2.0, ctx, "uv") == pytest.approx(
+        assert pl_region_area(2.0, 1.01, 0.99, "uv") == pytest.approx(
             0.99**2 / (6 * 1.01 * 4), rel=1e-12
         )
 
     def test_degenerate_value(self):
-        ctx = PLSensitivityContext.from_alpha_beta(1.0, 1.0, k=2)
         for m in (1.5, 2.0, 7.0):
-            assert pl_region_area(m, ctx, "uv") == pytest.approx(
+            assert pl_region_area(m, 1.0, 1.0, "uv") == pytest.approx(
                 1.0 / (6 * m * m), rel=1e-12
             )
 
     def test_direction_scaling(self):
-        ctx = PLSensitivityContext.from_alpha_beta(1.7, 0.6)
-        uv = pl_region_area(3.0, ctx, "uv")
-        vu = pl_region_area(3.0, ctx, "vu")
+        alpha, beta = 1.7, 0.6
+        uv = pl_region_area(3.0, alpha, beta, "uv")
+        vu = pl_region_area(3.0, alpha, beta, "vu")
         assert uv / vu == pytest.approx(1.7**2, rel=1e-12)
 
     def test_against_quadrature(self):
         for alpha, beta, m in ((1.01, 0.99, 2.0), (1.5, 0.5, 5.0), (2.5, 0.3, 1.5)):
-            ctx = PLSensitivityContext.from_alpha_beta(alpha, beta)
             for which in ("uv", "vu"):
-                closed = pl_region_area(m, ctx, which)
+                closed = pl_region_area(m, alpha, beta, which)
                 quad = quad_area_pl(m, alpha, beta, which, 100_000)
                 assert closed == pytest.approx(quad, abs=1e-4)
 
     def test_monotone_in_threshold(self):
-        ctx = PLSensitivityContext.from_alpha_beta(1.01, 0.99)
-        values = [pl_region_area(m, ctx) for m in (1.1, 1.5, 2, 5, 10, 50)]
+        values = [pl_region_area(m, 1.01, 0.99) for m in (1.1, 1.5, 2, 5, 10, 50)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_guards(self):
-        ctx = PLSensitivityContext.from_alpha_beta(1.01, 0.99)
+        alpha, beta = 1.01, 0.99
         with pytest.raises(UnsupportedThresholdError):
-            pl_region_area(1.0, ctx)
+            pl_region_area(1.0, alpha, beta)
         with pytest.raises(DomainError):
-            pl_region_area(2.0, ctx, "elsewhere")
+            pl_region_area(2.0, alpha, beta, "elsewhere")
 
     def test_huge_threshold_underflows_to_zero(self):
         # M * M overflows to inf above about 1.3e154, so the area is 0.0.
-        ctx = PLSensitivityContext.from_alpha_beta(1.01, 0.99)
-        assert pl_region_area(1e150, ctx) == 0.99**2 / (6.0 * 1.01 * 1e150**2)
-        assert pl_region_area(1e200, ctx, "uv") == 0.0
-        assert pl_region_area(1e200, ctx, "vu") == 0.0
+        alpha, beta = 1.01, 0.99
+        assert pl_region_area(1e150, alpha, beta) == 0.99**2 / (6.0 * 1.01 * 1e150**2)
+        assert pl_region_area(1e200, alpha, beta, "uv") == 0.0
+        assert pl_region_area(1e200, alpha, beta, "vu") == 0.0
 
 
 class TestAreaComparison:
     def test_example_values(self):
-        ctx = PLSensitivityContext.from_alpha_beta(1.01, 0.99)
-        cmp = compare_bt_pl_areas(2.0, ctx)
+        cmp = compare_bt_pl_areas(2.0, 1.01, 0.99)
         assert cmp.bt_area == pytest.approx(0.073919, abs=1e-6)
         assert cmp.pl_area == pytest.approx(0.040433, abs=1e-6)
         assert cmp.holds
 
     def test_near_degenerate_limit(self):
-        ctx = PLSensitivityContext.from_alpha_beta(1.0 + 1e-9, 1.0 - 1e-9)
-        cmp = compare_bt_pl_areas(1.001, ctx)
+        cmp = compare_bt_pl_areas(1.001, 1.0 + 1e-9, 1.0 - 1e-9)
         assert cmp.holds
         assert cmp.bt_area == pytest.approx(0.3466, abs=0.01)
 
@@ -752,26 +744,28 @@ class TestAreaComparison:
             assert bt_region_area(m) > lower_bound
             for alpha in (1.001, 1.5, 3.0):
                 for beta in (0.999, 0.5, 0.1):
-                    ctx = PLSensitivityContext.from_alpha_beta(alpha, beta)
-                    assert compare_bt_pl_areas(m, ctx).holds
+                    assert compare_bt_pl_areas(m, alpha, beta).holds
 
     def test_huge_threshold(self):
-        cmp = compare_bt_pl_areas(1e200, PLSensitivityContext.from_alpha_beta(1.01, 0.99))
+        cmp = compare_bt_pl_areas(1e200, 1.01, 0.99)
         assert cmp.pl_area == 0.0
 
     def test_float64_limit(self):
         # Above M ~ 1.34e154 the PL area is 0.0, and above ~1e162 the BT
         # area, about 1/(3 M^2), underflows too; only there does holds fail.
-        ctx = PLSensitivityContext.from_alpha_beta(1.001, 0.999)
-        assert compare_bt_pl_areas(1e10, ctx).holds
-        cmp = compare_bt_pl_areas(1e155, ctx)
+        alpha, beta = 1.001, 0.999
+        assert compare_bt_pl_areas(1e10, alpha, beta).holds
+        cmp = compare_bt_pl_areas(1e155, alpha, beta)
         assert cmp.pl_area == 0.0 < cmp.bt_area and cmp.holds
-        assert compare_bt_pl_areas(1e163, ctx) == (0.0, 0.0, False)
+        assert compare_bt_pl_areas(1e163, alpha, beta) == (0.0, 0.0, False)
 
-    def test_requires_tuple_context(self):
-        ctx = PLSensitivityContext.from_alpha_beta(1.0, 1.0, k=2)
-        with pytest.raises(DomainError):
-            compare_bt_pl_areas(2.0, ctx)
+    @pytest.mark.parametrize("m", [1.01, 2.0, 7.0, 100.0])
+    def test_pair_constants(self, m):
+        # alpha = beta = 1 are the constants of a 2-tuple's pair, where the
+        # K-tuple area takes its largest value 1 / (6 M^2).
+        cmp = compare_bt_pl_areas(m, 1.0, 1.0)
+        assert cmp.pl_area == pytest.approx(1.0 / (6.0 * m * m), rel=1e-15)
+        assert cmp.holds
 
 
 class TestWitness:

@@ -15,7 +15,6 @@ from prefsense import (
     LOGISTIC,
     PROBIT,
     KTuplePreference,
-    PLSensitivityContext,
     ScoredOptionSet,
     bt_compose,
     bt_partial,
@@ -81,10 +80,10 @@ def test_derivative_errors_equal_a_scalar_loop():
     # The quick run's 200 points, one scalar call per point and derivative.
     options = ScoredOptionSet(("a", "b", "c", "d"), (0.8, 0.1, -0.4, -1.2))
     omega = KTuplePreference((0, 1, 2, 3))
-    ctx = pl_context(options, omega, 1, 2)
+    alpha, beta = pl_context(options, omega, 1, 2)
     ratios = ratio_matrix(options, omega)
     a, b = (0.01 + 0.98 * make_rng(verification.VERIFY_SEED).random((200, 2))).T
-    got = verification._derivative_errors(a, b, ctx, verification._swap_ratio_fn(ratios, 1, 2))
+    got = verification._derivative_errors(a, b, alpha, beta, verification._swap_ratio_fn(ratios, 1, 2))
 
     def ratio_prob(p_uv, p_vu):
         r = ratios.copy()
@@ -98,7 +97,7 @@ def test_derivative_errors_equal_a_scalar_loop():
         for name, link in (("logistic", LOGISTIC), ("probit", PROBIT)):
             compose = lambda x, y: compose_pairwise(link, x, y)
             want[name].append(rel(general_partial(link, *at), _scalar_central_difference(compose, at, 0)))
-        d_uv, d_vu = pl_partials(*at, ctx)
+        d_uv, d_vu = pl_partials(*at, alpha, beta)
         want["pl_uv"].append(rel(d_uv, _scalar_central_difference(ratio_prob, at, 0)))
         want["pl_vu"].append(rel(d_vu, _scalar_central_difference(ratio_prob, at, 1)))
     assert {name: errors.tolist() for name, errors in got.items()} == want
@@ -121,7 +120,7 @@ def test_wrong_pl_area_fails_the_exponent_check(monkeypatch):
     monkeypatch.setattr(
         verification,
         "pl_region_area",
-        lambda m, ctx: 1.01 * right(m, ctx),
+        lambda m, alpha, beta: 1.01 * right(m, alpha, beta),
     )
     result = verification.check_pl_area_exponent(True)
     assert not result.passed
@@ -211,7 +210,7 @@ def _scalar_region_coherence_gates(quick):
     gates = []
     n_points = 200 if quick else 1000
     rng = make_rng(verification.VERIFY_SEED)
-    ctx = PLSensitivityContext.from_alpha_beta(verification.FIGURE_ALPHA, verification.FIGURE_BETA)
+    alpha, beta = verification.FIGURE_ALPHA, verification.FIGURE_BETA
     unit = lambda: 1e-6 + (1 - 2e-6) * rng.random()
     clamp = lambda v: min(max(v, 1e-9), 1 - 1e-9)
     for m in (1.01, 2.0, 3.0, 5.0, 10.0):
@@ -224,17 +223,17 @@ def _scalar_region_coherence_gates(quick):
             p = lo + (hi - lo) * unit()
             gates.append(("above", "bt_partial inside region", bt_partial(p, q), m, (p, q)))
             for which in ("uv", "vu"):
-                fixed = ctx.beta / (4.0 * ctx.alpha * m) * unit()
-                lo, hi = pl_region(m, ctx, fixed, which).interval
+                fixed = beta / (4.0 * alpha * m) * unit()
+                lo, hi = pl_region(m, alpha, beta, fixed, which).interval
                 free = lo + (hi - lo) * unit()
                 x, y = (fixed, free) if which == "uv" else (free, fixed)
-                d_uv, d_vu = pl_partials(x, y, ctx)
+                d_uv, d_vu = pl_partials(x, y, alpha, beta)
                 name = "pl d_uv" if which == "uv" else "|pl d_vu|"
                 gates.append(("above", f"{name} inside region", abs(d_uv if which == "uv" else d_vu), m, (x, y)))
         inside = (
             lambda x, y: bt_region_slice(m, y).contains(x),
-            lambda x, y: pl_region(m, ctx, x, "uv").contains(y),
-            lambda x, y: pl_region(m, ctx, y, "vu").contains(x),
+            lambda x, y: pl_region(m, alpha, beta, x, "uv").contains(y),
+            lambda x, y: pl_region(m, alpha, beta, y, "vu").contains(x),
         )
         n_out = 0
         # 1024 pairs are drawn per threshold; those up to the quota-th pair
@@ -246,7 +245,7 @@ def _scalar_region_coherence_gates(quick):
                 continue
             probes = ((p, q), (p - 1e-3, q), (p + 1e-3, q), (p, q - 1e-3), (p, q + 1e-3))
             out = [not any(f(clamp(x), clamp(y)) for x, y in probes) for f in inside]
-            d_uv, d_vu = pl_partials(p, q, ctx)
+            d_uv, d_vu = pl_partials(p, q, alpha, beta)
             for is_out, name, value in zip(
                 out,
                 ("bt_partial", "pl d_uv", "|pl d_vu|"),
