@@ -289,7 +289,6 @@ def _export(args, grid):
         "resolution": grid.resolution,
         "thresholds": list(grid.thresholds),
         "which": grid.which,
-        "singular_cells": int(grid.singular.sum()),
     }
     return payload, [
         f"wrote {args.format} raster ({grid.resolution}x{grid.resolution}, "

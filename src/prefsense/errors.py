@@ -68,8 +68,6 @@ class SingularityError(PrefsenseError, ArithmeticError):
     """A derivative is undefined at the requested point.
 
     Raised by the scalar derivatives, with the offending point as .point.
-    The raster kernels do not raise it: they mark a cell whose denominator
-    is 0 as singular themselves.
     """
 
     def __init__(self, message: str, point: tuple[float, ...] | None = None):
@@ -138,8 +136,11 @@ def require_instance(x: Any, cls: type, name: str) -> Any:
 
 
 def require_items(x: Any, name: str) -> tuple:
-    """Materialise an iterable argument as a tuple; refuse a non-iterable."""
+    """Materialise an iterable argument as a tuple; refuse a non-iterable,
+    and a str or bytes, whose items would be its characters."""
     try:
+        if isinstance(x, (str, bytes)):
+            raise TypeError("a string is not a sequence of items")
         items = iter(x)
     except TypeError as exc:
         raise DomainError(f"{name} must be a sequence, got {x!r}") from exc

@@ -7,6 +7,8 @@ inverse of the data's own comparison graph Laplacian (see _ascend). The
 first option's score is pinned to 0 for identifiability. The pairwise
 likelihood is computed over the N x N win matrix, the ranking likelihood
 over one padded array that holds every stage of every distinct ranking.
+Weights may be fractional: the ascent scales small ones up to a mean of
+1, which leaves the MLE unchanged (see _ascend).
 
 The MLE is finite exactly when every option beats every other along some
 chain of wins, so one-sided pairs inside a cycle of wins are fine, and
@@ -169,10 +171,20 @@ def _ascend(
     bounded set, however widely the MLE spreads them. Without one,
     _check_comparisons has already warned, and the ascent runs until
     MAX_ITERATIONS or until no step is accepted.
+
+    The stop test max|g| <= GRADIENT_TOL is absolute, so small weights
+    would pass it far from the MLE, which one factor on every weight does
+    not move. When the mean weight of a compared pair is below 1, the
+    weights, value and gradient are divided by it; the log likelihood is
+    reported unscaled.
     """
     n = len(weights)
+    mean = weights[weights > 0].mean()
+    if mean < 1.0:
+        weights, unscaled = weights / mean, value_and_grad
+        value_and_grad = lambda x: tuple(v / mean for v in unscaled(x))
     laplacian = np.diag(weights.sum(axis=1)) - weights
-    inverse = np.linalg.inv(laplacian[1:, 1:] / max(weights[weights > 0].mean(), 16.0))
+    inverse = np.linalg.inv(laplacian[1:, 1:] / max(mean, 16.0))
 
     def pinned(grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         g = grad.copy()
@@ -213,7 +225,7 @@ def _ascend(
     converged = converged or bool(np.max(np.abs(g)) <= GRADIENT_TOL)
     return FitResult(
         scores=tuple(float(x) for x in s),
-        log_likelihood=float(ll),
+        log_likelihood=float(ll * min(mean, 1.0)),
         iterations=iterations,
         converged=converged,
     )

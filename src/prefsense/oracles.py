@@ -200,7 +200,7 @@ def quad_area_pl(
     x = np.linspace(0.0, upper, grid_n + 1)
     width = np.sqrt(np.maximum(beta * (beta - 4.0 * alpha * threshold * x), 0.0)) / threshold
     if which == "vu":
-        width = width / alpha**2
+        width = width / (alpha * alpha)  # inf beyond alpha 1.3e154, where ** raises OverflowError
     return float(np.trapezoid(width, x))
 
 

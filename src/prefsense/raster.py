@@ -41,10 +41,10 @@ __all__ = [
 DEFAULT_THRESHOLDS = (1.01, 2.0, 3.0, 5.0, 10.0)
 DEFAULT_RESOLUTION = 512
 # Memory grows as resolution^2. Measured with tracemalloc at 256^2-1024^2,
-# in bytes per cell: a grid keeps 13 and building one peaks at about 22.
+# in bytes per cell: a grid keeps 12 and building one peaks at about 21.
 # Above the grid, CSV export takes under 1 (each row is formatted as it is
 # written) and SVG export about 25; read_csv_grid peaks at about 34. SVG
-# export, at about 38 with its grid, bounds memory: about 640 MB at this
+# export, at about 37 with its grid, bounds memory: about 620 MB at this
 # cap. Larger requests are refused before anything is allocated.
 MAX_RESOLUTION = 4096
 
@@ -65,25 +65,28 @@ _PALETTE = (
     "#08306b",
 )
 
+# The (x, y) axis names of each field.
+_AXES = {"d_pik": ("p_ik", "p_kj"), "d_pkj": ("p_ik", "p_kj"),
+         "d_uv": ("p_uv", "p_vu"), "d_vu": ("p_uv", "p_vu")}
+
 
 @dataclass(frozen=True)
 class RasterGrid:
     """Derivative magnitudes sampled at cell centers ((i+1/2)/res, (j+1/2)/res).
 
-    values and classes are indexed [ix, iy]; classes[i, j] counts how many
-    thresholds the magnitude exceeds (0 = below all). Cells where the
-    derivative is undefined are flagged in `singular` and carry +inf, so
-    they classify above every threshold instead of being dropped.
+    values and classes are indexed [ix, iy]; classes[i, j] counts the
+    thresholds the magnitude exceeds, and which names the field. Only a grid
+    built by hand holds +inf, which classifies above every threshold.
     """
 
-    resolution: int
     thresholds: tuple[float, ...]
     values: np.ndarray
     classes: np.ndarray
-    singular: np.ndarray
     which: str
-    xlabel: str
-    ylabel: str
+
+    @property
+    def resolution(self) -> int:
+        return self.values.shape[0]
 
     def cell_centers(self) -> np.ndarray:
         return _centers(self.resolution)
@@ -105,29 +108,20 @@ def _check_thresholds(thresholds) -> tuple[float, ...]:
     return st
 
 
-def _grid(numer, denom, thresholds, which: str, xlabel: str, ylabel: str) -> RasterGrid:
-    """Divide a kernel's terms into the [ix, iy] grid and classify the magnitudes.
+def _grid(terms, thresholds, resolution, which: str) -> RasterGrid:
+    """Classify the magnitudes numer / denom of terms(x, y) at the cell centers.
 
-    Kernels get x as a column and y as a row, so only terms of both take a
-    full grid. Cells with a zero denominator are singular and set to +inf.
+    terms gets x as a column and y as a row, so only terms of both take a
+    full [ix, iy] grid. No denominator is 0 at a cell center.
     """
-    singular = denom == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = numer / denom
-    values[singular] = np.inf
+    thresholds = _check_thresholds(thresholds)
+    c = _centers(require_int(resolution, "resolution", 64, MAX_RESOLUTION))
+    numer, denom = terms(c[:, None], c[None, :])
+    values = numer / denom
     classes = np.zeros(values.shape, dtype=np.int32)
     for t in thresholds:
         classes += values > t
-    return RasterGrid(
-        resolution=values.shape[0],
-        thresholds=thresholds,
-        values=values,
-        classes=classes,
-        singular=singular,
-        which=which,
-        xlabel=xlabel,
-        ylabel=ylabel,
-    )
+    return RasterGrid(thresholds, values, classes, which)
 
 
 def raster_bt(
@@ -141,11 +135,8 @@ def raster_bt(
     respect to the x coordinate, "d_pkj" for the y coordinate.
     """
     require_choice(which, ("d_pik", "d_pkj"), "which")
-    thresholds = _check_thresholds(thresholds)
-    c = _centers(require_int(resolution, "resolution", 64, MAX_RESOLUTION))
-    x, y = c[:, None], c[None, :]
-    numer, denom = bt_partial_terms(x, y) if which == "d_pik" else bt_partial_terms(y, x)
-    return _grid(numer, denom, thresholds, which, "p_ik", "p_kj")
+    terms = bt_partial_terms if which == "d_pik" else lambda x, y: bt_partial_terms(y, x)
+    return _grid(terms, thresholds, resolution, which)
 
 
 def raster_pl(
@@ -158,11 +149,8 @@ def raster_pl(
     """Rasterize the K-tuple swap-pair derivative over (p_uv, p_vu)."""
     require_choice(which, ("d_uv", "d_vu"), "which")
     alpha, beta = require_alpha_beta(alpha, beta)
-    thresholds = _check_thresholds(thresholds)
-    c = _centers(require_int(resolution, "resolution", 64, MAX_RESOLUTION))
-    x, y = c[:, None], c[None, :]
-    numer, denom = pl_partial_terms(x, y, alpha, beta, "uv" if which == "d_uv" else "vu")
-    return _grid(numer, denom, thresholds, which, "p_uv", "p_vu")
+    side = "uv" if which == "d_uv" else "vu"
+    return _grid(lambda x, y: pl_partial_terms(x, y, alpha, beta, side), thresholds, resolution, which)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +276,7 @@ def _palette_color(k: int, n_classes: int) -> str:
 
 
 def _svg_text(grid: RasterGrid) -> str:
+    xlabel, ylabel = _AXES[grid.which]
     n_classes = len(grid.thresholds) + 1
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
@@ -320,12 +309,12 @@ def _svg_text(grid: RasterGrid) -> str:
     cx = _MARGIN + _PLOT / 2
     parts.append(
         f'<text x="{cx}" y="{_SIZE - 12}" font-size="16" text-anchor="middle" '
-        f'font-family="sans-serif">{grid.xlabel}</text>'
+        f'font-family="sans-serif">{xlabel}</text>'
     )
     parts.append(
         f'<text x="16" y="{_MARGIN + _PLOT / 2}" font-size="16" text-anchor="middle" '
         f'font-family="sans-serif" transform="rotate(-90 16 {_MARGIN + _PLOT / 2})">'
-        f"{grid.ylabel}</text>"
+        f"{ylabel}</text>"
     )
     for k, level in enumerate(grid.thresholds):
         ly = _MARGIN + 14 + 18 * k
@@ -351,11 +340,13 @@ def export(grid: RasterGrid, format: str, path) -> str:
     require_instance(grid, RasterGrid, "grid")
     # CSV rows are formatted as they are written, so a grid the row loop
     # cannot format is refused before the file is opened.
-    side = require_int(grid.resolution, "resolution")
-    for name, kinds, what in (("values", "biuf", "a real"), ("classes", "biu", "an integer")):
-        a = getattr(grid, name)
-        if not (isinstance(a, np.ndarray) and a.shape == (side, side) and a.dtype.kind in kinds):
-            raise ValidationError(f"grid {name} must be {what} array of shape ({side}, {side})")
+    values, classes = grid.values, grid.classes
+    square = isinstance(values, np.ndarray) and values.ndim == 2 and values.shape[0] == values.shape[1]
+    if not (square and values.dtype.kind in "biuf"):
+        raise ValidationError("grid values must be a square real array")
+    if not (isinstance(classes, np.ndarray) and classes.shape == values.shape and classes.dtype.kind in "biu"):
+        raise ValidationError(f"grid classes must be an integer array of shape {values.shape}")
+    require_choice(grid.which, tuple(_AXES), "grid which")
     if require_choice(format, ("csv", "svg"), "format") == "csv":
         chunks = _csv_rows(grid)
     else:

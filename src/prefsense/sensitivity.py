@@ -320,7 +320,7 @@ def pl_region_terms(threshold, alpha, beta, fixed, which: str):
     half_width is 0.
     """
     fixed = np.asarray(fixed, dtype=float)
-    scale = threshold if which == "uv" else alpha**2 * threshold
+    scale = threshold if which == "uv" else alpha * alpha * threshold
     disc = beta * (beta - 4.0 * alpha * threshold * fixed)
     empty = disc <= 0.0
     # Empty entries are overwritten, whatever their arithmetic gave.
@@ -356,12 +356,12 @@ def pl_region_area(threshold: float, alpha: float, beta: float, which: str = "uv
     """
     threshold = require_threshold(threshold)
     alpha, beta = require_alpha_beta(alpha, beta)
-    # threshold * threshold rounds like threshold**2 but gives inf, and so
-    # an area of 0.0, where ** raises OverflowError (threshold above 1.3e154).
+    # A product gives inf, and so an area of 0.0, where ** raises
+    # OverflowError (threshold above 1.3e154, or alpha above 5.6e102).
     m2 = threshold * threshold
     if require_choice(which, ("uv", "vu"), "which") == "uv":
         return beta**2 / (6.0 * alpha * m2)
-    return beta**2 / (6.0 * alpha**3 * m2)
+    return beta**2 / (6.0 * alpha * alpha * alpha * m2)
 
 
 class AreaComparison(NamedTuple):

@@ -99,6 +99,7 @@ def _calls():
         "finite_diff": (oracles.finite_diff, (models.bt_compose, (0.3, 0.6), 0, 1e-6)),
         "mc_area_bt": (oracles.mc_area_bt, (2.0, 10_000, 0)),
         "quad_area_pl": (oracles.quad_area_pl, (2.0, 1.01, 0.99, "uv", 10_000)),
+        "quad_area_pl:vu": (oracles.quad_area_pl, (2.0, 1.01, 0.99, "vu", 10_000)),
         "brute_force_pl": (oracles.brute_force_pl, (options3, 2)),
         "mode_count": (oracles.mode_count, (1.0, 10_000)),
         # raster
@@ -114,7 +115,9 @@ def _calls():
         "pl_context": (sensitivity.pl_context, (options3, omega3, 0, 1)),
         "pl_partials": (sensitivity.pl_partials, (0.3, 0.6, 1.01, 0.99)),
         "pl_region": (sensitivity.pl_region, (2.0, 1.01, 0.99, 0.01, "uv")),
+        "pl_region:vu": (sensitivity.pl_region, (2.0, 1.01, 0.99, 0.01, "vu")),
         "pl_region_area": (sensitivity.pl_region_area, (2.0, 1.01, 0.99, "uv")),
+        "pl_region_area:vu": (sensitivity.pl_region_area, (2.0, 1.01, 0.99, "vu")),
         "compare_bt_pl_areas": (sensitivity.compare_bt_pl_areas, (2.0, 1.01, 0.99)),
         "sensitivity_witness": (sensitivity.sensitivity_witness, (links.LOGISTIC, 2.0, 1.0)),
         # synth

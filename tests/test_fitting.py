@@ -31,7 +31,7 @@ from prefsense import (
     parse_counts_text,
     predict,
 )
-from prefsense.fitting import MAX_ITERATIONS, _ascend, _bt_value_and_grad
+from prefsense.fitting import GRADIENT_TOL, MAX_ITERATIONS, _ascend, _bt_value_and_grad
 from prefsense.synth import DatasetSpec
 
 
@@ -292,6 +292,22 @@ class TestAscend:
             wins[i, j], wins[j, i] = w, 20 - w
         fit = fit_without_divergence_warning(fit_bt, PairwiseCounts(wins))
         assert fit.converged and fit.iterations < 60
+
+    # Weights 3s and s have the MLE gap -ln 3 at every scale s. The stop
+    # test is absolute, so the weights are scaled to a mean pair weight of
+    # 1: 0.75 and 0.25, where the curvature of the gap is p(1 - p) = 3/16
+    # and max|g| <= GRADIENT_TOL leaves the gap within GRADIENT_TOL / (3/16).
+    # Unscaled, s = 1e-6 stopped 5.6e-3 away and s = 1e-9 at the start.
+    @pytest.mark.parametrize("scale", [1e-3, 1e-6, 1e-9, 1e-12, 1e-100, 1e-300])
+    @pytest.mark.parametrize("fitter", ["fit_bt", "fit_pl"])
+    def test_small_weights_fit_the_mle(self, fitter, scale):
+        if fitter == "fit_bt":
+            fit = fit_bt(PairwiseCounts([[0.0, 3 * scale], [scale, 0.0]]))
+        else:
+            fit = fit_pl([(KTuplePreference((0, 1)), 3 * scale), (KTuplePreference((1, 0)), scale)], 2)
+        assert fit.converged and fit.iterations > 0
+        assert abs(fit.scores[1] + math.log(3)) <= 1.01 * GRADIENT_TOL / (3 / 16)
+        assert fit.log_likelihood == pytest.approx(scale * (3 * math.log(0.75) + math.log(0.25)), rel=1e-12)
 
     def test_one_comparison_per_pair(self):
         # Scores spread as N(0, 2.5^2) leave many pairs with p(1 - p) far

@@ -55,6 +55,16 @@ class TestTypes:
         with pytest.raises(DomainError, match="labels must be a sequence"):
             ScoredOptionSet(5, [1.0, 2.0])
 
+    # "12" would otherwise be the scores 1.0 and 2.0.
+    def test_string_scores_refused(self):
+        with pytest.raises(DomainError, match="scores must be a sequence, got '12'"):
+            ScoredOptionSet(("a", "b"), "12")
+
+    # b"\x00\x01" would otherwise be the ranking (0, 1).
+    def test_bytes_indices_refused(self):
+        with pytest.raises(DomainError, match=r"indices must be a sequence, got b'\\x00\\x01'"):
+            KTuplePreference(b"\x00\x01")
+
     def test_preference_validation(self):
         with pytest.raises(ValidationError):
             KTuplePreference([0])

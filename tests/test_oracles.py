@@ -293,6 +293,10 @@ class TestQuadAreaPL:
         assert quad_area_pl(threshold, alpha, 0.99, "uv", 10_000) == 0.0
         assert pl_region_area(threshold, alpha, 0.99) == 0.0
 
+    # alpha * alpha overflows to inf where alpha**2 would raise OverflowError.
+    def test_huge_alpha_reverse_area_is_zero(self):
+        assert quad_area_pl(2.0, 1e200, 1.0, "vu") == 0.0
+
 
 class TestBruteForce:
     def test_pair_equal_scores(self):

@@ -38,25 +38,16 @@ def tiny_grid() -> RasterGrid:
     classes = np.zeros((2, 2), dtype=np.int32)
     for t in thresholds:
         classes += values > t
-    return RasterGrid(
-        resolution=2,
-        thresholds=thresholds,
-        values=values,
-        classes=classes,
-        singular=np.zeros((2, 2), dtype=bool),
-        which="d_pik",
-        xlabel="x",
-        ylabel="y",
-    )
+    return RasterGrid(thresholds=thresholds, values=values, classes=classes, which="d_pik")
 
 
-def with_singular_cells(grid: RasterGrid) -> RasterGrid:
-    """The grid with a lattice of cells flagged singular, as +inf above every threshold."""
-    singular = np.zeros_like(grid.singular)
-    singular[::7, ::5] = True
-    values = np.where(singular, np.inf, grid.values)
-    classes = np.where(singular, len(grid.thresholds), grid.classes).astype(grid.classes.dtype)
-    return dataclasses.replace(grid, values=values, classes=classes, singular=singular)
+def with_inf_cells(grid: RasterGrid) -> RasterGrid:
+    """The grid with a lattice of +inf cells above every threshold, as a caller may build."""
+    inf = np.zeros(grid.values.shape, dtype=bool)
+    inf[::7, ::5] = True
+    values = np.where(inf, np.inf, grid.values)
+    classes = np.where(inf, len(grid.thresholds), grid.classes).astype(grid.classes.dtype)
+    return dataclasses.replace(grid, values=values, classes=classes)
 
 
 def reference_csv_text(grid: RasterGrid) -> str:
@@ -176,16 +167,8 @@ def saddle_grid(seed: int, resolution: int = 16) -> RasterGrid:
         values[i + 1, j] = values[i, j + 1] = lo
     values[rng.random(values.shape) < 0.05] = np.inf
     thresholds = (1.0, 2.0, 3.0)
-    return RasterGrid(
-        resolution=resolution,
-        thresholds=thresholds,
-        values=values,
-        classes=sum((values > t).astype(np.int32) for t in thresholds),
-        singular=np.isinf(values),
-        which="d_pik",
-        xlabel="x",
-        ylabel="y",
-    )
+    classes = sum((values > t).astype(np.int32) for t in thresholds)
+    return RasterGrid(thresholds=thresholds, values=values, classes=classes, which="d_pik")
 
 
 class TestGridConstruction:
@@ -231,9 +214,17 @@ class TestGridConstruction:
         expected = sum((grid.values > t).astype(int) for t in THRESHOLDS)
         np.testing.assert_array_equal(grid.classes, expected)
 
+    # No denominator is 0 at a cell center, whose coordinates lie in
+    # [h, 1 - h] with h = 1/(2 res). The BT one, ((1-p)(1-q) + pq)^2, is
+    # smallest at the corners (1-h, h) and (h, 1-h), where it is
+    # (2h(1-h))^2, about (1/res)^2; the PL one, (alpha p + q)^2 with
+    # alpha >= 1, is at least (p + q)^2 >= (2h)^2 = (1/res)^2.
     def test_no_singular_cells_at_centers(self):
-        for which in ("d_pik", "d_pkj"):
-            assert not raster_bt(which, THRESHOLDS, 64).singular.any()
+        for resolution in (64, 97):
+            for which in ("d_pik", "d_pkj"):
+                assert np.isfinite(raster_bt(which, THRESHOLDS, resolution).values).all()
+            for which in ("d_uv", "d_vu"):
+                assert np.isfinite(raster_pl(which, 1.01, 0.99, THRESHOLDS, resolution).values).all()
 
     def test_example_cell_is_sensitive_at_twenty(self):
         grid = raster_bt("d_pik", (1.01, 20.0), 128)
@@ -300,6 +291,11 @@ class TestGridConstruction:
             raster_bt(thresholds=thresholds, resolution=64)
         with pytest.raises(DomainError, match="thresholds must be a sequence"):
             raster_pl(thresholds=thresholds, resolution=64)
+
+    # A string is iterable, but its characters are not thresholds (2.0 and 5.0 here).
+    def test_string_thresholds_refused(self):
+        with pytest.raises(DomainError, match="thresholds must be a sequence, got '25'"):
+            raster_bt(thresholds="25", resolution=64)
 
     # Every entry point that takes K-tuple constants rejects the same inputs.
     @pytest.mark.parametrize(
@@ -409,19 +405,19 @@ class TestCSVExport:
 
     @pytest.mark.parametrize("resolution", [64, 97])
     @pytest.mark.parametrize("which", ["d_pik", "d_pkj", "d_uv", "d_vu"])
-    @pytest.mark.parametrize("singular", [False, True], ids=["finite", "singular"])
-    def test_matches_reference_writer(self, tmp_path, resolution, which, singular):
+    @pytest.mark.parametrize("inf", [False, True], ids=["finite", "singular"])
+    def test_matches_reference_writer(self, tmp_path, resolution, which, inf):
         make = raster_bt if which in ("d_pik", "d_pkj") else raster_pl
         grid = make(which, thresholds=(2, 5), resolution=resolution)
-        if singular:
-            grid = with_singular_cells(grid)
+        if inf:
+            grid = with_inf_cells(grid)
         path = tmp_path / "grid.csv"
         export(grid, "csv", path)
         assert path.read_bytes() == reference_csv_text(grid).encode("utf-8")
 
     # Every column reads back exactly as printed, +inf included.
     def test_round_trip(self, tmp_path):
-        grid = with_singular_cells(raster_bt("d_pik", THRESHOLDS, 64))
+        grid = with_inf_cells(raster_bt("d_pik", THRESHOLDS, 64))
         path = tmp_path / "grid.csv"
         export(grid, "csv", path)
         data = read_csv_grid(path)
@@ -429,7 +425,7 @@ class TestCSVExport:
         assert data["x"].tolist() == [cx for cx in centers for _ in centers]
         assert data["y"].tolist() == centers * 64
         assert data["value"].tolist() == [float(f"{v:.9g}") for v in grid.values.ravel().tolist()]
-        assert np.isinf(data["value"]).sum() == grid.singular.sum() > 0
+        assert np.isinf(data["value"]).sum() == np.isinf(grid.values).sum() > 0
         assert data["class"].dtype == np.int64
         assert (data["class"] == grid.classes.ravel()).all()
 
@@ -518,7 +514,18 @@ class TestCSVExport:
         bad = dataclasses.replace(grid, **{field: change(getattr(grid, field))})
         path = tmp_path / f"kept.{format}"
         path.write_bytes(b"kept\n")
-        with pytest.raises(ValidationError, match=f"grid {field} must be an? \\w+ array of shape \\(64, 64\\)"):
+        wording = "a square real array" if field == "values" else "an integer array of shape (64, 64)"
+        with pytest.raises(ValidationError, match=re.escape(f"grid {field} must be {wording}")):
+            export(bad, format, path)
+        assert path.read_bytes() == b"kept\n"
+
+    # The SVG axis names follow from which, so an unknown field is refused too.
+    @pytest.mark.parametrize("format", ["csv", "svg"])
+    def test_unknown_which_refused_before_writing(self, tmp_path, format):
+        bad = dataclasses.replace(tiny_grid(), which="d_xy")
+        path = tmp_path / f"kept.{format}"
+        path.write_bytes(b"kept\n")
+        with pytest.raises(DomainError, match="grid which must be 'd_pik' or 'd_pkj' or 'd_uv' or 'd_vu', got 'd_xy'"):
             export(bad, format, path)
         assert path.read_bytes() == b"kept\n"
 
@@ -560,6 +567,14 @@ class TestSVGExport:
         export(grid, "svg", path)
         text = path.read_text()
         assert '<g id="class-3"><path d=""' in text
+
+    @pytest.mark.parametrize("which", ["d_pik", "d_pkj", "d_uv", "d_vu"])
+    def test_axis_names(self, tmp_path, which):
+        bt = which in ("d_pik", "d_pkj")
+        path = tmp_path / "grid.svg"
+        export((raster_bt if bt else raster_pl)(which, resolution=64), "svg", path)
+        texts = [el.text for el in ET.fromstring(path.read_text()).iter() if el.tag.endswith("text")]
+        assert texts[6:8] == (["p_ik", "p_kj"] if bt else ["p_uv", "p_vu"])  # after six tick labels
 
     # Saddles of both kinds and +inf cells, which the default figures lack,
     # give the reference tracer's path bytes.

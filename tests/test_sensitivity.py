@@ -535,6 +535,10 @@ class TestPLRegions:
         assert bounds_vu.center == pytest.approx(center / alpha**2, rel=1e-12)
         assert bounds_vu.half_width == pytest.approx(half / alpha**2, rel=1e-12)
 
+    # alpha * alpha * threshold overflows to inf, where alpha**2 would raise.
+    def test_huge_alpha_reverse_region_is_empty(self):
+        assert pl_region(2.0, 1e200, 1.0, 0.5, "vu").empty
+
     def test_directions_coincide_at_unit_alpha(self):
         alpha, beta = 1.0, 0.9
         uv = pl_region(3.0, alpha, beta, 0.02, "uv")
@@ -724,6 +728,12 @@ class TestPLArea:
         assert pl_region_area(1e150, alpha, beta) == 0.99**2 / (6.0 * 1.01 * 1e150**2)
         assert pl_region_area(1e200, alpha, beta, "uv") == 0.0
         assert pl_region_area(1e200, alpha, beta, "vu") == 0.0
+
+    # alpha * alpha * alpha overflows to inf where alpha**3 would raise
+    # OverflowError (alpha above 5.6e102), so the reverse area is 0.0.
+    def test_huge_alpha_underflows_to_zero(self):
+        assert pl_region_area(2.0, 1e100, 1.0, "vu") == 1.0 / (6.0 * 1e100 * 1e100 * 1e100 * 4.0)
+        assert pl_region_area(2.0, 1e200, 1.0, "vu") == 0.0
 
 
 class TestAreaComparison:

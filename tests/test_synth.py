@@ -137,6 +137,11 @@ class TestDatasetSpec:
         with pytest.raises(DomainError, match="permutation must be a sequence"):
             DatasetSpec(5, 0.5, 0.5, 10, 0)
 
+    # "abc" would otherwise be the options a, b and c.
+    def test_string_permutation_refused(self):
+        with pytest.raises(DomainError, match="permutation must be a sequence, got 'abc'"):
+            DatasetSpec("abc", 0.5, 0.5, 10, 0)
+
     def test_numpy_integers(self):
         s = DatasetSpec(PERM, 0.5, 0.5, np.int64(10), np.int32(3))
         assert type(s.n_samples) is int and type(s.seed) is int
