@@ -15,10 +15,14 @@ any validation error, 2 when `verify` finds failing criteria.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DomainError, PrefsenseError, require_probability, text_file
 from .fitting import counts_from_samples, fit_bt, load_counts
@@ -164,6 +168,12 @@ def build_parser() -> _Parser:
     p.add_argument("--quick", action="store_true", help="reduced sample sizes")
 
     return parser
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built on first use: in-process callers parse many times."""
+    return build_parser()
 
 
 # Each handler returns (payload, lines): main prints the payload as JSON
@@ -358,12 +368,11 @@ def _cmd_fit(args):
         labels = [str(i) for i in range(counts.n)]
     fit = fit_bt(counts)
     s = fit.scores
-    predictions = {
-        f"{labels[i]}>{labels[j]}": LOGISTIC.evaluate(s[i] - s[j])
-        for i in range(counts.n)
-        for j in range(counts.n)
-        if i != j
-    }
+    # Every ordered pair of distinct options, row by row, in one array call.
+    i, j = np.nonzero(~np.eye(counts.n, dtype=bool))
+    scores = np.array(s)
+    values = LOGISTIC.evaluate(scores[i] - scores[j]).tolist()
+    predictions = {f"{labels[a]}>{labels[b]}": p for a, b, p in zip(i.tolist(), j.tolist(), values)}
     payload = {
         "labels": labels,
         "scores": list(s),
@@ -403,14 +412,41 @@ def _cmd_verify(args):
     return payload, lines
 
 
+# json.dumps keeps a string for every key and value of a dict until it
+# joins them, about 220 bytes per entry on top of the dict: _print_json
+# encodes a larger dict (fit's N(N - 1) predictions) this many entries at a time.
+_JSON_BLOCK = 1024
+
+
+def _print_json(payload: dict) -> None:
+    """print(json.dumps(payload)), byte for byte, with a large dict in blocks."""
+    write = sys.stdout.write
+    sep = "{"
+    for key, value in payload.items():
+        write(sep + json.dumps(key) + ": ")
+        sep = ", "
+        if isinstance(value, dict) and len(value) > _JSON_BLOCK:
+            entries, inner = iter(value.items()), "{"
+            while block := dict(itertools.islice(entries, _JSON_BLOCK)):
+                write(inner + json.dumps(block)[1:-1])
+                inner = ", "
+            write("}")
+        else:
+            write(json.dumps(value))
+    write("}\n" if payload else "{}\n")
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         payload, lines = args.handler(args)
     except (PrefsenseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps(payload) if args.json else "\n".join(lines))
+    if args.json:
+        _print_json(payload)
+    else:
+        print("\n".join(lines))
     return 2 if args.command == "verify" and payload["failed"] else 0
 
 

@@ -6,7 +6,8 @@ The helpers are the one validation path the modules share:
 
 - require_int, require_seed, require_finite, require_probability,
   require_threshold and require_alpha_beta check scalars, and
-  require_probabilities an array of probabilities as well; require_int
+  require_finites and require_probabilities an array of finite numbers
+  or of probabilities as well; require_int
   refuses an integer outside [lo, hi] as "{name} must lie in [{lo}, {hi}]",
   or with no hi as "{name} must be at least {lo}";
 - require_instance, require_items, require_real_array and require_choice
@@ -43,6 +44,7 @@ __all__ = [
     "require_choice",
     "require_seed",
     "require_finite",
+    "require_finites",
     "require_probability",
     "require_probabilities",
     "require_threshold",
@@ -178,6 +180,17 @@ def require_finite(x: Any, name: str) -> float:
     if not math.isfinite(v):
         raise DomainError(f"{name} must be finite, got {v!r}")
     return v
+
+
+def require_finites(x: Any, name: str):
+    """require_finite, except that a numpy array with dimensions is
+    checked entry by entry and returned as a float64 array."""
+    if not (isinstance(x, np.ndarray) and x.ndim):
+        return require_finite(x, name)
+    arr = require_real_array(x, name)
+    for bad in arr[~np.isfinite(arr)][:1]:  # the first non-finite entry's scalar error
+        require_finite(bad, name)
+    return arr
 
 
 def require_probability(p: Any, name: str) -> float:

@@ -7,8 +7,8 @@ inverse of the data's own comparison graph Laplacian (see _ascend). The
 first option's score is pinned to 0 for identifiability. The pairwise
 likelihood is computed over the N x N win matrix, the ranking likelihood
 over one padded array that holds every stage of every distinct ranking.
-Weights may be fractional: the ascent scales small ones up to a mean of
-1, which leaves the MLE unchanged (see _ascend).
+Weights may be fractional or huge: the ascent scales small and very
+large ones to a mean of 1, which leaves the MLE unchanged (see _ascend).
 
 The MLE is finite exactly when every option beats every other along some
 chain of wins, so one-sided pairs inside a cycle of wins are fine, and
@@ -56,6 +56,9 @@ __all__ = [
 
 GRADIENT_TOL = 1e-8
 MAX_ITERATIONS = 10_000
+
+# Largest mean pair weight _ascend fits unscaled (see there).
+_MAX_MEAN = 2.0**59
 
 
 class DivergenceWarning(RuntimeWarning):
@@ -174,17 +177,23 @@ def _ascend(
 
     The stop test max|g| <= GRADIENT_TOL is absolute, so small weights
     would pass it far from the MLE, which one factor on every weight does
-    not move. When the mean weight of a compared pair is below 1, the
-    weights, value and gradient are divided by it; the log likelihood is
-    reported unscaled.
+    not move. Large ones stop the first line search short: at the start
+    every p is 1/2, where the ideal step is about 1 / (c / 4) = 4 / c, and
+    the 60 trials go down only to 2^-59, which is 4 / c at c = 2^61 (two
+    options weighted 3s and s fail from c = 4s = 4e18 and converge at
+    2.4e18). When the mean weight of a compared pair is below 1 or above
+    _MAX_MEAN = 2^59, a factor of 4 below that limit, the weights, value
+    and gradient are divided by it; the log likelihood is reported
+    unscaled.
     """
     n = len(weights)
     mean = weights[weights > 0].mean()
-    if mean < 1.0:
-        weights, unscaled = weights / mean, value_and_grad
-        value_and_grad = lambda x: tuple(v / mean for v in unscaled(x))
+    scale = 1.0 if 1.0 <= mean <= _MAX_MEAN else mean
+    if scale != 1.0:
+        weights, unscaled = weights / scale, value_and_grad
+        value_and_grad = lambda x: tuple(v / scale for v in unscaled(x))
     laplacian = np.diag(weights.sum(axis=1)) - weights
-    inverse = np.linalg.inv(laplacian[1:, 1:] / max(mean, 16.0))
+    inverse = np.linalg.inv(laplacian[1:, 1:] / max(mean / scale, 16.0))
 
     def pinned(grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         g = grad.copy()
@@ -225,7 +234,7 @@ def _ascend(
     converged = converged or bool(np.max(np.abs(g)) <= GRADIENT_TOL)
     return FitResult(
         scores=tuple(float(x) for x in s),
-        log_likelihood=float(ll * min(mean, 1.0)),
+        log_likelihood=float(ll * scale),
         iterations=iterations,
         converged=converged,
     )

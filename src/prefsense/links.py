@@ -23,7 +23,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import DomainError, SaturationWarning, require_finite, require_probability
+from .errors import DomainError, SaturationWarning, require_finite, require_finites, require_probability
 
 __all__ = ["LinkFunction", "LogisticLink", "ProbitLink", "LOGISTIC", "PROBIT", "get_link"]
 
@@ -74,7 +74,14 @@ class LogisticLink(LinkFunction):
 
     family = "logistic"
 
-    def evaluate(self, x: float) -> float:
+    def evaluate(self, x):
+        """g(x) for a float, or entry by entry for a numpy array of them."""
+        if isinstance(x, np.ndarray) and x.ndim:
+            x = require_finites(x, "x")
+            # math.exp per entry, not numpy's exp, which can differ by an ulp:
+            # each entry equals the float call bit for bit.
+            t = np.fromiter(map(math.exp, (-np.abs(x)).ravel().tolist()), float, x.size).reshape(x.shape)
+            return _warn_if_saturated(np.where(x >= 0.0, 1.0, t) / (1.0 + t))
         x = require_finite(x, "x")
         # Branch on sign so exp never overflows.
         if x >= 0.0:

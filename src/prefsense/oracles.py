@@ -25,10 +25,10 @@ from .errors import (
     require_alpha_beta,
     require_choice,
     require_finite,
+    require_finites,
     require_instance,
     require_int,
     require_items,
-    require_real_array,
     require_seed,
     require_threshold,
 )
@@ -107,15 +107,7 @@ def finite_diff(
     must return one value per point.
     """
     require_instance(fn, Callable, "fn")
-    coords = []
-    for c in require_items(at, "point"):
-        if isinstance(c, np.ndarray) and c.ndim:
-            c = require_real_array(c, "point coordinate")
-            for bad in c[~np.isfinite(c)][:1]:  # the first non-finite entry's scalar error
-                require_finite(bad, "point coordinate")
-        else:
-            c = require_finite(c, "point coordinate")
-        coords.append(c)
+    coords = [require_finites(c, "point coordinate") for c in require_items(at, "point")]
     if not coords:
         raise DomainError("point must have at least one coordinate")
     point = np.broadcast_arrays(*coords)

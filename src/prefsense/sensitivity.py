@@ -291,7 +291,8 @@ class PLRegionBounds:
     """Admissible interval of the free coordinate at a fixed swap probability.
 
     The interval (center - half_width, center + half_width) is nonempty
-    exactly when the fixed coordinate stays below beta / (4 alpha M).
+    exactly when the fixed coordinate stays below beta / (4 alpha M) and
+    its bounds, rounded to float64, differ.
     """
 
     threshold: float
@@ -316,17 +317,21 @@ def pl_region_terms(threshold, alpha, beta, fixed, which: str):
     """(lo, hi, center, half_width) of the sensitive free coordinate, for floats or arrays.
 
     Unvalidated; fixed is p_uv for which="uv" and p_vu for "vu". Where the
-    interval is empty (disc <= 0), lo, hi and center are NaN and
-    half_width is 0.
+    interval is empty, lo, hi and center are NaN and half_width is 0.
     """
     fixed = np.asarray(fixed, dtype=float)
     scale = threshold if which == "uv" else alpha * alpha * threshold
     disc = beta * (beta - 4.0 * alpha * threshold * fixed)
-    empty = disc <= 0.0
-    # Empty entries are overwritten, whatever their arithmetic gave.
     with np.errstate(all="ignore"):
-        center = np.where(empty, np.nan, (beta - 2.0 * alpha * threshold * fixed) / (2.0 * scale))
-        half = np.where(empty, 0.0, np.sqrt(np.maximum(disc, 0.0)) / (2.0 * scale))
+        center = (beta - 2.0 * alpha * threshold * fixed) / (2.0 * scale)
+        half = np.sqrt(np.maximum(disc, 0.0)) / (2.0 * scale)
+        # Empty where the rounded bounds coincide: disc <= 0 gives half = 0,
+        # and an overflowing alpha * alpha * threshold, or an interval below
+        # the smallest subnormal, rounds both bounds to 0.
+        empty = ~(center - half < center + half)
+    # Empty entries are overwritten, whatever their arithmetic gave.
+    center = np.where(empty, np.nan, center)
+    half = np.where(empty, 0.0, half)
     return center - half, center + half, center, half
 
 

@@ -18,17 +18,20 @@ The n_q question and n_a answer templates can only ever render
 2 * n_q * 2 * n_a * 2 distinct samples (4,800 for the 20 and 30 here), so
 generation builds every such sample once per permutation, as a table kept
 for the few most recent permutations, and turns each sample's draws into
-table indices with numpy; the returned lists share those frozen
-instances, also between calls.
+table indices with numpy; the returned lists share those instances, also
+between calls. A PreferenceSample is an immutable NamedTuple: it hashes
+in C, as a tuple does, so the dicts and Counters below cost no Python
+call per sample, and it equals only another sample, never a plain tuple.
 JSONL files work the same way: write_jsonl renders each distinct sample's
 line once, and read_jsonl parses each distinct line once and shares the
 resulting instance.
 
 Checking goes the other way, from rendered text back to outcomes:
-tally_outcomes reads the winner and loser off each distinct
-(chosen, rejected) text pair once, and both empirical_check and the
-fitter's count aggregation build on it. It never sees the draws or the
-templates, so it stays an independent check of the generator.
+tally_outcomes counts the distinct samples, then reads the winner and
+loser off each distinct (chosen, rejected) text pair once, and both
+empirical_check and the fitter's count aggregation build on it. It never
+sees the draws or the templates, so it stays an independent check of the
+generator.
 """
 
 from __future__ import annotations
@@ -40,8 +43,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -78,14 +80,14 @@ __all__ = [
 # Largest dataset a spec admits or read_jsonl reads, refused before anything
 # is allocated.
 # generate keeps 8 bytes per sample (its list slot; samples share
-# instances) beside at most _TABLES sample tables of about 0.5 MB each, and
+# instances) beside at most _TABLES sample tables of about 0.4 MB each, and
 # its JSONL file takes about 200 bytes per sample. JSONL
 # I/O caches each distinct line: read_jsonl keeps 8 bytes per sample plus
 # about 3 MB for the at most 4,800 distinct lines generate renders from
-# the two template tuples, and write_jsonl about 1 MB. A file whose lines
+# the two template tuples, and write_jsonl about 1.4 MB. A file whose lines
 # are all distinct is the worst case, where both caches grow with n:
-# read_jsonl then peaks at about 700 bytes per sample (7 GB at this cap),
-# write_jsonl at about 300.
+# read_jsonl then peaks at about 690 bytes per sample (7 GB at this cap),
+# write_jsonl at about 320 (tracemalloc, 212-byte lines).
 MAX_SAMPLES = 10**7
 
 # generate draws the (n, 5) matrix in blocks of this many rows. The stream
@@ -183,15 +185,41 @@ class DatasetSpec:
         object.__setattr__(self, "seed", require_seed(self.seed))
 
 
-@dataclass(frozen=True)
-class PreferenceSample:
+# typing.NamedTuple refuses a __new__ of its own, so the checks live in a subclass.
+class _SampleFields(NamedTuple):
     question: str
     chosen: str
     rejected: str
 
-    def __post_init__(self):
-        for name in ("question", "chosen", "rejected"):
-            require_instance(getattr(self, name), str, name)
+
+class PreferenceSample(_SampleFields):
+    """One question with its chosen and rejected answer, all three str.
+
+    An immutable tuple that hashes in C, as a plain tuple does, but equals
+    only another sample: never the plain tuple of its fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, question: str, chosen: str, rejected: str):
+        for name, value in (("question", question), ("chosen", chosen), ("rejected", rejected)):
+            require_instance(value, str, name)
+        return tuple.__new__(cls, (question, chosen, rejected))
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: keep the checks
+        return cls(*iterable)
+
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        if isinstance(other, PreferenceSample):
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):  # tuple's own __ne__ would compare the fields alone
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
 
 
 def generate(spec: DatasetSpec) -> list[PreferenceSample]:
@@ -201,7 +229,7 @@ def generate(spec: DatasetSpec) -> list[PreferenceSample]:
     admissible pairs, the question template, the answer template (shared
     by chosen and rejected, with slots swapped), the display order in the
     question, and the Bernoulli winner. The (first, third) pair is never
-    emitted. Equal samples are the same (frozen) object, also across calls.
+    emitted. Equal samples are the same object, also across calls.
     """
     table = _sample_table(require_instance(spec, DatasetSpec, "spec").permutation)
     rng = make_rng(spec.seed)
@@ -227,8 +255,9 @@ def _sample_table(permutation: tuple[str, str, str]) -> np.ndarray:
         answers = [(_fill(t, a, b), _fill(t, b, a)) for t in ANSWER_TEMPLATES]
         outcomes = [pair for ab, ba in answers for pair in ((ab, ba), (ba, ab))]
         cells += [PreferenceSample(q, *outcome) for q in questions for outcome in outcomes]
-    table = np.empty(len(cells), dtype=object)
-    table[:] = cells
+    # fromiter stores each sample as one object; assigning the list of
+    # tuples to a slice could spread their fields over a second axis.
+    table = np.fromiter(cells, dtype=object, count=len(cells))
     table.flags.writeable = False
     return table
 
@@ -364,7 +393,12 @@ def tally_outcomes(
     # An alternation tries its branches in order: longer labels first.
     label = re.compile("|".join(map(re.escape, sorted(labels, key=len, reverse=True))))
     try:
-        answers = Counter(map(_answers, samples))
+        # Samples hash in C, and shared instances match by identity; the
+        # distinct ones are then folded into their answer pairs. iter()
+        # refuses None, which Counter would take for no samples.
+        answers: Counter[tuple[str, str]] = Counter()
+        for sample, count in Counter(iter(samples)).items():
+            answers[sample.chosen, sample.rejected] += count
     except (AttributeError, TypeError) as exc:
         raise ValidationError(f"samples must be a sequence of PreferenceSample: {exc}") from exc
     tally: Counter[tuple[str, str]] = Counter()
@@ -376,9 +410,6 @@ def tally_outcomes(
             )
         tally[outcome] += count
     return tally
-
-
-_answers = attrgetter("chosen", "rejected")
 
 
 def _outcome(chosen: str, rejected: str, label: re.Pattern) -> tuple[str, str] | None:
@@ -434,7 +465,7 @@ def read_jsonl(path) -> list[PreferenceSample]:
     Each non-blank line, stripped of surrounding whitespace, must be a
     JSON object whose question, chosen and rejected fields are strings;
     other fields are ignored and blank lines are skipped. Each distinct
-    line is parsed once, so equal lines give the same (frozen) object,
+    line is parsed once, so equal lines give the same object,
     as generate's equal samples do. Raises ValidationError naming the
     path and line of the first malformed record or of the first record
     past MAX_SAMPLES, or naming the path if the file is not UTF-8.

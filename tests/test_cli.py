@@ -10,6 +10,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from prefsense import (
@@ -424,6 +425,38 @@ class TestData:
         assert fit["predictions"] == expected
         assert expected["1>2"] == 1.0
 
+    # The N(N - 1) predictions come from one array call, whose entries are
+    # the scalar bt_prob's bit for bit (numpy's exp can differ by an ulp).
+    def test_fit_predictions_equal_scalar_calls(self, capsys, tmp_path):
+        n = 100
+        rng = np.random.default_rng(3)
+        true = rng.normal(size=n)
+        upper = np.triu_indices(n, 1)
+        wins = np.zeros((n, n))
+        wins[upper] = rng.binomial(20, 1.0 / (1.0 + np.exp(true[upper[1]] - true[upper[0]])))
+        wins.T[upper] = 20 - wins[upper]
+        counts = tmp_path / "counts.txt"
+        counts.write_text(f"{n}\n" + "\n".join(" ".join(str(int(w)) for w in row) for row in wins))
+        code, out, _ = run(capsys, "fit", "--in", str(counts), "--json")
+        fit = json.loads(out)
+        s = fit["scores"]
+        expected = {f"{i}>{j}": bt_prob(s[i], s[j]) for i in range(n) for j in range(n) if i != j}
+        assert code == 0 and fit["converged"]
+        assert json.dumps(fit["predictions"]) == json.dumps(expected)
+
+    # Dicts above _JSON_BLOCK entries are printed a block at a time.
+    @pytest.mark.parametrize("size", [0, 1, cli._JSON_BLOCK, cli._JSON_BLOCK + 1, 3 * cli._JSON_BLOCK])
+    def test_json_output_equals_one_dumps(self, capsys, size):
+        payload = {
+            "values": {f"k{i}\u00e9": [i / 7, math.nan, None][i % 3] for i in range(size)},
+            "empty": {},
+            "list": [math.inf, "\"q\"", True],
+            "after": {str(i): i for i in range(size)},
+        }
+        for data in (payload, {}, {"only": payload["values"]}):
+            cli._print_json(data)
+            assert capsys.readouterr().out == json.dumps(data) + "\n"
+
     def test_fit_counts_not_utf8(self, capsys, tmp_path):
         counts = tmp_path / "counts.txt"
         counts.write_bytes(b"2 0 25 75 \xff")
@@ -491,6 +524,21 @@ class TestParsing:
         assert code == 1 and out == ""
         assert_one_error_line(err, text)
         assert list(tmp_path.iterdir()) == []
+
+    # main builds its parser once per process; a usage error must leave it
+    # as a fresh one would be.
+    def test_reused_parser_answers_as_fresh_ones(self, capsys, monkeypatch):
+        calls = [
+            ("region", "bt", "--p-kj", "0.3"),
+            ("compose", "--p-ik", "0.9801", "--p-kj", "0.02", "--json"),
+            ("grad", "pl", "--p-uv", "2"),
+            ("grad", "pl", "--p-uv", "0.1", "--p-vu", "0.2"),
+        ]
+        assert cli._parser() is cli._parser()
+        reused = [run(capsys, *argv) for argv in calls]
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert reused == [run(capsys, *argv) for argv in calls]
+        assert [code for code, _, _ in reused] == [1, 0, 1, 0]
 
     # Each model leaf, a valid invocation of it, and the options it reads.
     LEAVES = {

@@ -116,6 +116,7 @@ def _calls():
         "pl_partials": (sensitivity.pl_partials, (0.3, 0.6, 1.01, 0.99)),
         "pl_region": (sensitivity.pl_region, (2.0, 1.01, 0.99, 0.01, "uv")),
         "pl_region:vu": (sensitivity.pl_region, (2.0, 1.01, 0.99, 0.01, "vu")),
+        "pl_region:no-float-inside": (sensitivity.pl_region, (2.0, 1e300, 1.0, 1e-310, "vu")),
         "pl_region_area": (sensitivity.pl_region_area, (2.0, 1.01, 0.99, "uv")),
         "pl_region_area:vu": (sensitivity.pl_region_area, (2.0, 1.01, 0.99, "vu")),
         "compare_bt_pl_areas": (sensitivity.compare_bt_pl_areas, (2.0, 1.01, 0.99)),

@@ -301,6 +301,18 @@ class TestAscend:
     @pytest.mark.parametrize("scale", [1e-3, 1e-6, 1e-9, 1e-12, 1e-100, 1e-300])
     @pytest.mark.parametrize("fitter", ["fit_bt", "fit_pl"])
     def test_small_weights_fit_the_mle(self, fitter, scale):
+        self.assert_weighted_pair_fits(fitter, scale)
+
+    # From a mean pair weight of about 2^61 (s = 1e18 here) the first line
+    # search cannot halve its trial step down to the ideal one, and the fit
+    # stopped at the start, unconverged. Such weights are scaled as well.
+    @pytest.mark.parametrize("scale", [1e18, 1e30, 1e90])
+    @pytest.mark.parametrize("fitter", ["fit_bt", "fit_pl"])
+    def test_large_weights_fit_the_mle(self, fitter, scale):
+        self.assert_weighted_pair_fits(fitter, scale)
+
+    @staticmethod
+    def assert_weighted_pair_fits(fitter, scale):
         if fitter == "fit_bt":
             fit = fit_bt(PairwiseCounts([[0.0, 3 * scale], [scale, 0.0]]))
         else:

@@ -1,6 +1,7 @@
 """Link function contracts: symmetry, inversion, derivatives, tails."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,21 @@ class TestLogistic:
     def test_saturation_warns(self):
         with pytest.warns(SaturationWarning):
             assert LOGISTIC.evaluate(40.0) == 1.0
+
+    # An array is evaluated entry by entry with math.exp, so each entry is
+    # the float call's value bit for bit; numpy's exp can differ by an ulp.
+    def test_array_equals_float_calls(self):
+        x = np.concatenate([make_rng(5).normal(scale=10.0, size=2000), [0.0, -0.0, 36.0, -745.0, 709.0]])
+        with pytest.warns(SaturationWarning):  # one warning for the array
+            got = LOGISTIC.evaluate(x.reshape(5, -1))
+        assert got.shape == (5, 401)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SaturationWarning)
+            assert got.ravel().tolist() == [LOGISTIC.evaluate(v) for v in x.tolist()]
+
+    def test_array_rejects_non_finite(self):
+        with pytest.raises(DomainError, match="x must be finite, got nan"):
+            LOGISTIC.evaluate(np.array([0.5, math.nan]))
 
     @pytest.mark.filterwarnings("ignore::prefsense.SaturationWarning")
     @given(st.floats(min_value=-700, max_value=700))

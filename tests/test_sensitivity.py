@@ -539,6 +539,17 @@ class TestPLRegions:
     def test_huge_alpha_reverse_region_is_empty(self):
         assert pl_region(2.0, 1e200, 1.0, 0.5, "vu").empty
 
+    # alpha * alpha * threshold is inf here, so the center and the half width
+    # round to 0 although disc is positive. The rounded interval (0, 0) holds
+    # no float64, so it is reported empty rather than as an interval that
+    # contains nothing.
+    @pytest.mark.parametrize("alpha, fixed", [(1e300, 1e-310), (1e160, 1e-300), (1e200, 5e-324)])
+    def test_interval_without_a_float_is_empty(self, alpha, fixed):
+        bounds = pl_region(2.0, alpha, 1.0, fixed, "vu")
+        assert bounds.empty and bounds.interval is None
+        assert math.isnan(bounds.center) and bounds.half_width == 0.0
+        assert not bounds.contains(5e-324)
+
     def test_directions_coincide_at_unit_alpha(self):
         alpha, beta = 1.0, 0.9
         uv = pl_region(3.0, alpha, beta, 0.02, "uv")

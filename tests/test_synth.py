@@ -4,17 +4,21 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import re
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prefsense import (
     DatasetSpec,
     DomainError,
     PreferenceSample,
     ValidationError,
+    counts_from_samples,
     empirical_check,
     generate,
     make_rng,
@@ -98,6 +102,94 @@ class TestTemplates:
             assert a.count("<A>") >= 1, a
         assert any("<B>" not in a for a in ANSWER_TEMPLATES)
         assert any(a.count("<A>") > 1 for a in ANSWER_TEMPLATES)
+
+
+class TestPreferenceSample:
+    def test_never_equals_a_plain_tuple(self):
+        sample = PreferenceSample("q", "c", "r")
+        assert sample != ("q", "c", "r") and ("q", "c", "r") != sample
+        assert not sample == ("q", "c", "r") and not ("q", "c", "r") == sample
+        assert sample == PreferenceSample("q", "c", "r") and not sample != PreferenceSample("q", "c", "r")
+        assert sample != PreferenceSample("q", "r", "c")
+        # In a dict the two are distinct keys, although they hash alike.
+        assert len({sample: 0, ("q", "c", "r"): 1}) == 2
+
+    def test_hashes_as_a_tuple_in_c(self):
+        sample = PreferenceSample("q", "c", "r")
+        assert PreferenceSample.__hash__ is tuple.__hash__
+        assert hash(sample) == hash(("q", "c", "r"))
+
+    def test_fields_repr_and_pickle(self):
+        sample = PreferenceSample("q", chosen="c", rejected="r")
+        assert (sample.question, sample.chosen, sample.rejected) == tuple(sample) == ("q", "c", "r")
+        assert repr(sample) == "PreferenceSample(question='q', chosen='c', rejected='r')"
+        copy = pickle.loads(pickle.dumps(sample))
+        assert type(copy) is PreferenceSample and copy == sample
+
+    def test_fields_must_be_str(self):
+        with pytest.raises(ValidationError, match="chosen must be a str, got 1"):
+            PreferenceSample("q", 1, "r")
+        with pytest.raises(ValidationError, match="rejected must be a str, got None"):
+            PreferenceSample("q", "c", "r")._replace(rejected=None)
+        with pytest.raises(AttributeError):
+            PreferenceSample("q", "c", "r").question = "x"
+
+
+# Any text: JSON escapes quotes, backslashes, control characters and the
+# rest, so every string round-trips through one line of the file.
+texts = st.text(max_size=20)
+samples_st = st.builds(PreferenceSample, texts, texts, texts)
+
+
+class TestSampleProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        distinct=st.lists(samples_st, min_size=1, max_size=8),
+        picks=st.lists(st.tuples(st.integers(0, 7), st.booleans()), min_size=1, max_size=40),
+    )
+    def test_jsonl_round_trip(self, tmp_path_factory, distinct, picks):
+        # Repeats are the same instance or an equal copy, in any order.
+        samples = [
+            PreferenceSample(*s) if copy else s
+            for s, copy in ((distinct[k % len(distinct)], copy) for k, copy in picks)
+        ]
+        path = tmp_path_factory.mktemp("jsonl") / "data.jsonl"
+        write_jsonl(samples, path)
+        assert read_jsonl(path) == samples
+        reference_write_jsonl(samples, path.with_suffix(".ref"))
+        assert path.read_bytes() == path.with_suffix(".ref").read_bytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 400),
+        copies=st.lists(st.booleans(), min_size=1, max_size=400),
+    )
+    def test_tally_ignores_sharing(self, seed, n, copies):
+        samples = generate(spec(p12=0.6, p23=0.3, n=n, seed=seed))
+        mixed = [PreferenceSample(*s) if copies[k % len(copies)] else s for k, s in enumerate(samples)]
+        shared, copied = tally_outcomes(samples, PERM), tally_outcomes(mixed, PERM)
+        # The same counts, first seen in the same order.
+        assert list(copied.items()) == list(shared.items())
+        assert shared == reference_tally(samples, PERM)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 60), position=st.integers(0, 59), seed=st.integers(0, 1000))
+    def test_plain_tuple_refused(self, tmp_path_factory, n, position, seed):
+        samples = generate(spec(p12=0.6, p23=0.3, n=n, seed=seed))
+        position %= n
+        samples[position] = tuple(samples[position])
+        path = tmp_path_factory.mktemp("refused") / "data.jsonl"
+        calls = [
+            lambda: write_jsonl(samples, path),
+            lambda: tally_outcomes(samples, PERM),
+            lambda: empirical_check(samples, spec(n=n)),
+            lambda: counts_from_samples(samples, PERM),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match="samples must be a sequence of PreferenceSample"):
+                call()
+        assert not path.exists()
 
 
 class TestDatasetSpec:
@@ -274,7 +366,9 @@ class TestGenerateMatchesReference:
             generate(DatasetSpec((f"x{i}", "y", "z"), 0.5, 0.5, 10, 0))
         assert synth._sample_table.cache_info().currsize == maxsize
         table = synth._sample_table(PERM)
-        assert len(table) == 2 * len(QUESTION_TEMPLATES) * 2 * len(ANSWER_TEMPLATES) * 2
+        # One axis of whole samples: their fields are not spread over a second.
+        assert table.shape == (2 * len(QUESTION_TEMPLATES) * 2 * len(ANSWER_TEMPLATES) * 2,)
+        assert table.dtype == object and all(type(s) is PreferenceSample for s in table)
         assert not table.flags.writeable
 
     def test_golden_digest(self, tmp_path):
