@@ -5,7 +5,8 @@ Implements the logistic (Bradley-Terry) and K-tuple ranking
 preference probability with respect to others, the regions where those
 derivatives exceed a threshold (with exact areas), independent numerical
 oracles for every closed form, figure rasterization, controlled synthesis
-of preference datasets, and maximum-likelihood score fitting.
+of preference datasets, and maximum-likelihood score fitting from win
+counts.
 """
 
 from .errors import (
@@ -75,7 +76,6 @@ from .fitting import (
     PairwiseCounts,
     counts_from_samples,
     fit_bt,
-    fit_pl,
     load_counts,
     parse_counts_text,
     predict,

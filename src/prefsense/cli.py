@@ -226,7 +226,10 @@ def _region_pl(args):
         bounds = pl_region(args.threshold, args.alpha, args.beta, args.p_vu, "vu")
     payload = {**asdict(bounds), "center": None if bounds.empty else bounds.center}
     if bounds.empty:
-        return payload, [f"[{bounds.which}] interval: empty (fixed coordinate beyond beta/(4 alpha M))"]
+        # pl_region_terms' discriminant; where it is positive, the bounds rounded together.
+        beyond = args.beta * (args.beta - 4.0 * args.alpha * args.threshold * bounds.fixed) <= 0.0
+        reason = "fixed coordinate beyond beta/(4 alpha M)" if beyond else "its bounds coincide in float64"
+        return payload, [f"[{bounds.which}] interval: empty ({reason})"]
     return payload, [
         f"[{bounds.which}] center: {_fmt(bounds.center)}, half width: {_fmt(bounds.half_width)}",
         f"interval: {_interval(bounds.interval)}",

@@ -82,9 +82,9 @@ class UnsupportedThresholdError(PrefsenseError, ValueError):
 
 
 class WitnessNotFoundError(PrefsenseError, RuntimeError):
-    """The witness scan exhausted floating-point range before succeeding.
+    """The witness scan reached its cutoff p_ik > 1 - 1e-12 before succeeding.
 
-    This signals float64 exhaustion, not a failure of the underlying
+    This signals the scan's limit, not a failure of the underlying
     existence result.
     """
 

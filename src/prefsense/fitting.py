@@ -1,14 +1,12 @@
-"""Maximum-likelihood score fitting from comparison data.
+"""Maximum-likelihood score fitting from pairwise win counts.
 
-Pairwise win counts are fitted under the logistic pairwise model, ranking
-samples under the K-tuple model; both use the same deterministic
-full-batch ascent with a backtracking line search, preconditioned by the
-inverse of the data's own comparison graph Laplacian (see _ascend). The
-first option's score is pinned to 0 for identifiability. The pairwise
-likelihood is computed over the N x N win matrix, the ranking likelihood
-over one padded array that holds every stage of every distinct ranking.
-Weights may be fractional or huge: the ascent scales small and very
-large ones to a mean of 1, which leaves the MLE unchanged (see _ascend).
+fit_bt fits the logistic pairwise model to an N x N win matrix by a
+deterministic full-batch ascent with a backtracking line search,
+preconditioned by the inverse of the data's own comparison graph
+Laplacian (see _ascend). The first option's score is pinned to 0 for
+identifiability. Counts may be fractional or huge: the ascent scales
+small and very large ones to a mean of 1, which leaves the MLE unchanged
+(see _ascend).
 
 The MLE is finite exactly when every option beats every other along some
 chain of wins, so one-sided pairs inside a cycle of wins are fine, and
@@ -30,14 +28,13 @@ import numpy as np
 from .errors import (
     DisconnectedDataError,
     ValidationError,
-    require_finite,
     require_instance,
     require_int,
     require_items,
     require_real_array,
     text_file,
 )
-from .models import KTuplePreference, bt_prob
+from .models import bt_prob
 from .synth import PreferenceSample, tally_outcomes
 
 __all__ = [
@@ -47,7 +44,6 @@ __all__ = [
     "PairwiseCounts",
     "FitResult",
     "fit_bt",
-    "fit_pl",
     "predict",
     "counts_from_samples",
     "parse_counts_text",
@@ -107,13 +103,13 @@ def _reach(adj: np.ndarray, start: int) -> np.ndarray:
     return seen
 
 
-def _check_comparisons(beats: np.ndarray, what: str) -> None:
+def _check_comparisons(beats: np.ndarray) -> None:
     """Refuse a disconnected comparison graph; warn if the MLE diverges.
 
-    beats[i, j] is True when option i beat option j (or was ranked above
-    it). The MLE is finite exactly when this directed graph is strongly
-    connected (Ford 1957; Hunter 2004, Assumption 1): otherwise a group of
-    options never lost to the rest and its scores run off to infinity.
+    beats[i, j] is True when option i beat option j. The MLE is finite
+    exactly when this directed graph is strongly connected (Ford 1957;
+    Hunter 2004, Assumption 1): otherwise a group of options never lost to
+    the rest and its scores run off to infinity.
     """
     compared, comps, left = beats | beats.T, [], np.ones(len(beats), dtype=bool)
     while left.any():
@@ -122,7 +118,7 @@ def _check_comparisons(beats: np.ndarray, what: str) -> None:
         left &= ~comp
     if len(comps) > 1:
         raise DisconnectedDataError(
-            f"{what} does not connect all options; components: {comps}",
+            f"the pairwise comparison graph does not connect all options; components: {comps}",
             components=comps,
         )
     above = _reach(beats.T, 0)  # options with a chain of wins over option 0
@@ -263,72 +259,8 @@ def fit_bt(counts: PairwiseCounts) -> FitResult:
     fit returns converged=False with the scores where the ascent stopped.
     """
     require_instance(counts, PairwiseCounts, "counts")
-    _check_comparisons(counts.wins > 0, "the pairwise comparison graph")
+    _check_comparisons(counts.wins > 0)
     return _ascend(partial(_bt_value_and_grad, counts.wins), counts.wins + counts.wins.T)
-
-
-def fit_pl(
-    rankings: Sequence[tuple[KTuplePreference, float]],
-    n_options: int,
-) -> FitResult:
-    """Fit K-tuple model scores to weighted ranking observations.
-
-    rankings is a sequence of (preference, multiplicity) pairs; identical
-    rankings may appear multiple times and are aggregated. With only
-    2-tuples this coincides with fit_bt on the induced counts.
-    """
-    n = require_int(n_options, "n_options", 2)
-    weights: dict[tuple[int, ...], float] = {}
-    for entry in require_items(rankings, "rankings"):
-        try:
-            pref, mult = entry
-        except (TypeError, ValueError):
-            pref = None
-        if not isinstance(pref, KTuplePreference):
-            raise ValidationError(f"rankings hold (KTuplePreference, multiplicity) pairs, got {entry!r}")
-        m = require_finite(mult, "multiplicity")
-        if m < 0:
-            raise ValidationError(f"multiplicity must be non-negative, got {mult!r}")
-        if m == 0:
-            continue
-        for idx in pref.indices:
-            require_int(idx, "ranking index", 0, n - 1)
-        weights[pref.indices] = weights.get(pref.indices, 0.0) + m
-    if not weights:
-        raise ValidationError("no rankings with positive multiplicity")
-    ranked = {i for idx in weights for i in idx}
-    if len(ranked) < n:  # refused before the n x n graph below is allocated
-        first = next(i for i in range(n) if i not in ranked)
-        raise DisconnectedDataError(
-            f"{n - len(ranked)} of {n} options appear in no ranking; the smallest is {first}"
-        )
-    # Stage k of a ranking is its suffix from place k, winner first, padded
-    # with index n, which value_and_grad maps to a score of -inf.
-    width = max(map(len, weights))
-    pad = (n,) * width
-    stages = np.array([(idx + pad)[k : k + width] for idx in weights for k in range(len(idx) - 1)])
-    mult = np.repeat(list(weights.values()), [len(idx) - 1 for idx in weights])
-    # won[i, j] weighs the rankings that place i above j: each stage's winner
-    # against the options still in it.
-    rest = stages[:, 1:] < n
-    won = np.bincount(
-        (stages[:, :1] * n + stages[:, 1:])[rest],
-        np.broadcast_to(mult[:, None], rest.shape)[rest],
-        n * n,
-    ).reshape(n, n)
-    _check_comparisons(won > 0, "the ranking comparison graph")
-
-    def value_and_grad(s: np.ndarray) -> tuple[float, np.ndarray]:
-        x = np.append(s, -np.inf)[stages]
-        top = x.max(axis=1)
-        expd = np.exp(x - top[:, None])
-        denom = expd.sum(axis=1)
-        ll = float(np.dot(mult, x[:, 0] - top - np.log(denom)))
-        grad = np.bincount(stages[:, 0], mult, n + 1)
-        grad -= np.bincount(stages.ravel(), (expd * (mult / denom)[:, None]).ravel(), n + 1)
-        return ll, grad[:n]
-
-    return _ascend(value_and_grad, won + won.T)
 
 
 def predict(fit: FitResult, i: int, j: int) -> float:

@@ -185,6 +185,13 @@ class TestGradRegionArea:
         payload = json.loads(out)
         assert (payload["center"], payload["interval"]) == (None, None)
 
+    def test_region_pl_empty_by_rounding(self, capsys):
+        # 4 alpha M p_vu = 8e-10 is below beta, but the interval's bounds both round to 0.
+        argv = ["region", "pl", "--M", "2", "--alpha", "1e300", "--beta", "1", "--p-vu", "1e-310"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == "[vu] interval: empty (its bounds coincide in float64)\n"
+
     def test_region_pl_requires_point(self, capsys):
         code, _, err = run(capsys, "region", "pl", "--M", "2")
         assert code == 1

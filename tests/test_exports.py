@@ -129,7 +129,6 @@ def _calls():
         "write_manifest": (synth.write_manifest, ([(spec, "data.jsonl")], "manifest.csv")),
         # fitting
         "PairwiseCounts": (fitting.PairwiseCounts, ([[0, 1], [1, 0]],)),
-        "fit_pl": (fitting.fit_pl, ([(omega, 1.0), (models.KTuplePreference((1, 0)), 1.0)], 2)),
         "predict": (fitting.predict, (fitting.fit_bt(counts), 0, 1)),
         "load_counts": (fitting.load_counts, (COUNTS_TXT,)),
     }
@@ -291,7 +290,6 @@ def _integer_bounds():
         ("mode_count", 1, "grid_n", 10_000, MAX_GRID_N),
         ("mc_area_bt", 1, "n", 10_000, MAX_MC_SAMPLES),
         ("DatasetSpec", 3, "n_samples", 1, MAX_SAMPLES),
-        ("fit_pl", 1, "n_options", 2, None),
         ("brute_force_pl", 1, "K", 2, 3),  # a set of three options
         ("pl_context", 2, "u", 0, 1),  # a ranking of three options, v = 1
         ("pl_context", 3, "v", 1, 2),  # u = 0

@@ -4,27 +4,20 @@ import math
 import re
 import warnings
 from functools import partial
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from prefsense import (
     DisconnectedDataError,
     DivergenceWarning,
     DomainError,
     FitResult,
-    KTuplePreference,
     PairwiseCounts,
-    ScoredOptionSet,
     ValidationError,
     bt_prob,
-    brute_force_pl,
     counts_from_samples,
     fit_bt,
-    fit_pl,
     generate,
     load_counts,
     make_rng,
@@ -247,14 +240,6 @@ class TestDivergence:
         rest = [s for k, s in enumerate(fit.scores) if k not in group]
         assert min(fit.scores[k] for k in group) > max(rest)
 
-    def test_rankings_use_the_same_check(self):
-        cycle = [(KTuplePreference(p), 5.0) for p in ((0, 1), (1, 2), (2, 0))]
-        fit = fit_without_divergence_warning(fit_pl, cycle, 3)
-        assert fit.converged
-        with pytest.warns(DivergenceWarning, match=re.escape("options [0] never lost")):
-            fit_pl([(KTuplePreference((0, 1, 2)), 5.0)], 3)
-
-
 COMPLETE_3 = np.ones((3, 3)) - np.eye(3)  # three options, each pair compared once
 
 
@@ -298,25 +283,20 @@ class TestAscend:
     # 1: 0.75 and 0.25, where the curvature of the gap is p(1 - p) = 3/16
     # and max|g| <= GRADIENT_TOL leaves the gap within GRADIENT_TOL / (3/16).
     # Unscaled, s = 1e-6 stopped 5.6e-3 away and s = 1e-9 at the start.
-    @pytest.mark.parametrize("scale", [1e-3, 1e-6, 1e-9, 1e-12, 1e-100, 1e-300])
-    @pytest.mark.parametrize("fitter", ["fit_bt", "fit_pl"])
-    def test_small_weights_fit_the_mle(self, fitter, scale):
-        self.assert_weighted_pair_fits(fitter, scale)
+    @pytest.mark.parametrize("scale", [1e-3, 1e-6, 1e-9, 1e-12, 1e-100, 1e-300], ids="fit_bt-{}".format)
+    def test_small_weights_fit_the_mle(self, scale):
+        self.assert_weighted_pair_fits(scale)
 
     # From a mean pair weight of about 2^61 (s = 1e18 here) the first line
     # search cannot halve its trial step down to the ideal one, and the fit
     # stopped at the start, unconverged. Such weights are scaled as well.
-    @pytest.mark.parametrize("scale", [1e18, 1e30, 1e90])
-    @pytest.mark.parametrize("fitter", ["fit_bt", "fit_pl"])
-    def test_large_weights_fit_the_mle(self, fitter, scale):
-        self.assert_weighted_pair_fits(fitter, scale)
+    @pytest.mark.parametrize("scale", [1e18, 1e30, 1e90], ids="fit_bt-{}".format)
+    def test_large_weights_fit_the_mle(self, scale):
+        self.assert_weighted_pair_fits(scale)
 
     @staticmethod
-    def assert_weighted_pair_fits(fitter, scale):
-        if fitter == "fit_bt":
-            fit = fit_bt(PairwiseCounts([[0.0, 3 * scale], [scale, 0.0]]))
-        else:
-            fit = fit_pl([(KTuplePreference((0, 1)), 3 * scale), (KTuplePreference((1, 0)), scale)], 2)
+    def assert_weighted_pair_fits(scale):
+        fit = fit_bt(PairwiseCounts([[0.0, 3 * scale], [scale, 0.0]]))
         assert fit.converged and fit.iterations > 0
         assert abs(fit.scores[1] + math.log(3)) <= 1.01 * GRADIENT_TOL / (3 / 16)
         assert fit.log_likelihood == pytest.approx(scale * (3 * math.log(0.75) + math.log(0.25)), rel=1e-12)
@@ -359,24 +339,6 @@ class TestAscend:
         steep = np.array([0.0, 1.0, -1.0])
         fit = _ascend(lambda s: (0.0, start) if not s.any() else (1e-12, steep), COMPLETE_3)
         assert fit.scores == (0.0, 0.0, 0.0) and fit.iterations == 1 and not fit.converged
-
-    def test_ranking_case_that_stalled_plain_ascent(self):
-        # Plain gradient ascent ran all 10,000 iterations on this case.
-        weights = gumbel_rankings(21, 8, 2000, k=4)
-        rankings = [(KTuplePreference(idx), m) for idx, m in weights.items()]
-        fit = fit_without_divergence_warning(fit_pl, rankings, 8)
-        assert fit.converged
-
-    @pytest.mark.filterwarnings("error")
-    def test_dominant_ranking_chain_converges(self):
-        # Each triple (i, i + 1, i + 2) is ranked in order 99 times and in
-        # reverse once; the MLE spreads the 12 scores over about 46.
-        n = 12
-        rankings = [(KTuplePreference((i, i + 1, i + 2)), 99.0) for i in range(n - 2)]
-        rankings += [(KTuplePreference((i + 2, i + 1, i)), 1.0) for i in range(n - 2)]
-        fit = fit_pl(rankings, n)
-        assert fit.converged and fit.iterations < 60
-        assert np.all(np.diff(fit.scores) < -3.0)
 
     def test_exit_when_no_step_is_accepted(self):
         # Any move costs 1, far above the slack, so all 60 trial steps fail.
@@ -513,211 +475,6 @@ class TestObjective:
         value, grad = _bt_value_and_grad(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.0, 800.0]))
         assert value == -800.0  # log sigmoid(-800) + log sigmoid(800)
         assert grad.tolist() == [1.0, -1.0]  # sigmoid(800) - sigmoid(-800) at option 0
-
-
-class TestFitPL:
-    def test_uniform_rankings_give_zero_scores(self):
-        from itertools import permutations
-
-        rankings = [(KTuplePreference(p), 7.0) for p in permutations(range(3))]
-        fit = fit_pl(rankings, 3)
-        assert fit.converged
-        np.testing.assert_allclose(fit.scores, 0.0, atol=1e-9)
-
-    def test_pairs_only_matches_fit_bt(self):
-        rankings = [
-            (KTuplePreference((0, 1)), 75.0),
-            (KTuplePreference((1, 0)), 25.0),
-            (KTuplePreference((1, 2)), 60.0),
-            (KTuplePreference((2, 1)), 40.0),
-        ]
-        wins = np.zeros((3, 3))
-        wins[0, 1], wins[1, 0] = 75, 25
-        wins[1, 2], wins[2, 1] = 60, 40
-        pl = fit_pl(rankings, 3)
-        bt = fit_bt(PairwiseCounts(wins))
-        np.testing.assert_allclose(pl.scores, bt.scores, atol=1e-6)
-
-    def test_recovery_from_ranking_distribution(self):
-        true = ScoredOptionSet(("a", "b", "c"), (1.0, 0.0, -1.0))
-        table = brute_force_pl(true, 3)
-        rankings = [(KTuplePreference(perm), 100_000 * p) for perm, p in table.items()]
-        fit = fit_pl(rankings, 3)
-        assert fit.converged
-        np.testing.assert_allclose(fit.scores, (0.0, -1.0, -2.0), atol=1e-6)
-
-    def test_sampled_recovery(self):
-        true = ScoredOptionSet(("a", "b", "c"), (1.0, 0.0, -1.0))
-        table = brute_force_pl(true, 3)
-        perms = list(table)
-        rng = make_rng(12)
-        draws = rng.multinomial(100_000, [table[p] for p in perms])
-        rankings = [(KTuplePreference(p), float(c)) for p, c in zip(perms, draws) if c]
-        fit = fit_pl(rankings, 3)
-        np.testing.assert_allclose(fit.scores, (0.0, -1.0, -2.0), atol=0.05)
-
-    def test_disconnected(self):
-        rankings = [
-            (KTuplePreference((0, 1)), 5.0),
-            (KTuplePreference((2, 3)), 5.0),
-        ]
-        with pytest.raises(DisconnectedDataError):
-            fit_pl(rankings, 4)
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            fit_pl([], 3)
-        with pytest.raises(ValidationError):
-            fit_pl([(KTuplePreference((0, 1)), -1.0)], 2)
-        for bad in (5, -1):
-            with pytest.raises(DomainError, match=rf"ranking index must lie in \[0, 2\], got {bad}"):
-                fit_pl([(KTuplePreference((0, bad)), 1.0)], 3)
-        for mult in ("x", None, math.inf):
-            with pytest.raises(DomainError, match="multiplicity must be"):
-                fit_pl([(KTuplePreference((0, 1)), mult)], 2)
-        with pytest.raises(DomainError, match="rankings must be a sequence"):
-            fit_pl(5, 2)
-        for entry in (((0, 1), 1.0), (KTuplePreference((0, 1)),), 7, [(0, 1), 1.0]):
-            with pytest.raises(ValidationError, match="rankings hold"):
-                fit_pl([entry], 2)
-
-    def test_needs_two_options(self):
-        with pytest.raises(DomainError, match="n_options must be at least 2, got 1"):
-            fit_pl([(KTuplePreference((0, 1)), 1.0)], 1)
-
-    def test_zero_multiplicity_skipped(self):
-        a, b = KTuplePreference((0, 1)), KTuplePreference((1, 0))
-        fit = fit_pl([(a, 0.0), (b, 1.0), (a, 3.0)], 2)
-        assert fit == fit_pl([(b, 1.0), (a, 3.0)], 2)
-        assert fit.scores[1] == pytest.approx(-math.log(3.0), abs=1e-6)
-
-    def test_list_entries_accepted(self):
-        pairs = [(KTuplePreference((0, 1)), 3.0), (KTuplePreference((1, 0)), 1.0)]
-        assert fit_pl([list(p) for p in pairs], 2) == fit_pl(pairs, 2)
-
-    @pytest.mark.parametrize("n_options", ["x", None, 2.5, 3.0], ids=["x", "None", "2.5", "3.0"])
-    def test_non_integer_n_options(self, n_options):
-        with pytest.raises(DomainError, match="n_options must be an integer"):
-            fit_pl([(KTuplePreference((0, 1)), 1.0)], n_options)
-
-    def test_numpy_integer_n_options(self):
-        rankings = [(KTuplePreference((0, 1)), 3.0), (KTuplePreference((1, 0)), 1.0)]
-        assert fit_pl(rankings, np.int64(2)).scores == fit_pl(rankings, 2).scores
-
-    @pytest.mark.parametrize(
-        "indices, n, message",
-        [
-            (((0, 1),), 10**7, "9999998 of 10000000 options appear in no ranking; the smallest is 2"),
-            (((0, 2), (2, 0)), 3, "1 of 3 options appear in no ranking; the smallest is 1"),
-        ],
-        ids=["huge-n", "gap"],
-    )
-    def test_unranked_options_refused_before_allocating(self, indices, n, message):
-        # The comparison graph alone would take n * n bytes (91 TiB at 10**7).
-        rankings = [(KTuplePreference(idx), 1.0) for idx in indices]
-        with pytest.raises(DisconnectedDataError, match=re.escape(message)):
-            fit_pl(rankings, n)
-
-
-def loop_value_and_grad(items, n, s):
-    """fit_pl's objective in its earlier per-ranking, per-stage loop, kept as a reference."""
-    ll = 0.0
-    grad = np.zeros(n)
-    for idx, mult in items:
-        sel = np.array(idx)
-        for stage in range(len(sel) - 1):
-            suffix = sel[stage:]
-            stage_scores = s[suffix]
-            top = float(np.max(stage_scores))
-            expd = np.exp(stage_scores - top)
-            denom = float(np.sum(expd))
-            ll += mult * (stage_scores[0] - top - math.log(denom))
-            grad[suffix[0]] += mult
-            grad[suffix] -= mult * expd / denom
-    return ll, grad
-
-
-def pl_objective(weights, n):
-    """The value_and_grad that fit_pl hands to _ascend, for distinct weighted rankings."""
-    rankings = [(KTuplePreference(idx), m) for idx, m in weights.items()]
-    with warnings.catch_warnings(), mock.patch("prefsense.fitting._ascend", lambda f, n: f):
-        warnings.simplefilter("ignore", DivergenceWarning)
-        return fit_pl(rankings, n)
-
-
-@st.composite
-def weighted_rankings(draw):
-    """Distinct rankings of mixed lengths over n options, with positive weights."""
-    n = draw(st.integers(2, 8))
-    weights = {tuple(range(n)): 1.0}  # names every option, so fit_pl accepts the data
-    for perm, k, m in draw(
-        st.lists(
-            st.tuples(st.permutations(range(n)), st.integers(2, n), st.floats(1e-3, 1e3)),
-            max_size=40,
-        )
-    ):
-        weights[tuple(perm[:k])] = weights.get(tuple(perm[:k]), 0.0) + m
-    s = draw(st.lists(st.floats(-30.0, 30.0), min_size=n, max_size=n))
-    return n, weights, np.array(s)
-
-
-def gumbel_rankings(seed, n, count, k=None):
-    """Top-k of n by Gumbel-max (a Plackett-Luce draw) at N(0, 1) scores; k uniform in 2..n if None."""
-    rng = make_rng(seed)
-    keys = rng.normal(size=n) + rng.gumbel(size=(count, n))
-    weights = {}
-    ks = rng.integers(2, n + 1, size=count) if k is None else [k] * count
-    for row, top in zip(np.argsort(-keys, axis=1).tolist(), ks):
-        weights[tuple(row[:top])] = weights.get(tuple(row[:top]), 0.0) + 1.0
-    return weights
-
-
-class TestPLObjective:
-    """fit_pl's stage-array objective against the per-stage loop.
-
-    Both evaluate the same per-stage expressions in float64; they differ
-    only in summation order and in which rounding of exp and log they meet,
-    so the bound below is twice the error either has against exact
-    arithmetic, to first order. For a stage with multiplicity m, K options,
-    d = x - max (one rounding, |d| <= 60) and e = exp(d) (1 ulp): e is
-    within e(2 + |d|)U <= 2U of exact, the top entry's e is exactly 1, so
-    the sum D >= 1 of K of them is within 3(K - 1)U D and log D within
-    3(K - 1)U + 2U log D. The term m(d_0 - log D) has no cancellation
-    (d_0 <= 0 <= log D), so it is within 3(K - 1)U m + 5U |term|. Summing
-    S terms of one sign, in any order, adds (S - 1)U |value|. For option
-    j's gradient, each m * softmax is within (3K + 1)U m, and the up to
-    2C_j addends of the C_j stages holding j, of total magnitude at most
-    2M_j (M_j their multiplicity), add 2(2C_j - 1)U M_j.
-    """
-
-    @settings(max_examples=200, deadline=None)
-    @given(weighted_rankings())
-    def test_matches_loop_reference(self, case):
-        n, weights, s = case
-        value, grad = pl_objective(weights, n)(s)
-        ref_value, ref_grad = loop_value_and_grad(list(weights.items()), n, s)
-        stages = [(idx[k:], m) for idx, m in weights.items() for k in range(len(idx) - 1)]
-        width = max(map(len, weights))
-        total = sum(m for _, m in stages)
-        bound = 2 * U * (3 * (width - 1) * total + (4 + len(stages)) * abs(ref_value))
-        assert abs(value - ref_value) <= bound
-        held, count = np.zeros(n), np.zeros(n)
-        for suffix, m in stages:
-            held[list(suffix)] += m
-            count[list(suffix)] += 1
-        grad_bound = 2 * U * held * (3 * width + 1 + 2 * (2 * count - 1))
-        assert np.all(np.abs(grad - ref_grad) <= grad_bound)
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_fit_matches_loop_objective(self, seed):
-        n = 5
-        weights = gumbel_rankings(seed, n, 100)
-        rankings = [(KTuplePreference(idx), m) for idx, m in weights.items()]
-        fit = fit_without_divergence_warning(fit_pl, rankings, n)
-        # The optimum does not depend on the preconditioner: a complete graph will do.
-        reference = _ascend(partial(loop_value_and_grad, list(weights.items()), n), np.ones((n, n)))
-        assert fit.converged and reference.converged
-        np.testing.assert_allclose(fit.scores, reference.scores, rtol=0, atol=1e-8)
 
 
 class TestPredict:

@@ -813,7 +813,7 @@ class TestWitness:
             assert total == pytest.approx(1.25, abs=1e-9)
 
     def test_float_exhaustion(self):
-        with pytest.raises(WitnessNotFoundError):
+        with pytest.raises(WitnessNotFoundError, match="before the scan's cutoff p_ik > 1 - 1e-12"):
             sensitivity_witness(LOGISTIC, 1e300)
 
     def test_rejects_bad_delta(self):
