@@ -22,8 +22,6 @@ from .errors import (
 )
 from .links import LOGISTIC, PROBIT, LinkFunction, LogisticLink, ProbitLink, get_link
 from .models import (
-    KTuplePreference,
-    ScoredOptionSet,
     bt_compose,
     bt_prob,
     compose_pairwise,

@@ -321,7 +321,7 @@ def _cmd_gen_data(args):
             {
                 "pair": list(ps.pair),
                 "count": ps.count,
-                "empirical_p": ps.empirical_p,
+                "empirical_p": None if ps.count == 0 else ps.empirical_p,
                 "expected_p": ps.expected_p,
                 "z": ps.z_score,
             }

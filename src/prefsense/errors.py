@@ -10,6 +10,8 @@ The helpers are the one validation path the modules share:
   or of probabilities as well; require_int
   refuses an integer outside [lo, hi] as "{name} must lie in [{lo}, {hi}]",
   or with no hi as "{name} must be at least {lo}";
+- require_scores checks a ranking's scores: at least 2 finite numbers,
+  entry i named "{name}[i]";
 - require_instance, require_items, require_real_array and require_choice
   check types, sequences, arrays and string choices;
 - text_file opens every file the package reads or writes, refusing paths
@@ -45,6 +47,7 @@ __all__ = [
     "require_seed",
     "require_finite",
     "require_finites",
+    "require_scores",
     "require_probability",
     "require_probabilities",
     "require_threshold",
@@ -191,6 +194,15 @@ def require_finites(x: Any, name: str):
     for bad in arr[~np.isfinite(arr)][:1]:  # the first non-finite entry's scalar error
         require_finite(bad, name)
     return arr
+
+
+def require_scores(x: Any, name: str) -> tuple[float, ...]:
+    """A tuple of at least 2 finite floats, such as a ranking's scores,
+    most preferred first; a bad entry i is named "{name}[i]"."""
+    scores = tuple(require_finite(s, f"{name}[{i}]") for i, s in enumerate(require_items(x, name)))
+    if len(scores) < 2:
+        raise ValidationError(f"{name} must hold at least 2 entries, got {len(scores)}")
+    return scores
 
 
 def require_probability(p: Any, name: str) -> float:

@@ -18,7 +18,6 @@ differentiates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,17 +27,14 @@ from .errors import (
     ValidationError,
     require_finite,
     require_instance,
-    require_int,
-    require_items,
     require_probabilities,
     require_probability,
     require_real_array,
+    require_scores,
 )
 from .links import LOGISTIC, LinkFunction, _warn_if_saturated
 
 __all__ = [
-    "ScoredOptionSet",
-    "KTuplePreference",
     "bt_prob",
     "compose_pairwise",
     "bt_compose",
@@ -49,59 +45,6 @@ __all__ = [
 ]
 
 RECIPROCAL_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ScoredOptionSet:
-    """N labelled options with real-valued strength scores."""
-
-    labels: tuple[str, ...]
-    scores: tuple[float, ...]
-
-    def __init__(self, labels: Sequence[str], scores: Sequence[float]):
-        labels = tuple(str(l) for l in require_items(labels, "labels"))
-        scores = tuple(
-            require_finite(s, f"scores[{i}]")
-            for i, s in enumerate(require_items(scores, "scores"))
-        )
-        if len(labels) != len(scores):
-            raise ValidationError(
-                f"{len(labels)} labels but {len(scores)} scores"
-            )
-        if len(labels) < 2:
-            raise ValidationError("an option set needs at least 2 options")
-        if len(set(labels)) != len(labels):
-            raise ValidationError(f"labels must be unique, got {labels}")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "scores", scores)
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-
-@dataclass(frozen=True)
-class KTuplePreference:
-    """An ordered ranking of K distinct option indices (most preferred first)."""
-
-    indices: tuple[int, ...]
-
-    def __init__(self, indices: Sequence[int]):
-        idx = tuple(require_int(i, "ranking index") for i in require_items(indices, "indices"))
-        if len(idx) < 2:
-            raise ValidationError("a preference ranks at least 2 options")
-        if len(set(idx)) != len(idx):
-            raise ValidationError(f"ranking indices must be distinct, got {idx}")
-        object.__setattr__(self, "indices", idx)
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def validate_for(self, options: ScoredOptionSet) -> None:
-        n = len(options)
-        if len(self.indices) > n:
-            raise DomainError(f"ranking of {len(self.indices)} options from a set of {n}")
-        for i in self.indices:
-            require_int(i, "ranking index", 0, n - 1)
 
 
 def bt_prob(s_i: float, s_j: float) -> float:
@@ -143,32 +86,32 @@ def _stage_denominators(r):
     return [1.0 + np.sum(r[..., u, u + 1 :], axis=-1) for u in range(r.shape[-1] - 1)]
 
 
-def pl_prob(omega: KTuplePreference, options: ScoredOptionSet) -> float:
-    """Plackett-Luce probability of a K-tuple ranking.
+def pl_prob(scores: Sequence[float]) -> float:
+    """Plackett-Luce probability of a K-tuple ranking, given its options'
+    scores, most preferred first.
 
-    The product over stages u of 1 / (1 + sum_{t>u} r[u, t]), with r the
-    ranking's ratio_matrix. A ratio that overflows to inf gives its stage
-    a factor of 0, which is the limit. For K = 2 this reduces to bt_prob
-    of the two scores.
+    The product over stages u of 1 / (1 + sum_{t>u} r[u, t]), with r =
+    ratio_matrix(scores). A ratio that overflows to inf gives its stage a
+    factor of 0, which is the limit. For K = 2 this reduces to bt_prob of
+    the two scores.
     """
     with np.errstate(over="ignore"):
-        r = ratio_matrix(options, omega)
+        r = ratio_matrix(scores)
     prob = 1.0
     for denom in _stage_denominators(r):
         prob /= float(denom)
     return _warn_if_saturated(prob)
 
 
-def ratio_matrix(options: ScoredOptionSet, omega: KTuplePreference) -> np.ndarray:
-    """K x K matrix of suffix-swap ratios between the entries of a ranking.
+def ratio_matrix(scores: Sequence[float]) -> np.ndarray:
+    """K x K matrix of suffix-swap ratios between the entries of a ranking,
+    given its options' scores, most preferred first.
 
-    Entry [a, b] is exp(s_omega[b] - s_omega[a]): a ranking ending
+    Entry [a, b] is exp(scores[b] - scores[a]): a ranking ending
     (..., b, a) over the same ranking ending (..., a, b), for any K and
     prefix. The diagonal is 1.
     """
-    require_instance(options, ScoredOptionSet, "options")
-    require_instance(omega, KTuplePreference, "omega").validate_for(options)
-    s = np.array([options.scores[i] for i in omega.indices], dtype=float)
+    s = np.array(require_scores(scores, "scores"))
     return np.exp(s[None, :] - s[:, None])
 
 

@@ -29,10 +29,11 @@ from .errors import (
     require_instance,
     require_int,
     require_items,
+    require_scores,
     require_seed,
     require_threshold,
 )
-from .models import ScoredOptionSet, logit_normal_density
+from .models import logit_normal_density
 
 __all__ = [
     "DEFAULT_SEED",
@@ -196,20 +197,21 @@ def quad_area_pl(
     return float(np.trapezoid(width, x))
 
 
-def brute_force_pl(options: ScoredOptionSet, k: int) -> dict[tuple[int, ...], float]:
-    """Every K-permutation's ranking probability by direct enumeration.
+def brute_force_pl(scores: Sequence[float], k: int) -> dict[tuple[int, ...], float]:
+    """Every K-permutation's ranking probability by direct enumeration,
+    given the scores of all N options.
 
     Uses raw exponentials (no overflow-safe rewriting), so it is an
     independent check of the production evaluation path. Guarded to
     K <= 6 because the output grows factorially.
     """
-    require_instance(options, ScoredOptionSet, "options")
+    scores = require_scores(scores, "scores")
     k = require_int(k, "K")
     if k > 6:
         raise EnumerationSizeError(f"enumeration guard: K={k} exceeds the K <= 6 limit")
-    n = len(options)
+    n = len(scores)
     require_int(k, "K", 2, n)
-    weights = [math.exp(s) for s in options.scores]
+    weights = [math.exp(s) for s in scores]
     out: dict[tuple[int, ...], float] = {}
     for perm in itertools.permutations(range(n), k):
         prob = 1.0

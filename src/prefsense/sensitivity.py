@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,10 +44,11 @@ from .errors import (
     require_int,
     require_probabilities,
     require_probability,
+    require_scores,
     require_threshold,
 )
 from .links import LinkFunction
-from .models import KTuplePreference, ScoredOptionSet, _stage_denominators, ratio_matrix
+from .models import _stage_denominators, ratio_matrix
 
 __all__ = [
     "BTRegionSlice",
@@ -213,8 +214,9 @@ def bt_region_area(threshold: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def pl_context(options: ScoredOptionSet, omega: KTuplePreference, u: int, v: int) -> tuple[float, float]:
-    """The constants (alpha, beta) for ranking positions u < v.
+def pl_context(scores: Sequence[float], u: int, v: int) -> tuple[float, float]:
+    """The constants (alpha, beta) for ranking positions u < v, given the
+    ranked options' scores, most preferred first.
 
     alpha is 1 plus the ratio mass of the other options competing at
     stage u; beta is the product of all other stage factors. For K = 2
@@ -225,17 +227,15 @@ def pl_context(options: ScoredOptionSet, omega: KTuplePreference, u: int, v: int
     by more than about 709, where its ratio overflows float64, or when
     alpha overflows or beta underflows.
     """
-    require_instance(options, ScoredOptionSet, "options")
-    require_instance(omega, KTuplePreference, "omega")
-    omega.validate_for(options)
-    k = len(omega)
+    scores = require_scores(scores, "scores")
+    k = len(scores)
     u = require_int(u, "u", 0, k - 2)
     v = require_int(v, "v", u + 1, k - 1)
     # Only the entries above the diagonal are read, so an overflow below it
     # (an earlier-ranked option far ahead) is harmless. One above it, or an
     # alpha or beta out of range, is refused below.
     with np.errstate(over="ignore"):
-        ratios = ratio_matrix(options, omega)
+        ratios = ratio_matrix(scores)
         alpha = 1.0 + float(sum(ratios[u, t] for t in range(u + 1, k) if t != v))
         beta = 1.0
         for stage, denom in enumerate(_stage_denominators(ratios)):
@@ -244,7 +244,7 @@ def pl_context(options: ScoredOptionSet, omega: KTuplePreference, u: int, v: int
     overflow = np.argwhere(np.triu(np.isinf(ratios)))
     if len(overflow):
         a, b = overflow[0].tolist()
-        gap = options.scores[omega.indices[b]] - options.scores[omega.indices[a]]
+        gap = scores[b] - scores[a]
         raise DomainError(
             f"the scores at ranking positions {a} and {b} differ by {gap:g}; "
             f"their ratio exp({gap:g}) overflows float64"
@@ -264,7 +264,9 @@ def pl_partial_terms(p_uv, p_vu, alpha, beta, which: str):
     For floats or arrays, unvalidated; both share (alpha p_uv + p_vu)^2.
     """
     d = alpha * p_uv + p_vu
-    return beta * (p_vu if which == "uv" else p_uv), d * d
+    # Where d * d overflows, inf is the limit: the derivative is 0.
+    with np.errstate(over="ignore"):
+        return beta * (p_vu if which == "uv" else p_uv), d * d
 
 
 def pl_partials(p_uv: float, p_vu: float, alpha: float, beta: float) -> tuple[float, float]:

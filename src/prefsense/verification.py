@@ -21,8 +21,6 @@ import numpy as np
 from .fitting import PairwiseCounts, fit_bt, predict
 from .links import LOGISTIC, PROBIT
 from .models import (
-    KTuplePreference,
-    ScoredOptionSet,
     bt_compose,
     bt_prob,
     compose_pairwise,
@@ -249,11 +247,10 @@ def check_derivative_oracles(f: _Gates, quick: bool) -> str:
     n_points = 200 if quick else 1000
     rel_tol = 1e-5
     rng = make_rng(VERIFY_SEED)
-    options = ScoredOptionSet(("a", "b", "c", "d"), (0.8, 0.1, -0.4, -1.2))
-    omega = KTuplePreference((0, 1, 2, 3))
+    scores = (0.8, 0.1, -0.4, -1.2)
     u, v = 1, 2
-    alpha, beta = pl_context(options, omega, u, v)
-    ratio_fn = _swap_ratio_fn(ratio_matrix(options, omega), u, v)
+    alpha, beta = pl_context(scores, u, v)
+    ratio_fn = _swap_ratio_fn(ratio_matrix(scores), u, v)
     # One (n, 2) draw is the same stream as n draws of 2.
     a, b = (0.01 + 0.98 * rng.random((n_points, 2))).T
     errors = _derivative_errors(a, b, alpha, beta, ratio_fn)

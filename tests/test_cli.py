@@ -344,6 +344,19 @@ class TestData:
         assert "pair a > b: 112 samples" in out
         assert "pair b > c: 88 samples" in out
 
+    def test_gen_data_json_is_strict_for_an_empty_pair(self, capsys, tmp_path):
+        # One sample leaves a pair with none, whose rate is null, not NaN.
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        code, out, err = run(
+            capsys, "gen-data", "--permutation", "a,b,c", "--p12", "0.9",
+            "--p23", "0.5", "--n", "1", "--seed", "0", "--out", str(tmp_path / "d.jsonl"), "--json",
+        )
+        assert code == 0, err
+        pairs = json.loads(out, parse_constant=refuse)["pairs"]
+        assert [p["empirical_p"] for p in pairs if p["count"] == 0] == [None]
+
     def test_gen_data_rejects_endpoint(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "gen-data", "--permutation", "a,b,c", "--p12", "0.99",

@@ -67,10 +67,7 @@ def _calls():
 
     sample = synth.PreferenceSample("a or b?", "I prefer a over b.", "I prefer b over a.")
     spec = synth.DatasetSpec(("a", "b", "c"), 0.5, 0.5, 10, 0)
-    options = models.ScoredOptionSet(("a", "b"), (0.0, 1.0))
-    omega = models.KTuplePreference((0, 1))
-    options3 = models.ScoredOptionSet(("a", "b", "c"), (0.0, 1.0, 2.0))
-    omega3 = models.KTuplePreference((0, 1, 2))
+    scores, scores3 = (0.0, 1.0), (0.0, 1.0, 2.0)
     counts = fitting.PairwiseCounts([[0, 1], [1, 0]])
     grid = raster.raster_bt("d_pik", (2.0,), 64)
     calls = {
@@ -78,8 +75,8 @@ def _calls():
         "fit_bt": (fitting.fit_bt, (counts,)),
         "parse_counts_text": (fitting.parse_counts_text, ("2 0 1 1 0",)),
         "counts_from_samples": (fitting.counts_from_samples, ([sample], ("a", "b"))),
-        "pl_prob": (models.pl_prob, (omega, options)),
-        "ratio_matrix": (models.ratio_matrix, (options, omega)),
+        "pl_prob": (models.pl_prob, (scores,)),
+        "ratio_matrix": (models.ratio_matrix, (scores,)),
         "generate": (synth.generate, (spec,)),
         "sweep": (synth.sweep, (spec,)),
         "empirical_check": (synth.empirical_check, ([sample], spec)),
@@ -87,12 +84,10 @@ def _calls():
         # links
         "get_link": (links.get_link, ("logistic",)),
         # models
-        "ScoredOptionSet": (models.ScoredOptionSet, (("a", "b"), (0.0, 1.0))),
-        "KTuplePreference": (models.KTuplePreference, ((0, 1),)),
         "bt_prob": (models.bt_prob, (0.0, 1.0)),
         "compose_pairwise": (models.compose_pairwise, (links.LOGISTIC, 0.3, 0.6)),
         "bt_compose": (models.bt_compose, (0.3, 0.6)),
-        "pl_prob_from_ratios": (models.pl_prob_from_ratios, (models.ratio_matrix(options, omega),)),
+        "pl_prob_from_ratios": (models.pl_prob_from_ratios, (models.ratio_matrix(scores),)),
         "logit_normal_density": (models.logit_normal_density, (0.5, 1.0)),
         # oracles
         "make_rng": (oracles.make_rng, (0,)),
@@ -100,7 +95,7 @@ def _calls():
         "mc_area_bt": (oracles.mc_area_bt, (2.0, 10_000, 0)),
         "quad_area_pl": (oracles.quad_area_pl, (2.0, 1.01, 0.99, "uv", 10_000)),
         "quad_area_pl:vu": (oracles.quad_area_pl, (2.0, 1.01, 0.99, "vu", 10_000)),
-        "brute_force_pl": (oracles.brute_force_pl, (options3, 2)),
+        "brute_force_pl": (oracles.brute_force_pl, (scores3, 2)),
         "mode_count": (oracles.mode_count, (1.0, 10_000)),
         # raster
         "raster_bt": (raster.raster_bt, ("d_pik", (2.0,), 64)),
@@ -112,7 +107,7 @@ def _calls():
         "general_partial": (sensitivity.general_partial, (links.PROBIT, 0.3, 0.6)),
         "bt_region_slice": (sensitivity.bt_region_slice, (2.0, 0.3)),
         "bt_region_area": (sensitivity.bt_region_area, (2.0,)),
-        "pl_context": (sensitivity.pl_context, (options3, omega3, 0, 1)),
+        "pl_context": (sensitivity.pl_context, (scores3, 0, 1)),
         "pl_partials": (sensitivity.pl_partials, (0.3, 0.6, 1.01, 0.99)),
         "pl_region": (sensitivity.pl_region, (2.0, 1.01, 0.99, 0.01, "uv")),
         "pl_region:vu": (sensitivity.pl_region, (2.0, 1.01, 0.99, 0.01, "vu")),
@@ -210,7 +205,7 @@ def test_sweep_covers_every_export():
 
 # Values swapped in for one argument at a time. Some are valid for some
 # arguments (True is the int 1, "x" a file name, () an empty sequence);
-# the rest never are, except where NEVER_VALID_EXCEPT says.
+# the rest never are.
 BAD_VALUES = {
     "None": None,
     "nan": math.nan,
@@ -227,8 +222,6 @@ BAD_VALUES = {
     "array": np.array([0.5, 0.5]),
 }
 NEVER_VALID = {"None", "nan", "inf", "-inf", "object", "nan-array"}
-# ScoredOptionSet's labels are any items, each taken as its str.
-NEVER_VALID_EXCEPT = {("ScoredOptionSet", 0): {"nan-array"}}
 
 
 @pytest.fixture
@@ -267,7 +260,7 @@ def test_contract_sweep(name, position):
         except Exception as exc:  # any other type is the finding
             wrong.append(f"{label}: {type(exc).__name__}: {exc}")
             continue
-        if label in NEVER_VALID - NEVER_VALID_EXCEPT.get((name, position), set()):
+        if label in NEVER_VALID:
             wrong.append(f"{label}: accepted")
     assert wrong == []
 
@@ -291,8 +284,8 @@ def _integer_bounds():
         ("mc_area_bt", 1, "n", 10_000, MAX_MC_SAMPLES),
         ("DatasetSpec", 3, "n_samples", 1, MAX_SAMPLES),
         ("brute_force_pl", 1, "K", 2, 3),  # a set of three options
-        ("pl_context", 2, "u", 0, 1),  # a ranking of three options, v = 1
-        ("pl_context", 3, "v", 1, 2),  # u = 0
+        ("pl_context", 1, "u", 0, 1),  # a ranking of three options, v = 1
+        ("pl_context", 2, "v", 1, 2),  # u = 0
         ("finite_diff", 2, "slot", 0, 1),  # a point of two coordinates
         ("predict", 1, "i", 0, 1),  # a fit of two options
         ("predict", 2, "j", 0, 1),

@@ -15,9 +15,7 @@ from prefsense import (
     PROBIT,
     DomainError,
     FitResult,
-    KTuplePreference,
     SaturationWarning,
-    ScoredOptionSet,
     ValidationError,
     bt_compose,
     bt_prob,
@@ -29,6 +27,7 @@ from prefsense import (
     predict,
     ratio_matrix,
 )
+from prefsense.errors import require_scores
 
 scores_st = st.floats(min_value=-10, max_value=10, allow_nan=False)
 prob_st = st.floats(min_value=1e-6, max_value=1 - 1e-6)
@@ -41,54 +40,22 @@ ROUNDING = {"probit": 2.0**-54, "logistic": 3 * 2.0**-54}
 
 
 class TestTypes:
-    def test_option_set_validation(self):
-        with pytest.raises(ValidationError):
-            ScoredOptionSet(["a"], [1.0])
-        with pytest.raises(ValidationError):
-            ScoredOptionSet(["a", "a"], [1.0, 2.0])
-        with pytest.raises(ValidationError):
-            ScoredOptionSet(["a", "b"], [1.0])
-        with pytest.raises(DomainError):
-            ScoredOptionSet(["a", "b"], [1.0, math.inf])
-        with pytest.raises(DomainError, match="scores must be a sequence"):
-            ScoredOptionSet(["a", "b"], None)
-        with pytest.raises(DomainError, match="labels must be a sequence"):
-            ScoredOptionSet(5, [1.0, 2.0])
+    """require_scores: the one check of a ranking's scores in the PL functions."""
+
+    def test_scores_validation(self):
+        with pytest.raises(ValidationError, match="scores must hold at least 2 entries, got 1"):
+            require_scores([1.0], "scores")
+        with pytest.raises(DomainError, match=r"scores\[1\] must be finite, got inf"):
+            require_scores([1.0, math.inf], "scores")
+        for bad in (None, 5):
+            with pytest.raises(DomainError, match="scores must be a sequence"):
+                require_scores(bad, "scores")
+        assert require_scores(np.array([1, 2]), "scores") == (1.0, 2.0)
 
     # "12" would otherwise be the scores 1.0 and 2.0.
     def test_string_scores_refused(self):
         with pytest.raises(DomainError, match="scores must be a sequence, got '12'"):
-            ScoredOptionSet(("a", "b"), "12")
-
-    # b"\x00\x01" would otherwise be the ranking (0, 1).
-    def test_bytes_indices_refused(self):
-        with pytest.raises(DomainError, match=r"indices must be a sequence, got b'\\x00\\x01'"):
-            KTuplePreference(b"\x00\x01")
-
-    def test_preference_validation(self):
-        with pytest.raises(ValidationError):
-            KTuplePreference([0])
-        with pytest.raises(ValidationError):
-            KTuplePreference([0, 0])
-        for bad in ((0, 1.7), (0, "x")):
-            with pytest.raises(DomainError, match="ranking index must be an integer"):
-                KTuplePreference(bad)
-        for bad in (5, None, 1.5):
-            with pytest.raises(DomainError, match="indices must be a sequence"):
-                KTuplePreference(bad)
-
-    @pytest.mark.parametrize(
-        "indices, message",
-        [
-            ((0, 5), r"ranking index must lie in \[0, 1\], got 5"),
-            ((-1, 0), r"ranking index must lie in \[0, 1\], got -1"),
-            ((0, 1, 2), "ranking of 3 options from a set of 2"),
-        ],
-        ids=["above", "negative", "too-long"],
-    )
-    def test_preference_outside_option_set(self, indices, message):
-        with pytest.raises(DomainError, match=message):
-            KTuplePreference(indices).validate_for(ScoredOptionSet(["a", "b"], [0.0, 1.0]))
+            require_scores("12", "scores")
 
 
 class TestBTProb:
@@ -233,7 +200,7 @@ class TestComposition:
 
 
 _NEAR_ONE = 1 - 1e-16
-_EXTREME = ScoredOptionSet(["a", "b", "c"], [800.0, 0.0, -800.0])
+_EXTREME = (800.0, 0.0, -800.0)
 
 
 @pytest.mark.parametrize(
@@ -244,7 +211,7 @@ _EXTREME = ScoredOptionSet(["a", "b", "c"], [800.0, 0.0, -800.0])
         lambda: compose_pairwise(PROBIT, _NEAR_ONE, _NEAR_ONE),
         lambda: bt_compose(_NEAR_ONE, _NEAR_ONE),
         lambda: bt_compose(np.array([0.5, _NEAR_ONE]), np.array([0.5, _NEAR_ONE])),
-        lambda: pl_prob(KTuplePreference((0, 1, 2)), _EXTREME),
+        lambda: pl_prob(_EXTREME),
         lambda: LOGISTIC.evaluate(40.0),
         lambda: PROBIT.evaluate(40.0),
         lambda: predict(FitResult((0.0, 40.0), 0.0, 1, True), 1, 0),
@@ -262,97 +229,65 @@ def test_saturation_warning_points_at_caller(call):
 
 class TestPLProb:
     def test_uniform_three_way(self):
-        options = ScoredOptionSet(["a", "b", "c"], [0.0, 0.0, 0.0])
-        for perm in itertools.permutations(range(3)):
-            assert pl_prob(KTuplePreference(perm), options) == pytest.approx(
-                1.0 / 6.0, abs=1e-14
-            )
+        # Every ranking of three equal scores has the same scores in rank order.
+        assert pl_prob((0.0, 0.0, 0.0)) == pytest.approx(1.0 / 6.0, abs=1e-14)
 
     def test_pair_degenerates_to_bt(self):
-        options = ScoredOptionSet(["a", "b"], [math.log(3), 0.0])
-        assert pl_prob(KTuplePreference((0, 1)), options) == pytest.approx(0.75, abs=1e-14)
+        assert pl_prob((math.log(3), 0.0)) == pytest.approx(0.75, abs=1e-14)
         rng = make_rng(23)
         for _ in range(200):
             s = rng.uniform(-10, 10, size=2)
-            options = ScoredOptionSet(["a", "b"], s)
-            assert pl_prob(KTuplePreference((0, 1)), options) == pytest.approx(
+            assert pl_prob(s) == pytest.approx(
                 bt_prob(s[0], s[1]), abs=1e-12
             )
 
     def test_frozen_example(self):
         # Frozen from the enumeration oracle (raw-exponential evaluation).
-        options = ScoredOptionSet(["a", "b", "c"], [1.0, 0.0, -1.0])
-        assert pl_prob(KTuplePreference((0, 1, 2)), options) == pytest.approx(
-            0.4863301075752072, abs=1e-12
-        )
+        assert pl_prob((1.0, 0.0, -1.0)) == pytest.approx(0.4863301075752072, abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_full_permutation_normalization(self, n):
         rng = make_rng(24 + n)
-        options = ScoredOptionSet([f"o{i}" for i in range(n)], rng.uniform(-3, 3, size=n))
-        total = sum(
-            pl_prob(KTuplePreference(p), options) for p in itertools.permutations(range(n))
-        )
+        scores = rng.uniform(-3, 3, size=n)
+        total = sum(pl_prob(scores[list(p)]) for p in itertools.permutations(range(n)))
         assert total == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.filterwarnings("ignore::prefsense.SaturationWarning")
     def test_extreme_scores_stable(self):
-        options = ScoredOptionSet(["a", "b", "c"], [800.0, 0.0, -800.0])
-        value = pl_prob(KTuplePreference((0, 1, 2)), options)
+        value = pl_prob((800.0, 0.0, -800.0))
         assert 0.0 < value <= 1.0
-
-    def test_invalid_permutation(self):
-        options = ScoredOptionSet(["a", "b", "c"], [1.0, 0.0, -1.0])
-        with pytest.raises(DomainError):
-            pl_prob(KTuplePreference((0, 3)), options)
 
     def test_overflowing_ratio_gives_zero(self):
         # exp(800) overflows to inf, so the first stage's factor is 0.
-        options = ScoredOptionSet(["a", "b"], [0.0, 800.0])
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
-            assert pl_prob(KTuplePreference((0, 1)), options) == 0.0
+            assert pl_prob((0.0, 800.0)) == 0.0
         assert [w.category for w in record] == [SaturationWarning]
 
     @pytest.mark.parametrize("k", [2, 3, 5, 9])
     def test_equals_the_ratio_product(self, k):
         # One stage kernel: the score form and the ratio form agree exactly.
         rng = make_rng(50 + k)
-        options = ScoredOptionSet([f"o{i}" for i in range(k)], rng.uniform(-30, 30, size=k))
+        scores = rng.uniform(-30, 30, size=k)
         for _ in range(20):
-            omega = KTuplePreference(tuple(rng.permutation(k)))
-            assert pl_prob(omega, options) == pl_prob_from_ratios(ratio_matrix(options, omega))
+            ranked = scores[rng.permutation(k)]
+            assert pl_prob(ranked) == pl_prob_from_ratios(ratio_matrix(ranked))
 
 
 class TestPLRatio:
     """The suffix-swap ratio, read from ratio_matrix."""
 
     def test_equal_scores(self):
-        options = ScoredOptionSet(["a", "b"], [1.5, 1.5])
-        assert ratio_matrix(options, KTuplePreference((0, 1)))[0, 1] == pytest.approx(
-            1.0, abs=1e-15
-        )
+        assert ratio_matrix((1.5, 1.5))[0, 1] == pytest.approx(1.0, abs=1e-15)
 
     def test_log_two_gap(self):
-        options = ScoredOptionSet(["a", "b"], [math.log(2), 0.0])
-        assert ratio_matrix(options, KTuplePreference((0, 1)))[0, 1] == pytest.approx(
-            0.5, abs=1e-14
-        )
+        assert ratio_matrix((math.log(2), 0.0))[0, 1] == pytest.approx(0.5, abs=1e-14)
 
     def test_reciprocal(self):
         rng = make_rng(26)
-        options = ScoredOptionSet(["a", "b", "c"], rng.uniform(-5, 5, size=3))
-        r = ratio_matrix(options, KTuplePreference((0, 1, 2)))
+        r = ratio_matrix(rng.uniform(-5, 5, size=3))
         for u, v in itertools.permutations(range(3), 2):
             assert r[u, v] * r[v, u] == pytest.approx(1.0, abs=1e-12)
-
-    def test_same_index_rejected(self):
-        # A ratio is taken between two distinct entries of a ranking.
-        options = ScoredOptionSet(["a", "b"], [0.0, 1.0])
-        with pytest.raises(ValidationError, match="distinct"):
-            ratio_matrix(options, KTuplePreference((1, 1)))
-        with pytest.raises(DomainError, match="ranking index must be an integer"):
-            ratio_matrix(options, KTuplePreference((0.5, 1)))
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_swap_ratio_matches_probability_ratio(self, k):
@@ -360,13 +295,11 @@ class TestPLRatio:
         # swapping their last two entries, the probability ratio depends
         # only on the swapped scores, for any K and any prefix.
         rng = make_rng(27 + k)
-        options = ScoredOptionSet([f"o{i}" for i in range(k)], rng.uniform(-2, 2, size=k))
-        prefix = tuple(range(k - 2))
+        scores = rng.uniform(-2, 2, size=k)
         u, v = k - 2, k - 1
-        omega = KTuplePreference(prefix + (u, v))
-        p_uv = pl_prob(omega, options)
-        p_vu = pl_prob(KTuplePreference(prefix + (v, u)), options)
-        assert p_vu / p_uv == pytest.approx(ratio_matrix(options, omega)[u, v], abs=1e-12)
+        p_uv = pl_prob(scores)
+        p_vu = pl_prob(scores[[*range(k - 2), v, u]])
+        assert p_vu / p_uv == pytest.approx(ratio_matrix(scores)[u, v], abs=1e-12)
 
 
 class TestPLFromRatios:
@@ -382,11 +315,8 @@ class TestPLFromRatios:
         rng = make_rng(29)
         for k in (2, 3, 4):
             scores = rng.uniform(-3, 3, size=k)
-            options = ScoredOptionSet([f"o{i}" for i in range(k)], scores)
-            omega = KTuplePreference(tuple(range(k)))
-            ratios = ratio_matrix(options, omega)
-            assert pl_prob_from_ratios(ratios) == pytest.approx(
-                pl_prob(omega, options), abs=1e-12
+            assert pl_prob_from_ratios(ratio_matrix(scores)) == pytest.approx(
+                pl_prob(scores), abs=1e-12
             )
 
     def test_rejects_inconsistent_reciprocals(self):

@@ -10,8 +10,6 @@ import pytest
 from prefsense import (
     DomainError,
     EnumerationSizeError,
-    KTuplePreference,
-    ScoredOptionSet,
     UnsupportedThresholdError,
     bt_compose,
     brute_force_pl,
@@ -300,62 +298,56 @@ class TestQuadAreaPL:
 
 class TestBruteForce:
     def test_pair_equal_scores(self):
-        options = ScoredOptionSet(["a", "b"], [0.0, 0.0])
-        table = brute_force_pl(options, 2)
+        table = brute_force_pl((0.0, 0.0), 2)
         assert table[(0, 1)] == pytest.approx(0.5)
         assert table[(1, 0)] == pytest.approx(0.5)
 
     def test_triple_sums_to_one(self):
-        options = ScoredOptionSet(["a", "b", "c"], [1.0, 0.0, -1.0])
-        table = brute_force_pl(options, 3)
+        table = brute_force_pl((1.0, 0.0, -1.0), 3)
         assert len(table) == 6
         assert sum(table.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_reproduces_production_path(self):
         rng = make_rng(31)
-        options = ScoredOptionSet(["a", "b", "c", "d"], rng.uniform(-2, 2, size=4))
+        scores = rng.uniform(-2, 2, size=4)
         for k in (2, 3, 4):
-            table = brute_force_pl(options, k)
+            table = brute_force_pl(scores, k)
             assert len(table) == math.perm(4, k)
             for perm, value in table.items():
-                assert value == pytest.approx(
-                    pl_prob(KTuplePreference(perm), options), abs=1e-12
-                )
+                assert value == pytest.approx(pl_prob(scores[list(perm)]), abs=1e-12)
 
     def test_subset_rankings_normalize(self):
-        options = ScoredOptionSet(["a", "b", "c", "d"], [0.5, 0.1, -0.2, -0.9])
-        table = brute_force_pl(options, 3)
+        table = brute_force_pl((0.5, 0.1, -0.2, -0.9), 3)
         for subset in itertools.combinations(range(4), 3):
             total = sum(v for perm, v in table.items() if set(perm) == set(subset))
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_swap_ratio_identity(self):
         rng = make_rng(32)
-        options = ScoredOptionSet(["a", "b", "c", "d"], rng.uniform(-2, 2, size=4))
+        scores = rng.uniform(-2, 2, size=4)
         for k in (3, 4):
-            table = brute_force_pl(options, k)
+            table = brute_force_pl(scores, k)
             for perm in table:
                 u, v = perm[-2], perm[-1]
                 swapped = perm[:-2] + (v, u)
                 assert table[swapped] / table[perm] == pytest.approx(
-                    ratio_matrix(options, KTuplePreference(perm))[-2, -1], rel=1e-12
+                    ratio_matrix(scores[list(perm)])[-2, -1], rel=1e-12
                 )
 
     def test_size_guard(self):
-        options = ScoredOptionSet([f"o{i}" for i in range(8)], [0.0] * 8)
+        scores = [0.0] * 8
         with pytest.raises(EnumerationSizeError):
-            brute_force_pl(options, 7)
+            brute_force_pl(scores, 7)
         with pytest.raises(DomainError, match=r"K must lie in \[2, 8\], got 1"):
-            brute_force_pl(options, 1)
+            brute_force_pl(scores, 1)
         with pytest.raises(DomainError, match="K must be an integer"):
-            brute_force_pl(options, 2.5)
+            brute_force_pl(scores, 2.5)
 
     # The size guard comes first, so K = 7 on three options is still an EnumerationSizeError.
     @pytest.mark.parametrize("k, error", [(4, DomainError), (7, EnumerationSizeError)])
     def test_k_beyond_the_option_count(self, k, error):
-        options = ScoredOptionSet(["a", "b", "c"], [0.0, 0.5, 1.0])
         with pytest.raises(error, match="K must lie in" if error is DomainError else "K <= 6"):
-            brute_force_pl(options, k)
+            brute_force_pl((0.0, 0.5, 1.0), k)
 
 
 def _scalar_density(x, sigma2):

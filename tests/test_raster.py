@@ -226,6 +226,14 @@ class TestGridConstruction:
             for which in ("d_uv", "d_vu"):
                 assert np.isfinite(raster_pl(which, 1.01, 0.99, THRESHOLDS, resolution).values).all()
 
+    # (alpha p + q)^2 overflows to inf at every cell, where the derivative's
+    # limit is 0; the overflow is no warning.
+    @pytest.mark.filterwarnings("error")
+    def test_pl_huge_alpha_warns_nothing(self):
+        grid = raster_pl("d_uv", 1e308, 0.99, (2.0,), 64)
+        assert (grid.values == 0.0).all()
+        assert (grid.classes == 0).all()
+
     def test_example_cell_is_sensitive_at_twenty(self):
         grid = raster_bt("d_pik", (1.01, 20.0), 128)
         ix = int(0.99 * 128)

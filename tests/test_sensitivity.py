@@ -13,8 +13,6 @@ from prefsense import (
     LOGISTIC,
     PROBIT,
     DomainError,
-    KTuplePreference,
-    ScoredOptionSet,
     SingularityError,
     UnsupportedThresholdError,
     ValidationError,
@@ -360,22 +358,19 @@ class TestBTArea:
 
 class TestPLContext:
     def test_pair_is_degenerate(self):
-        options = ScoredOptionSet(["a", "b"], [1.0, -1.0])
-        alpha, beta = pl_context(options, KTuplePreference((0, 1)), 0, 1)
+        alpha, beta = pl_context((1.0, -1.0), 0, 1)
         assert alpha == pytest.approx(1.0)
         assert beta == pytest.approx(1.0)
 
     def test_equal_scores_triple(self):
-        options = ScoredOptionSet(["a", "b", "c"], [0.0, 0.0, 0.0])
-        alpha, beta = pl_context(options, KTuplePreference((0, 1, 2)), 0, 1)
+        alpha, beta = pl_context((0.0, 0.0, 0.0), 0, 1)
         assert alpha == pytest.approx(2.0)
         assert beta == pytest.approx(0.5)
 
     def test_trailing_pair_has_unit_alpha(self):
         # Nothing competes at the final stage, so the sum is empty even
         # for K > 2.
-        options = ScoredOptionSet(["a", "b", "c"], [0.4, 0.1, -0.2])
-        alpha, beta = pl_context(options, KTuplePreference((0, 1, 2)), 1, 2)
+        alpha, beta = pl_context((0.4, 0.1, -0.2), 1, 2)
         assert alpha == pytest.approx(1.0)
         assert 0.0 < beta < 1.0
 
@@ -384,33 +379,31 @@ class TestPLContext:
         scores = list(rng.uniform(-1.5, 1.5, size=6))
         previous = None
         for k in (3, 4, 5, 6):
-            options = ScoredOptionSet([f"o{i}" for i in range(k)], scores[:k])
-            alpha, beta = pl_context(options, KTuplePreference(tuple(range(k))), 0, 1)
+            alpha, beta = pl_context(scores[:k], 0, 1)
             if previous is not None:
                 assert alpha >= previous[0] - 1e-12
                 assert beta <= previous[1] + 1e-12
             previous = alpha, beta
 
     def test_invalid_positions(self):
-        options = ScoredOptionSet(["a", "b", "c"], [0.0, 0.0, 0.0])
-        omega = KTuplePreference((0, 1, 2))
+        scores = (0.0, 0.0, 0.0)
         with pytest.raises(DomainError):
-            pl_context(options, omega, 1, 1)
+            pl_context(scores, 1, 1)
         with pytest.raises(DomainError):
-            pl_context(options, omega, 2, 1)
+            pl_context(scores, 2, 1)
         with pytest.raises(DomainError):
-            pl_context(options, omega, 0, 3)
+            pl_context(scores, 0, 3)
         with pytest.raises(DomainError, match="u must be an integer"):
-            pl_context(options, omega, 0.5, 1)
+            pl_context(scores, 0.5, 1)
 
     # exp(800) overflows float64; pl_prob of these rankings is 0.0.
     @pytest.mark.parametrize("perm, u, v, positions", [((0, 1, 2), 0, 1, "0 and 2"), ((0, 2, 1), 1, 2, "0 and 1")])
     def test_score_gap_beyond_float64(self, perm, u, v, positions):
-        options = ScoredOptionSet(["a", "b", "c"], [0.0, 0.0, 800.0])
+        scores = np.array([0.0, 0.0, 800.0])[list(perm)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=f"ranking positions {positions} differ by 800;"):
-                pl_context(options, KTuplePreference(perm), u, v)
+                pl_context(scores, u, v)
 
     # No ratio overflows, but beta's stage factors underflow to 0, or the
     # ratios competing at stage u sum past the largest float.
@@ -422,46 +415,39 @@ class TestPLContext:
         ],
     )
     def test_constants_beyond_float64(self, scores, u, v, message):
-        options = ScoredOptionSet([f"o{i}" for i in range(len(scores))], scores)
-        omega = KTuplePreference(tuple(range(len(scores))))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=message):
-                pl_context(options, omega, u, v)
+                pl_context(scores, u, v)
 
     def test_overflow_of_an_unread_ratio_is_harmless(self):
         # r[1, 0] = exp(800) overflows, but only entries above the diagonal are read.
-        options = ScoredOptionSet(["a", "b", "c"], [800.0, 0.0, 0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            constants = pl_context(options, KTuplePreference((0, 1, 2)), 0, 1)
+            constants = pl_context((800.0, 0.0, 0.0), 0, 1)
         assert constants == (1.0, 0.5)
 
     def test_context_validation(self):
-        # u runs over 0 .. K-2 and v over u+1 .. K-1, with K = len(omega).
-        options = ScoredOptionSet(["a", "b", "c"], [0.0, 0.0, 0.0])
-        for omega, u, v, message in (
-            (KTuplePreference((0, 1)), 0, 2, r"v must lie in \[1, 1\], got 2"),
-            (KTuplePreference((0, 1, 2)), 2, 1, r"u must lie in \[0, 1\], got 2"),
-            (KTuplePreference((0, 1, 2)), 1, 1, r"v must lie in \[2, 2\], got 1"),
-            (KTuplePreference((0, 1, 2)), -1, 1, r"u must lie in \[0, 1\], got -1"),
+        # u runs over 0 .. K-2 and v over u+1 .. K-1, with K = len(scores).
+        for scores, u, v, message in (
+            ((0.0, 0.0), 0, 2, r"v must lie in \[1, 1\], got 2"),
+            ((0.0, 0.0, 0.0), 2, 1, r"u must lie in \[0, 1\], got 2"),
+            ((0.0, 0.0, 0.0), 1, 1, r"v must lie in \[2, 2\], got 1"),
+            ((0.0, 0.0, 0.0), -1, 1, r"u must lie in \[0, 1\], got -1"),
         ):
             with pytest.raises(DomainError, match=message):
-                pl_context(options, omega, u, v)
+                pl_context(scores, u, v)
 
     # The positions are integers: floats are refused, not compared.
     @pytest.mark.parametrize("field, bad", [("u", None), ("u", 0.0), ("v", "1"), ("v", 1.0)])
     def test_non_integer_k_u_v(self, field, bad):
-        options = ScoredOptionSet(["a", "b", "c"], [0.0, 0.0, 0.0])
         kwargs = {"u": 0, "v": 1, field: bad}
         with pytest.raises(DomainError, match=f"{field} must be an integer"):
-            pl_context(options, KTuplePreference((0, 1, 2)), **kwargs)
+            pl_context((0.0, 0.0, 0.0), **kwargs)
 
     def test_numpy_integer_k_u_v(self):
-        options = ScoredOptionSet(["a", "b", "c"], [0.4, 0.1, -0.2])
-        omega = KTuplePreference(np.arange(3, dtype=np.int64))
-        constants = pl_context(options, omega, np.int32(0), np.int64(1))
-        assert constants == pl_context(options, KTuplePreference((0, 1, 2)), 0, 1)
+        constants = pl_context(np.array([0.4, 0.1, -0.2]), np.int32(0), np.int64(1))
+        assert constants == pl_context((0.4, 0.1, -0.2), 0, 1)
         assert all(type(c) is float for c in constants)
 
 
@@ -480,11 +466,10 @@ class TestPLPartials:
         assert abs(d_uv / d_vu) == pytest.approx(p_vu / p_uv, rel=1e-9)
 
     def test_matches_finite_difference_of_ratio_form(self):
-        options = ScoredOptionSet(["a", "b", "c", "d"], [0.9, 0.2, -0.3, -1.0])
-        omega = KTuplePreference((0, 1, 2, 3))
+        scores = (0.9, 0.2, -0.3, -1.0)
         for u, v in ((0, 1), (0, 3), (1, 2), (2, 3)):
-            alpha, beta = pl_context(options, omega, u, v)
-            base = ratio_matrix(options, omega)
+            alpha, beta = pl_context(scores, u, v)
+            base = ratio_matrix(scores)
 
             def ranking_prob(p_uv, p_vu):
                 r = base.copy()
@@ -506,10 +491,9 @@ class TestPLPartials:
     def test_consistent_point_reproduces_ranking_probability(self):
         # At the score-consistent pair probabilities, the ratio-form
         # function evaluates to the actual ranking probability.
-        options = ScoredOptionSet(["a", "b", "c"], [0.7, 0.0, -0.4])
-        omega = KTuplePreference((0, 1, 2))
-        alpha, beta = pl_context(options, omega, 0, 1)
-        ratios = ratio_matrix(options, omega)
+        scores = (0.7, 0.0, -0.4)
+        alpha, beta = pl_context(scores, 0, 1)
+        ratios = ratio_matrix(scores)
         assert pl_prob_from_ratios(ratios) == pytest.approx(
             beta / (alpha + ratios[0, 1]), rel=1e-12
         )
@@ -673,22 +657,12 @@ class TestArgumentType:
             (lambda: compose_pairwise(1.5, 0.3, 0.4), "link must be a LinkFunction, got 1.5"),
             (lambda: general_partial(1.5, 0.3, 0.4), "link must be a LinkFunction, got 1.5"),
             (lambda: sensitivity_witness(1.5, 10.0), "link must be a LinkFunction, got 1.5"),
-            (
-                lambda: pl_context(1.5, KTuplePreference((0, 1)), 0, 1),
-                "options must be a ScoredOptionSet, got 1.5",
-            ),
-            (
-                lambda: pl_context(ScoredOptionSet(["a", "b"], [0.0, 0.0]), (0, 1), 0, 1),
-                r"omega must be a KTuplePreference, got \(0, 1\)",
-            ),
             (lambda: finite_diff(1.5, (0.3,)), "fn must be a Callable, got 1.5"),
         ],
         ids=[
             "compose_pairwise",
             "general_partial",
             "sensitivity_witness",
-            "pl_context-options",
-            "pl_context-omega",
             "finite_diff",
         ],
     )

@@ -14,8 +14,6 @@ import pytest
 from prefsense import (
     LOGISTIC,
     PROBIT,
-    KTuplePreference,
-    ScoredOptionSet,
     bt_compose,
     bt_partial,
     bt_region_slice,
@@ -78,10 +76,9 @@ def _scalar_central_difference(fn, at, slot):
 
 def test_derivative_errors_equal_a_scalar_loop():
     # The quick run's 200 points, one scalar call per point and derivative.
-    options = ScoredOptionSet(("a", "b", "c", "d"), (0.8, 0.1, -0.4, -1.2))
-    omega = KTuplePreference((0, 1, 2, 3))
-    alpha, beta = pl_context(options, omega, 1, 2)
-    ratios = ratio_matrix(options, omega)
+    scores = (0.8, 0.1, -0.4, -1.2)
+    alpha, beta = pl_context(scores, 1, 2)
+    ratios = ratio_matrix(scores)
     a, b = (0.01 + 0.98 * make_rng(verification.VERIFY_SEED).random((200, 2))).T
     got = verification._derivative_errors(a, b, alpha, beta, verification._swap_ratio_fn(ratios, 1, 2))
 
